@@ -27,7 +27,7 @@ from math import exp, fsum, log, log1p
 import numpy as np
 
 from .errors import FiniteDifferenceNoiseError
-from .quadrature import fixed_panel, gauss_legendre, log_graded_edges
+from .quadrature import gauss_legendre, log_graded_edges
 from .specialfn import QuadratureSettings, li, universal_constant_cached, zeta3
 from .weights import PhiFunction
 
@@ -89,11 +89,17 @@ def log_ratio_three(a: float, b: float, c: float) -> float:
             - log1p(-exp(-a - b)) - log1p(-exp(-b - c)) - log1p(-exp(-a - c)))
 
 
+def _require_sides(**sides: float) -> None:
+    # an infinite side would silently give zero or nan coefficients
+    for name, value in sides.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"side {name} must be finite and positive, got {value}")
+
+
 def coeffs_finite(a: float, b: float, c: float,
                   quad: QuadratureSettings = QuadratureSettings()) -> ExpansionCoefficients:
     """Finite box, convention f = -ln Z/V."""
-    if not (a > 0 and b > 0 and c > 0):
-        raise ValueError("sides a, b, c must be positive")
+    _require_sides(a=a, b=b, c=c)
     s = a * b + b * c + a * c
     f0 = (li(3, exp(-a)) + li(3, exp(-b)) + li(3, exp(-c))
           - li(3, exp(-a - b)) - li(3, exp(-b - c)) - li(3, exp(-a - c))
@@ -108,8 +114,7 @@ def coeffs_finite(a: float, b: float, c: float,
 def coeffs_infinite(a: float, b: float,
                     quad: QuadratureSettings = QuadratureSettings()) -> ExpansionCoefficients:
     """Infinite-height box, convention f = +ln Z/V."""
-    if not (a > 0 and b > 0):
-        raise ValueError("sides a, b must be positive")
+    _require_sides(a=a, b=b)
     ab = a * b
     f0 = (zeta3() + li(3, exp(-a - b)) - li(3, exp(-a)) - li(3, exp(-b))) / ab
     iq = universal_constant_cached(quad)
@@ -123,10 +128,16 @@ def coeffs_infinite(a: float, b: float,
 # ---------------------------------------------------------------------------
 
 _N_QUAD = 20
-_N_PANELS = 14
 _EFOLDS = 48.0
 _N_MAX_ZERO = 6000
 _N_SAFETY = 64
+
+
+def _row_dots(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """np.dot(w, row) for each row.  A stacked matmul reduces every row with
+    the same kernel as np.dot, so results match a per-row loop bit for bit
+    (a plain rows @ w sums in another order)."""
+    return np.matmul(w, rows[:, :, None])[:, 0]
 
 
 def sliced_f0(a: float, b: float, phi: PhiFunction) -> float:
@@ -156,32 +167,29 @@ def sliced_f0(a: float, b: float, phi: PhiFunction) -> float:
 
     gx, gw = gauss_legendre(32)
 
-    def conv(s_nodes):
-        out = np.empty_like(s_nodes)
-        for idx, s in enumerate(s_nodes):
-            lo, hi = max(0.0, s - cap_v), min(cap_u, s)
-            if hi <= lo:
-                out[idx] = 0.0
-                continue
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            u = mid + half * gx
-            vals = 1.0 / (phi(d + z_of_u(u)) * phi(d - y_of_v(s - u)))
-            out[idx] = half * float(np.dot(gw, vals))
-        return out
-
-    def integrand(s):
-        # -ln(1 - e^{-s}) via expm1: exp(-s) rounds to 1.0 below s ~ 5e-17,
-        # which the graded panels do reach
-        s = np.asarray(s, dtype=float)
-        return -np.log(-np.expm1(-s)) * conv(s)
+    def conv(s):
+        # C(s) on an array of s nodes: one 32-node Gauss rule per node over
+        # u in [max(0, s - v(b)), min(u(a), s)], all inversions at once
+        u_lo, u_hi = np.maximum(0.0, s - cap_v), np.minimum(cap_u, s)
+        mid, half = 0.5 * (u_hi + u_lo), 0.5 * (u_hi - u_lo)
+        u = mid[:, None] + half[:, None] * gx
+        vals = 1.0 / (phi(d + z_of_u(u)) * phi(d - y_of_v(s[:, None] - u)))
+        return np.where(u_hi > u_lo, half * _row_dots(vals, gw), 0.0)
 
     m1, m2, end = min(cap_u, cap_v), max(cap_u, cap_v), cap_u + cap_v
     edges = list(log_graded_edges(0.0, m1))
     if m2 > m1 + 1e-15:
         edges += list(np.linspace(m1, m2, 13))[1:]
     edges += list(np.linspace(m2, end, 13))[1:]
-    total = fsum(fixed_panel(integrand, lo, hi, 24)
-                 for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo)
+    lo, hi = np.asarray(edges[:-1]), np.asarray(edges[1:])
+    lo, hi = lo[hi > lo], hi[hi > lo]
+    px, pw = gauss_legendre(24)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    s = (mid[:, None] + half[:, None] * px).ravel()
+    # -ln(1 - e^{-s}) via expm1: exp(-s) rounds to 1.0 below s ~ 5e-17,
+    # which the graded panels do reach
+    vals = (-np.log(-np.expm1(-s)) * conv(s)).reshape(lo.size, px.size)
+    total = fsum(half * _row_dots(vals, pw))
     return total / (a * b)
 
 
@@ -201,9 +209,8 @@ def _sliced_pieces(a: float, b: float, phi: PhiFunction, eps: float,
                    slope_min: float) -> tuple[float, float, float, float]:
     """Values (f_geo, f_plus, f_minus, f_cross) of the smooth decomposition.
 
-    eps may be negative only for f_geo consumption; the Psi parts are then
-    meaningless (their series diverge) but still finite numbers here, so
-    callers must ignore them for eps < 0.
+    eps may be negative only for f_geo consumption: the Psi series diverge
+    there, so the three Psi parts are returned as nan.
     """
     d = b - a
     eta = float(phi(d))
@@ -226,29 +233,39 @@ def _sliced_pieces(a: float, b: float, phi: PhiFunction, eps: float,
     a_minus = geometric(b, lam_m)
     a_plus = geometric(a, lam_p)
     pref = np.exp(-n * eps * eta) / n
+    ab = a * b
+    if eps < 0.0:
+        return fsum(pref * a_minus * a_plus) / ab, math.nan, math.nan, math.nan
 
     gx, gw = gauss_legendre(_N_QUAD)
     gx01, gw01 = (gx + 1.0) / 2.0, gw / 2.0
 
-    def r_and_slope(x, sgn):
-        base = sgn * (phi.antiderivative(d + sgn * x) - phi.antiderivative(d))
-        r = base + 0.5 * eps * (phi(d + sgn * x) - eta) + sgn * eps * eps / 12.0 * (phi.d1(d + sgn * x) - p1)
-        rp = phi(d + sgn * x) + sgn * 0.5 * eps * phi.d1(d + sgn * x) + eps * eps / 12.0 * phi.d2(d + sgn * x)
-        return r, rp
+    def r_of(x, sgn):
+        t = d + sgn * x
+        return (sgn * (phi.antiderivative(t) - phi.antiderivative(d))
+                + 0.5 * eps * (phi(t) - eta) + sgn * eps * eps / 12.0 * (phi.d1(t) - p1))
 
     def psi_sum(length, lam, sgn):
         # int_0^length Psi_n - eps/2 Psi_n(length) + eps^2/12 Psi_n'(length),
         # with Psi_n(0) = Psi_n'(0) = 0.  The integrand decays like
-        # e^{-n slope x}; equal panels on [0, x_cut(n)] keep < 4 e-folds each.
+        # e^{-n slope x} and is negligible beyond x_cut(n).  All n share one
+        # set of dyadic panels on [0, length], so r(x) is evaluated once per
+        # node; panel p adds to the prefix of n whose x_cut lies above its
+        # lower edge.  The first edge puts 3 e-folds of the largest n below it.
         x_cut = np.minimum(length, _EFOLDS / (n * slope_min))
+        x_min = float(x_cut[-1]) / 16.0
+        levels = math.ceil(math.log2(length / x_min))
+        edges = [0.0] + [x_min * 2.0**k for k in range(levels)] + [length]
         out = np.zeros_like(n)
-        for p in range(_N_PANELS):
-            lo = p / _N_PANELS
-            x = x_cut[:, None] * (lo + gx01[None, :] / _N_PANELS)
-            r, _ = r_and_slope(x, sgn)
-            psi = np.exp(-n[:, None] * r) - np.exp(-n[:, None] * x * lam)
-            out += (x_cut / _N_PANELS) * (psi @ gw01)
-        r_end, rp_end = r_and_slope(np.full_like(n, length), sgn)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            count = int(np.count_nonzero(x_cut > lo))
+            nn = n[:count, None]
+            x = lo + (hi - lo) * gx01
+            psi = np.exp(-nn * r_of(x, sgn)) - np.exp(-nn * (x * lam))
+            out[:count] += (hi - lo) * (psi @ gw01)
+        t_end = d + sgn * length
+        r_end = float(r_of(length, sgn))
+        rp_end = float(phi(t_end) + sgn * 0.5 * eps * phi.d1(t_end) + eps * eps / 12.0 * phi.d2(t_end))
         psi_end = np.exp(-n * r_end) - np.exp(-n * length * lam)
         dpsi_end = -n * rp_end * np.exp(-n * r_end) + n * lam * np.exp(-n * length * lam)
         return out - 0.5 * eps * psi_end + eps * eps / 12.0 * dpsi_end
@@ -256,7 +273,6 @@ def _sliced_pieces(a: float, b: float, phi: PhiFunction, eps: float,
     s_minus = psi_sum(b, lam_m, -1.0)
     s_plus = psi_sum(a, lam_p, +1.0)
 
-    ab = a * b
     t_plus = pref * a_minus * s_plus
     t_minus = pref * s_minus * a_plus
     t_cross = pref * s_minus * s_plus
@@ -336,8 +352,7 @@ def sliced_f3(a: float, b: float, phi: PhiFunction,
 def coeffs_sliced(a: float, b: float, phi: PhiFunction,
                   settings: SlicedDerivativeSettings = SlicedDerivativeSettings()) -> ExpansionCoefficients:
     """Slice-weighted infinite-height box, convention f = +ln Z/V."""
-    if not (a > 0 and b > 0):
-        raise ValueError("sides a, b must be positive")
+    _require_sides(a=a, b=b)
     f0 = sliced_f0(a, b, phi)
     f2 = 1.0 / (12.0 * a * b)
     f3, noise = sliced_f3(a, b, phi, settings)

@@ -130,6 +130,14 @@ class TabulatedPhi(PhiFunction):
     def __call__(self, t):
         return self._spline(t)
 
+    def check_positive(self, lo: float, hi: float, samples: int = 2001) -> None:
+        # the spline would extrapolate silently; callers check their range
+        # once here instead of on every evaluation
+        if not (self.t_min <= lo and hi <= self.t_max):
+            raise ValueError(f"[{lo}, {hi}] lies outside the tabulated range "
+                             f"[{self.t_min}, {self.t_max}] of {self.id}")
+        super().check_positive(lo, hi, samples)
+
     def d1(self, t):
         return self._d1(t)
 

@@ -22,6 +22,8 @@ from hexdimer import (
     log_ratio_three,
     log_ratio_two,
     predict_free_energy,
+    sliced_f0,
+    sliced_f3,
     zeta3,
 )
 
@@ -166,3 +168,65 @@ def test_sliced_against_reference_table(phi, a, b):
     assert 12 * a * b * coeffs.f2 == pytest.approx(1.0, abs=1e-15)
     assert abs(coeffs.f3 - f3_ref) < 2e-5
     assert coeffs.fd_noise is not None and coeffs.fd_noise < 1e-3 * abs(coeffs.f3)
+
+
+# Table 1 analytic values (repr) as computed with quadrature nodes built
+# separately for each n; the shared panels must stay within the tolerances
+# below.  Columns: (phi, a, b, f0, f3, fd_noise)
+TABLE1_ANALYTIC_PINNED = [
+    (CosinePhi(), 1.0, 3.0, 0.47220669610174465, -0.04388943749866839, 6.535121027782054e-08),
+    (CosinePhi(), 2.0, 3.0, 0.23592246763123817, -0.030398296766542966, 9.032917848934239e-09),
+    (LinearPhi(1.0, 0.5), 1.0, 3.0, 0.09728859658058127, -0.03368911724350389, 9.998068551348669e-09),
+    (LinearPhi(2.0, 0.5), 2.0, 3.0, 0.032804447483357924, -0.015094329785916048, 3.328279720735915e-09),
+]
+
+
+@pytest.mark.parametrize("phi,a,b,f0_pin,f3_pin,noise_pin", TABLE1_ANALYTIC_PINNED)
+def test_sliced_table1_analytic_pinned(phi, a, b, f0_pin, f3_pin, noise_pin):
+    assert abs(sliced_f0(a, b, phi) - f0_pin) <= 1e-13 * abs(f0_pin)
+    f3, noise = sliced_f3(a, b, phi)
+    assert abs(f3 - f3_pin) <= 1e-11
+    assert abs(noise - noise_pin) <= 1e-12
+
+
+class CountingCosinePhi(CosinePhi):
+    """CosinePhi that counts every point at which it is evaluated."""
+
+    def __init__(self):
+        self.points = 0
+
+    def _seen(self, t):
+        self.points += int(np.size(t))
+        return t
+
+    def __call__(self, t):
+        return super().__call__(self._seen(t))
+
+    def d1(self, t):
+        return super().d1(self._seen(t))
+
+    def d2(self, t):
+        return super().d2(self._seen(t))
+
+    def antiderivative(self, t):
+        return super().antiderivative(self._seen(t))
+
+
+def test_sliced_f3_work_count():
+    # the series nodes are shared by every n; nodes built per n would
+    # evaluate phi at ~3e8 points here
+    phi = CountingCosinePhi()
+    sliced_f3(1.0, 3.0, phi)
+    assert 0 < phi.points <= 2_000_000
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_nonfinite_sides_rejected(bad):
+    for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            coeffs_finite(*args)
+    for args in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            coeffs_infinite(*args)
+        with pytest.raises(ValueError, match="finite"):
+            coeffs_sliced(*args, CosinePhi())

@@ -49,6 +49,14 @@ def test_coeffs_requires_scenario_arguments(capsys):
     assert "phi" in err
 
 
+def test_coeffs_rejects_nonfinite_side(capsys):
+    for bad in ("inf", "nan"):
+        code, _, err = run(capsys, "coeffs", "--scenario", "finite", "--a", "1", "--b", "1",
+                           "--c", bad)
+        assert code == 1
+        assert "finite" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["free-energy", "--bogus-flag"]) == 1
     assert main(["nonexistent-subcommand"]) == 1

@@ -64,6 +64,20 @@ def test_tabulated_validation():
         TabulatedPhi([0, 1, 1, 2], [1, 1, 1, 1])
 
 
+def test_tabulated_rejects_range_outside_table():
+    from hexdimer import coeffs_sliced
+
+    grid = np.linspace(0.0, 1.0, 21)
+    phi = TabulatedPhi(grid, 1.0 + 0.0 * grid)
+    phi.check_positive(0.0, 1.0)
+    phi.check_positive(0.25, 0.75)
+    for lo, hi in ((-0.1, 1.0), (0.0, 1.1), (-1.0, 3.0)):
+        with pytest.raises(ValueError, match="tabulated range"):
+            phi.check_positive(lo, hi)
+    with pytest.raises(ValueError, match="tabulated range"):
+        coeffs_sliced(1.0, 3.0, phi)
+
+
 def test_sliced_wrapper_holds_phi():
     phi = CosinePhi()
     assert Sliced(phi).phi is phi
