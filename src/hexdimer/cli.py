@@ -133,6 +133,7 @@ def cmd_partition(args) -> int:
         scaled = ScaledShape(args.a, args.b, INFINITE, 1.0 / args.inv_eps)
         box = scaled.box()
         phi = phi_from_id(args.phi)
+        phi.check_positive(-args.a, args.b)
         logz = log_z_sliced(box.m, box.n, phi, scaled.eps)
         rows.append([args.a, args.b, args.inv_eps, phi.id, logz, math.exp(logz)])
         header = ("a", "b", "inv_eps", "phi", "log_Z", "Z")
@@ -160,6 +161,7 @@ def cmd_free_energy(args) -> int:
         if scenario == "sliced":
             scaled = ScaledShape(args.a, args.b, INFINITE, eps)
             box = scaled.box()
+            phi.check_positive(-args.a, args.b)
             f = sliced_free_energy_value(box.m, box.n, phi, eps)
             params = f"a={args.a};b={args.b};phi={phi.id}"
         else:

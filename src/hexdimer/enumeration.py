@@ -15,6 +15,7 @@ from .shapes import BoxShape
 
 MAX_CELLS = 16
 MAX_HEIGHT = 8
+MAX_CONFIGS = 10**6
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,20 @@ def is_valid_config(shape: BoxShape, heights) -> bool:
     return True
 
 
+def config_count(shape: BoxShape) -> int:
+    """Exact number of configurations: MacMahon's product at q = 1.
+
+    prod_{i,j,l} (i+j+l-1)/(i+j+l-2) telescopes over l to
+    prod_{i,j} (i+j+k-1)/(i+j-1), evaluated in integers.
+    """
+    num = den = 1
+    for i in range(1, shape.m + 1):
+        for j in range(1, shape.n + 1):
+            num *= i + j + shape.k - 1
+            den *= i + j - 1
+    return num // den
+
+
 def _check_guard(shape: BoxShape, max_cells: int, max_height: int) -> None:
     if not shape.is_finite:
         raise OracleSizeError("oracle too large: enumeration requires finite k")
@@ -61,6 +76,11 @@ def _check_guard(shape: BoxShape, max_cells: int, max_height: int) -> None:
         raise OracleSizeError(
             f"oracle too large: need m*n <= {max_cells} and k <= {max_height}, "
             f"got m*n = {shape.m * shape.n}, k = {shape.k}")
+    count = config_count(shape)
+    if count > MAX_CONFIGS:
+        raise OracleSizeError(
+            f"oracle too large: {shape.m}x{shape.n}x{shape.k} has {count} configurations, "
+            f"more than {MAX_CONFIGS}")
 
 
 def enumerate_configs(shape: BoxShape, max_cells: int = MAX_CELLS,

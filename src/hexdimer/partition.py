@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .shapes import INFINITE, BoxShape, ScaledShape
 from .specialfn import chi
-from .summation import NeumaierSum
+from .summation import NeumaierSum, exact_sum
 from .weights import PhiFunction, Sliced, Uniform, WeightSpec
 
 CONVENTION_FINITE = "f = -ln(Z)/V"
@@ -94,33 +94,40 @@ def sliced_log_weight_exponents(m: int, n: int, phi: PhiFunction, eps: float) ->
 
     E_ij = eps * (phi(b-a) + sum_{k=1..i} phi(b-a-k*eps) + sum_{l=1..j} phi(b-a+l*eps)),
     i over the n side, j over the m side; the slice sums are cached prefix sums.
-    Prefix sums accumulate left to right in plain floats so that an index-by-
-    index recomputation (the naive oracle) reproduces every entry bit for bit.
+    One vectorised phi call covers every slice t = (n-m+j)*eps, j = 1-n..m-1,
+    and np.cumsum accumulates each prefix sum left to right in plain floats,
+    so an index-by-index recomputation (the naive oracle) reproduces every
+    entry bit for bit.
     """
     d = n - m
-    eta = float(phi(d * eps))
-    c_minus = [0.0] * n
-    acc = 0.0
-    for i in range(1, n):
-        acc += float(phi((d - i) * eps))
-        c_minus[i] = acc
-    c_plus = [0.0] * m
-    acc = 0.0
-    for j in range(1, m):
-        acc += float(phi((d + j) * eps))
-        c_plus[j] = acc
-    total = eta + (np.asarray(c_minus)[:, None] + np.asarray(c_plus)[None, :])
-    return eps * total
+    values = np.asarray(phi((d + np.arange(1 - n, m)) * eps), dtype=float)
+    eta = values[n - 1]
+    c_minus = np.zeros(n)
+    np.cumsum(values[:n - 1][::-1], out=c_minus[1:])
+    c_plus = np.zeros(m)
+    np.cumsum(values[n:], out=c_plus[1:])
+    exponents = np.add.outer(c_minus, c_plus)
+    exponents += eta
+    exponents *= eps
+    return exponents
 
 
 def log_z_sliced(m: int, n: int, phi: PhiFunction, eps: float) -> float:
-    """ln Z for the infinite-height box with slice weights q_t = e^{-eps phi(t eps)}."""
+    """ln Z for the infinite-height box with slice weights q_t = e^{-eps phi(t eps)}.
+
+    The terms ln(1 - e^{-E_ij}) are formed in place in the exponent matrix and
+    summed exactly (exact_sum equals math.fsum bit for bit).
+    """
     if m < 1 or n < 1 or eps <= 0:
         raise ValueError("need m, n >= 1 and eps > 0")
-    exponents = sliced_log_weight_exponents(m, n, phi, eps)
-    if not np.all(exponents > 0.0):
+    terms = sliced_log_weight_exponents(m, n, phi, eps)
+    if not np.all(terms > 0.0):
         raise ValueError("non-positive weight exponent: phi must be strictly positive on [-a, b]")
-    return -fsum(np.log1p(-np.exp(-exponents)).ravel())
+    np.negative(terms, out=terms)
+    np.exp(terms, out=terms)
+    np.negative(terms, out=terms)
+    np.log1p(terms, out=terms)
+    return -exact_sum(terms)
 
 
 def free_energy_value(shape: BoxShape, q: float) -> float:

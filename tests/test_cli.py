@@ -57,6 +57,32 @@ def test_coeffs_rejects_nonfinite_side(capsys):
         assert "finite" in err
 
 
+def write_unit_table(tmp_path):
+    path = tmp_path / "phi01.csv"
+    path.write_text("".join(f"{i / 10},1.0\n" for i in range(11)))  # covers [0, 1] only
+    return f"tabulated:{path}"
+
+
+def test_partition_sliced_rejects_range_outside_table(tmp_path, capsys):
+    phi = write_unit_table(tmp_path)
+    code, out, err = run(capsys, "partition", "--a", "1", "--b", "3", "--inv-eps", "8", "--phi", phi)
+    assert code == 1
+    assert "tabulated range" in err and out == ""
+
+
+def test_free_energy_point_rejects_range_outside_table(tmp_path, capsys):
+    phi = write_unit_table(tmp_path)
+    code, out, err = run(capsys, "free-energy", "--a", "1", "--b", "3", "--inv-eps", "8", "--phi", phi)
+    assert code == 1
+    assert "tabulated range" in err and out == ""
+
+
+def test_partition_q1_rejects_large_exact_count(capsys):
+    code, out, err = run(capsys, "partition", "--M", "4", "--N", "4", "--K", "8", "--q", "1")
+    assert code == 2
+    assert "configurations" in err and out == ""
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["free-energy", "--bogus-flag"]) == 1
     assert main(["nonexistent-subcommand"]) == 1

@@ -12,7 +12,7 @@ from hexdimer import (
     is_valid_config,
     oracle_partition,
 )
-from hexdimer.enumeration import HeightConfig
+from hexdimer.enumeration import MAX_CONFIGS, HeightConfig, config_count
 
 from _reference import boxed_plane_partition_count
 
@@ -104,6 +104,19 @@ def test_size_guard():
         list(enumerate_configs(BoxShape(2, 2, INFINITE)))
     # guard is configurable
     assert sum(1 for _ in enumerate_configs(BoxShape(5, 4, 1), max_cells=20)) > 0
+
+
+@pytest.mark.parametrize("m,n,k", [(4, 4, 8), (2, 8, 8), (4, 4, 5)])
+def test_size_guard_on_exact_count(m, n, k):
+    # inside the cell and height limits, but more than MAX_CONFIGS configurations
+    assert config_count(BoxShape(m, n, k)) > MAX_CONFIGS
+    with pytest.raises(OracleSizeError, match="configurations"):
+        next(enumerate_configs(BoxShape(m, n, k)))
+
+
+@pytest.mark.parametrize("m,n,k", [(1, 1, 1), (2, 3, 4), (4, 4, 4), (2, 8, 3), (5, 4, 1)])
+def test_config_count_matches_product_formula(m, n, k):
+    assert config_count(BoxShape(m, n, k)) == boxed_plane_partition_count(m, n, k)
 
 
 def test_oracle_q_domain():

@@ -25,6 +25,7 @@ from hexdimer import (
     sliced_free_energy_value,
 )
 from hexdimer.partition import sliced_log_weight_exponents
+from hexdimer.weights import PhiFunction, TabulatedPhi
 
 
 def test_macmahon_small_boxes():
@@ -112,6 +113,56 @@ def test_sliced_bit_identical_to_naive_double_loop():
             exponents[i, j] = eps * (float(phi(d * eps)) + (acc_minus + acc_plus))
     naive = -fsum(np.log1p(-np.exp(-exponents)).ravel())
     assert naive == fast
+
+
+class CountingPhi(PhiFunction):
+    """Delegates to a profile and counts the kernel's calls; check_positive is not counted."""
+
+    def __init__(self, base):
+        self.base = base
+        self.id = base.id
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.base(t)
+
+    def check_positive(self, lo, hi, samples=2001):
+        self.base.check_positive(lo, hi, samples)
+
+
+def reference_sliced_f(a, b, phi, t):
+    """Free energy at 1/eps = t from scalar prefix-sum loops and math.fsum."""
+    eps = 1.0 / t
+    box = ScaledShape(a, b, INFINITE, eps).box()
+    m, n = box.m, box.n
+    d = n - m
+    c_minus, acc = [0.0] * n, 0.0
+    for i in range(1, n):
+        acc += float(phi((d - i) * eps))
+        c_minus[i] = acc
+    c_plus, acc = [0.0] * m, 0.0
+    for j in range(1, m):
+        acc += float(phi((d + j) * eps))
+        c_plus[j] = acc
+    exponents = eps * (float(phi(d * eps)) + (np.asarray(c_minus)[:, None] + np.asarray(c_plus)[None, :]))
+    return -fsum(np.log1p(-np.exp(-exponents)).ravel()) / (m * n)
+
+
+@pytest.mark.parametrize("profile", ["cosine", "tabulated"])
+def test_sliced_grid_bit_identical_to_scalar_reference(profile):
+    a, b = 1.0, 3.0
+    if profile == "cosine":
+        base = CosinePhi()
+    else:
+        t = np.linspace(-a - 0.5, b + 0.5, 321)
+        base = TabulatedPhi(t, 1.0 + 0.08 * np.cos(t + 1.0) - 0.05 * np.cos(2.0 * t + 2.0))
+    phi = CountingPhi(base)
+    samples = grid_samples("sliced", a, b, phi=phi, inv_eps_min=2, inv_eps_max=200)
+    assert phi.calls <= 3 * len(samples)  # a scalar prefix loop makes m + n - 1 per point
+    by_t = {s.inv_eps: s.f for s in samples}
+    for t in (2, 3, 17, 64, 200):
+        assert by_t[t] == reference_sliced_f(a, b, base, t)
 
 
 def test_sliced_rejects_nonpositive_weights():
