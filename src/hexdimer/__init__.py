@@ -32,7 +32,7 @@ from .errors import (
     OracleSizeError,
     SingularMatrixError,
 )
-from .fitting import FitBasis, FitResult, fit, residual_slope, sample_grid
+from .fitting import FitBasis, FitResult, fit, residual_slope
 from .kasteleyn import (
     HexEmbedding,
     build_embedding,
@@ -42,15 +42,14 @@ from .kasteleyn import (
 )
 from .partition import (
     FreeEnergySample,
+    Scenario,
     SeriesSettings,
-    free_energy,
     free_energy_value,
     grid_samples,
     log_z_infinite,
     log_z_macmahon,
     log_z_sliced,
     series_free_energy,
-    sliced_free_energy_value,
 )
 from .shapes import INFINITE, BoxShape, ScaledShape
 from .specialfn import (
@@ -69,10 +68,7 @@ from .weights import (
     CosinePhi,
     LinearPhi,
     PhiFunction,
-    Sliced,
     TabulatedPhi,
-    Uniform,
-    WeightSpec,
     phi_from_id,
 )
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import FiniteDifferenceNoiseError
 from .quadrature import gauss_legendre, log_graded_edges
-from .specialfn import QuadratureSettings, li, universal_constant_cached, zeta3
+from .specialfn import QuadratureSettings, li, universal_constant, zeta3
 from .weights import PhiFunction
 
 CONVENTION_FINITE = "f = -ln(Z)/V"
@@ -104,7 +104,7 @@ def coeffs_finite(a: float, b: float, c: float,
     f0 = (li(3, exp(-a)) + li(3, exp(-b)) + li(3, exp(-c))
           - li(3, exp(-a - b)) - li(3, exp(-b - c)) - li(3, exp(-a - c))
           + li(3, exp(-a - b - c)) - zeta3()) / (2.0 * s)
-    iq = universal_constant_cached(quad)
+    iq = universal_constant(quad)
     f2 = -1.0 / (24.0 * s)
     f3 = -(iq - log_ratio_three(a, b, c) / 6.0 - 0.25) / (4.0 * s)
     return ExpansionCoefficients(f0, 0.0, f2, f3, scenario="finite",
@@ -117,7 +117,7 @@ def coeffs_infinite(a: float, b: float,
     _require_sides(a=a, b=b)
     ab = a * b
     f0 = (zeta3() + li(3, exp(-a - b)) - li(3, exp(-a)) - li(3, exp(-b))) / ab
-    iq = universal_constant_cached(quad)
+    iq = universal_constant(quad)
     f2 = 1.0 / (12.0 * ab)
     f3 = (iq - log_ratio_two(a, b) / 6.0 - 0.25) / (2.0 * ab)
     return ExpansionCoefficients(f0, 0.0, f2, f3, scenario="infinite")

@@ -13,15 +13,14 @@ import math
 import sys
 
 from . import __version__
-from .asymptotics import (CONVENTION_FINITE, CONVENTION_POSITIVE, ExpansionCoefficients,
-                          coeffs_finite, coeffs_infinite, coeffs_sliced)
+from .asymptotics import CONVENTION_POSITIVE
 from .enumeration import oracle_partition
 from .errors import HexdimerError
 from .fitting import fit
 from .kasteleyn import kasteleyn_partition
-from .partition import (SeriesSettings, free_energy_value, grid_samples,
-                        log_z_infinite, log_z_macmahon, log_z_sliced, series_free_energy,
-                        sliced_free_energy_value)
+from .partition import (SCENARIO_KINDS, Scenario, SeriesSettings, free_energy_value,
+                        grid_samples, log_z_infinite, log_z_macmahon, log_z_sliced,
+                        series_free_energy)
 from .shapes import INFINITE, BoxShape, ScaledShape
 from .specialfn import QuadratureSettings, universal_constant_detail
 from .weights import phi_from_id
@@ -78,24 +77,30 @@ def _parse_k(value: str):
     return int(value)
 
 
+_TOL_NAMES = ("rel_tol", "z_cut", "taylor_switch", "term_tol", "n_max_cap")
+
+
 def _tol_overrides(pairs):
     out = {}
     for item in pairs or ():
         name, _, val = item.partition("=")
         if not val:
             raise ValueError(f"--tol-override expects name=value, got {item!r}")
+        if name not in _TOL_NAMES:
+            raise ValueError(f"unknown --tol-override name {name!r}; "
+                             f"expected one of {', '.join(_TOL_NAMES)}")
         out[name] = float(val)
     return out
 
 
 def _quad_settings(args) -> QuadratureSettings:
-    over = _tol_overrides(getattr(args, "tol_override", None))
+    over = _tol_overrides(args.tol_override)
     kwargs = {k: over[k] for k in ("rel_tol", "z_cut", "taylor_switch") if k in over}
     return QuadratureSettings(**kwargs)
 
 
 def _series_settings(args) -> SeriesSettings:
-    over = _tol_overrides(getattr(args, "tol_override", None))
+    over = _tol_overrides(args.tol_override)
     kwargs = {}
     if "term_tol" in over:
         kwargs["term_tol"] = over["term_tol"]
@@ -104,38 +109,47 @@ def _series_settings(args) -> SeriesSettings:
     return SeriesSettings(**kwargs)
 
 
-def _scenario_of(args) -> str:
-    if getattr(args, "phi", None):
-        return "sliced"
-    if getattr(args, "K", None) == INFINITE or getattr(args, "c", None) == INFINITE:
-        return "infinite"
-    if getattr(args, "c", None) is not None or getattr(args, "K", None) is not None:
-        return "finite"
-    return "infinite"
+def _scenario(args, kind: str = None) -> Scenario:
+    """The Scenario named by kind; without one, --phi means sliced and a
+    finite --c means finite."""
+    phi = phi_from_id(args.phi) if args.phi else None
+    c = INFINITE if args.c is None else args.c
+    if kind is None:
+        kind = "sliced" if phi else ("infinite" if c == INFINITE else "finite")
+    return Scenario(kind, args.a, args.b, c, phi)
+
+
+def _params(scenario: Scenario) -> str:
+    params = f"a={scenario.a};b={scenario.b}"
+    if scenario.c != INFINITE:
+        params += f";c={scenario.c}"
+    if scenario.phi is not None:
+        params += f";phi={scenario.phi.id}"
+    return params
+
+
+def _z_of(logz: float) -> float:
+    try:
+        return math.exp(logz)
+    except OverflowError:  # Z beyond the float range; ln Z is still printed
+        return math.inf
 
 
 def cmd_partition(args) -> int:
-    rows = []
     if args.M is not None:
         shape = BoxShape(args.M, args.N, args.K if args.K is not None else INFINITE)
         q = args.q
-        if shape.is_finite:
-            logz = (log_z_macmahon(shape, q) if q < 1.0
-                    else math.log(oracle_partition(shape, q, max_cells=args.oracle_max_cells,
-                                                   max_height=args.oracle_max_k)))
-        else:
-            logz = log_z_infinite(shape, q)
-        rows.append([shape.m, shape.n, "inf" if not shape.is_finite else shape.k, q,
-                     logz, math.exp(logz)])
+        logz = log_z_macmahon(shape, q) if shape.is_finite else log_z_infinite(shape, q)
+        rows = [[shape.m, shape.n, "inf" if not shape.is_finite else shape.k, q,
+                 logz, _z_of(logz)]]
         header = ("M", "N", "K", "q", "log_Z", "Z")
         meta = {"command": "partition", "formula": "macmahon" if shape.is_finite else "infinite-product"}
     else:
-        scaled = ScaledShape(args.a, args.b, INFINITE, 1.0 / args.inv_eps)
-        box = scaled.box()
-        phi = phi_from_id(args.phi)
-        phi.check_positive(-args.a, args.b)
-        logz = log_z_sliced(box.m, box.n, phi, scaled.eps)
-        rows.append([args.a, args.b, args.inv_eps, phi.id, logz, math.exp(logz)])
+        scenario = _scenario(args, "sliced")
+        eps = 1.0 / args.inv_eps
+        box = ScaledShape(scenario.a, scenario.b, INFINITE, eps).box()
+        logz = log_z_sliced(box.m, box.n, scenario.phi, eps)
+        rows = [[args.a, args.b, args.inv_eps, scenario.phi.id, logz, _z_of(logz)]]
         header = ("a", "b", "inv_eps", "phi", "log_Z", "Z")
         meta = {"command": "partition", "formula": "sliced-product"}
     _emit(args, header, rows, meta)
@@ -143,57 +157,28 @@ def cmd_partition(args) -> int:
 
 
 def cmd_free_energy(args) -> int:
-    scenario = _scenario_of(args)
-    convention = CONVENTION_FINITE if scenario == "finite" else CONVENTION_POSITIVE
-    phi = phi_from_id(args.phi) if args.phi else None
-    header = ("inv_eps", "eps", "f", "variant", "params")
-    meta = {"command": "free-energy", "convention": convention, "scenario": scenario}
-    rows = []
     if args.inv_eps_min is not None:
-        params = f"a={args.a};b={args.b}" + (f";c={args.c}" if scenario == "finite" else "") \
-            + (f";phi={phi.id}" if phi else "")
-        samples = grid_samples(scenario, args.a, args.b, c=args.c if args.c is not None else INFINITE,
-                               phi=phi, inv_eps_min=args.inv_eps_min,
-                               inv_eps_max=args.inv_eps_max, threads=args.threads)
-        rows = [[s.inv_eps, s.eps, s.f, scenario, params] for s in samples]
+        scenario = _scenario(args)
+        samples = grid_samples(scenario, args.inv_eps_min, args.inv_eps_max)
+        rows = [[s.inv_eps, s.eps, s.f, scenario.kind, _params(scenario)] for s in samples]
     elif args.inv_eps is not None:
+        scenario = _scenario(args)
         eps = 1.0 / args.inv_eps
-        if scenario == "sliced":
-            scaled = ScaledShape(args.a, args.b, INFINITE, eps)
-            box = scaled.box()
-            phi.check_positive(-args.a, args.b)
-            f = sliced_free_energy_value(box.m, box.n, phi, eps)
-            params = f"a={args.a};b={args.b};phi={phi.id}"
-        else:
-            c = args.c if scenario == "finite" else INFINITE
-            scaled = ScaledShape(args.a, args.b, c, eps)
-            f = free_energy_value(scaled.box(), math.exp(-eps))
-            params = f"a={args.a};b={args.b}" + (f";c={args.c}" if scenario == "finite" else "")
-        rows = [[args.inv_eps, eps, f, scenario, params]]
+        rows = [[args.inv_eps, eps, scenario.free_energy(eps), scenario.kind, _params(scenario)]]
     else:
         shape = BoxShape(args.M, args.N, args.K if args.K is not None else INFINITE)
-        f = free_energy_value(shape, args.q)
-        rows = [["", -math.log(args.q), f, scenario,
+        # a lattice box is the scenario at eps = 1, here at an arbitrary q
+        scenario = Scenario("finite" if shape.is_finite else "infinite", shape.m, shape.n, shape.k)
+        rows = [["", -math.log(args.q), free_energy_value(shape, args.q), scenario.kind,
                  f"M={shape.m};N={shape.n};K={shape.k};q={args.q}"]]
+    header = ("inv_eps", "eps", "f", "variant", "params")
+    meta = {"command": "free-energy", "convention": scenario.convention, "scenario": scenario.kind}
     _emit(args, header, rows, meta)
     return 0
 
 
-def _coeffs_for(scenario, args, phi) -> ExpansionCoefficients:
-    if scenario == "finite":
-        return coeffs_finite(args.a, args.b, args.c, _quad_settings(args))
-    if scenario == "infinite":
-        return coeffs_infinite(args.a, args.b, _quad_settings(args))
-    return coeffs_sliced(args.a, args.b, phi)
-
-
 def cmd_coeffs(args) -> int:
-    phi = phi_from_id(args.phi) if args.phi else None
-    if args.scenario == "sliced" and phi is None:
-        raise ValueError("--scenario sliced requires --phi")
-    if args.scenario == "finite" and args.c is None:
-        raise ValueError("--scenario finite requires --c")
-    c = _coeffs_for(args.scenario, args, phi)
+    c = _scenario(args, args.scenario).coefficients(_quad_settings(args))
     header = ("coefficient", "value")
     rows = [["f0", c.f0], ["f1", c.f1], ["f2", c.f2], ["f3", c.f3]]
     meta = {"command": "coeffs", "scenario": c.scenario, "provenance": c.provenance,
@@ -205,15 +190,12 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    scenario = args.scenario
-    phi = phi_from_id(args.phi) if args.phi else None
-    samples = grid_samples(scenario, args.a, args.b, c=args.c if args.c is not None else INFINITE,
-                           phi=phi, inv_eps_min=args.inv_eps_min, inv_eps_max=args.inv_eps_max,
-                           threads=args.threads)
-    result = fit(samples)
+    scenario = _scenario(args, args.scenario)
+    quad = _quad_settings(args)
+    result = fit(grid_samples(scenario, args.inv_eps_min, args.inv_eps_max))
     analytic = None
     try:
-        analytic = _coeffs_for(scenario, args, phi)
+        analytic = scenario.coefficients(quad)
     except HexdimerError:
         pass
     header = ("basis_term", "fitted", "analytic", "abs_diff")
@@ -225,8 +207,7 @@ def cmd_fit(args) -> int:
             rows.append([name, fitted, analytic_vals[i], abs(fitted - analytic_vals[i])])
         else:
             rows.append([name, fitted, "", ""])
-    convention = CONVENTION_FINITE if scenario == "finite" else CONVENTION_POSITIVE
-    meta = {"command": "fit", "scenario": scenario, "convention": convention,
+    meta = {"command": "fit", "scenario": scenario.kind, "convention": scenario.convention,
             "residual_rms": _fmt(result.residual_rms),
             "condition_estimate": _fmt(result.condition_estimate),
             "grid": f"{args.inv_eps_min}..{args.inv_eps_max}"}
@@ -253,13 +234,11 @@ def cmd_table1(args) -> int:
               "twelve_ab_f2_fitted", "f3_analytic", "f3_fitted", "f3_abs_diff")
     out_rows = []
     for phi_id, a, b in rows_spec:
-        phi = phi_from_id(phi_id)
-        analytic = coeffs_sliced(a, b, phi)
-        samples = grid_samples("sliced", a, b, phi=phi, inv_eps_min=2, inv_eps_max=200,
-                               threads=args.threads)
-        fitted = fit(samples)
+        scenario = Scenario("sliced", a, b, phi=phi_from_id(phi_id))
+        analytic = scenario.coefficients()
+        fitted = fit(grid_samples(scenario, 2, 200))
         f0, f1, f2, f3 = fitted.coefficients[:4]
-        out_rows.append([phi.id, a, b, analytic.f0, f0, f1, 12.0 * a * b * f2,
+        out_rows.append([scenario.phi.id, a, b, analytic.f0, f0, f1, 12.0 * a * b * f2,
                          analytic.f3, f3, abs(f3 - analytic.f3)])
     meta = {"command": "table1", "convention": CONVENTION_POSITIVE,
             "grid": "2..200", "basis": "1,eps,eps2*log(eps),eps2,eps3,eps4"}
@@ -301,7 +280,7 @@ def _verify_suites(args):
             for t in (10, 50):
                 scaled = ScaledShape(a, b, c, 1.0 / t)
                 exact = free_energy_value(scaled.box(), math.exp(-scaled.eps))
-                series = series_free_energy(scaled, "finite", settings)
+                series = series_free_energy(scaled, settings)
                 ok = abs(exact - series) < 1e-11
                 yield ("dual-evaluator-finite", f"a={a};b={b};c={c};1/eps={t}", ok,
                        f"diff={exact - series:.2e}")
@@ -309,7 +288,7 @@ def _verify_suites(args):
             for t in (10, 50):
                 scaled = ScaledShape(a, b, INFINITE, 1.0 / t)
                 exact = free_energy_value(scaled.box(), math.exp(-scaled.eps))
-                series = series_free_energy(scaled, "infinite", settings)
+                series = series_free_energy(scaled, settings)
                 ok = abs(exact - series) < 1e-11
                 yield ("dual-evaluator-infinite", f"a={a};b={b};1/eps={t}", ok,
                        f"diff={exact - series:.2e}")
@@ -345,12 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hexdimer {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_tol_override(p):
+        p.add_argument("--tol-override", action="append", metavar="NAME=VALUE",
+                       help=f"override a tolerance ({', '.join(_TOL_NAMES)})")
+
     def add_common(p, lattice=False, scaled=False, grid=False):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-        p.add_argument("--threads", type=int, default=1, help="parallel sample workers")
-        p.add_argument("--tol-override", action="append", metavar="NAME=VALUE",
-                       help="override a tolerance (rel_tol, z_cut, taylor_switch, term_tol, n_max_cap)")
         if lattice:
             p.add_argument("--M", type=int)
             p.add_argument("--N", type=int)
@@ -368,10 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="exact Z and ln Z")
     add_common(p, lattice=True, scaled=True)
-    p.add_argument("--oracle-max-cells", type=int, default=16,
-                   help="enumeration guard on m*n (used for q = 1)")
-    p.add_argument("--oracle-max-k", type=int, default=8,
-                   help="enumeration guard on k (used for q = 1)")
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("free-energy", help="free energy per site (single value or grid CSV)")
@@ -379,13 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_free_energy)
 
     p = sub.add_parser("coeffs", help="analytic expansion coefficients")
-    p.add_argument("--scenario", choices=("finite", "infinite", "sliced"), required=True)
+    p.add_argument("--scenario", choices=SCENARIO_KINDS, required=True)
     add_common(p, scaled=True)
+    add_tol_override(p)
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("fit", help="fit exact samples and compare with analytic coefficients")
-    p.add_argument("--scenario", choices=("finite", "infinite", "sliced"), required=True)
+    p.add_argument("--scenario", choices=SCENARIO_KINDS, required=True)
     add_common(p, scaled=True, grid=True)
+    add_tol_override(p)
     p.set_defaults(func=cmd_fit, inv_eps=None)
 
     p = sub.add_parser("table1", help="reproduce the four slice-weight reference rows")
@@ -395,11 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constant", help="the universal expansion constant")
     add_common(p)
+    add_tol_override(p)
     p.set_defaults(func=cmd_constant)
 
     p = sub.add_parser("verify", help="oracle equivalence suites")
     p.add_argument("--kasteleyn", action="store_true", help="run only the Kasteleyn suite")
     add_common(p)
+    add_tol_override(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

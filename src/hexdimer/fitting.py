@@ -65,16 +65,6 @@ class FitResult:
                                      provenance="fitted", convention=convention)
 
 
-def sample_grid(inv_eps_min: int, inv_eps_max: int) -> list[int]:
-    """Integer 1/eps grid, inclusive on both ends."""
-    if inv_eps_min < 2:
-        raise ValueError("inv_eps_min must be >= 2")
-    if inv_eps_min >= inv_eps_max:
-        raise ValueError(f"empty grid: need inv_eps_min < inv_eps_max, "
-                         f"got {inv_eps_min} >= {inv_eps_max}")
-    return list(range(inv_eps_min, inv_eps_max + 1))
-
-
 def fit(samples: Sequence[FreeEnergySample], basis: FitBasis | None = None) -> FitResult:
     """Linear least squares by column-scaled Householder QR (no normal equations)."""
     if basis is None:

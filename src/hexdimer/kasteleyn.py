@@ -51,8 +51,6 @@ class HexEmbedding:
     white_vertices: tuple[complex, ...]
     black_vertices: tuple[complex, ...]
     edges: tuple[tuple[int, int, str], ...]
-    white_coords: tuple[tuple[int, int], ...]
-    black_coords: tuple[tuple[int, int], ...]
 
     @property
     def size(self) -> int:
@@ -107,8 +105,6 @@ def build_embedding(shape: BoxShape) -> HexEmbedding:
         white_vertices=tuple(_white_position(u, v) for (u, v) in whites),
         black_vertices=tuple(_black_position(u, v) for (u, v) in blacks),
         edges=tuple(edges),
-        white_coords=tuple(whites),
-        black_coords=tuple(blacks),
     )
 
 

@@ -9,20 +9,18 @@ The log_z_* functions themselves always return ln Z > 0.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import fsum, log
 
 import numpy as np
 
+from .asymptotics import (CONVENTION_FINITE, CONVENTION_POSITIVE, ExpansionCoefficients,
+                          _require_sides, coeffs_finite, coeffs_infinite, coeffs_sliced)
 from .errors import ConvergenceError
 from .shapes import INFINITE, BoxShape, ScaledShape
-from .specialfn import chi
+from .specialfn import QuadratureSettings, chi
 from .summation import NeumaierSum, exact_sum
-from .weights import PhiFunction, Sliced, Uniform, WeightSpec
-
-CONVENTION_FINITE = "f = -ln(Z)/V"
-CONVENTION_POSITIVE = "f = +ln(Z)/V"
+from .weights import PhiFunction
 
 
 @dataclass(frozen=True)
@@ -52,29 +50,28 @@ class FreeEnergySample:
             raise ValueError("free energy must be finite")
 
 
-def _require_q_open_interval(q: float) -> None:
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"q must be in (0, 1); got {q} "
-                         "(use oracle_partition for the q = 1 counting limit)")
-
-
 def log_z_macmahon(shape: BoxShape, q: float) -> float:
-    """ln Z for the finite box via the triple product formula.
+    """ln Z for the finite box via the triple product formula, q in (0, 1].
 
     Factors are grouped by t = i+j+k (multiplicity from two convolutions), so
     the cost is O(m+n+k) log evaluations instead of O(mnk).  Each grouped
     factor is a single log1p of a positive quantity, which is stable at both
-    q^t -> 0 and q^t -> 1.
+    q^t -> 0 and q^t -> 1.  At q = 1 the factor is its limit (t-1)/(t-2), so
+    ln Z is the log of the configuration count.
     """
     if not shape.is_finite:
         raise ValueError("log_z_macmahon requires finite k; use log_z_infinite")
-    _require_q_open_interval(q)
+    if not (0.0 < q <= 1.0):
+        raise ValueError(f"q must be in (0, 1]; got {q}")
     m, n, k = shape.m, shape.n, shape.k
     mult = np.convolve(np.convolve(np.ones(m), np.ones(n)), np.ones(k))  # index t-3
     t = np.arange(3, m + n + k + 1, dtype=float)
-    q_t2 = np.exp((t - 2.0) * log(q))
-    # ln[(1-q^{t-1})/(1-q^{t-2})] = log1p(q^{t-2}(1-q)/(1-q^{t-2}))
-    terms = np.log1p(q_t2 * (1.0 - q) / (1.0 - q_t2))
+    if q == 1.0:
+        terms = np.log1p(1.0 / (t - 2.0))
+    else:
+        q_t2 = np.exp((t - 2.0) * log(q))
+        # ln[(1-q^{t-1})/(1-q^{t-2})] = log1p(q^{t-2}(1-q)/(1-q^{t-2}))
+        terms = np.log1p(q_t2 * (1.0 - q) / (1.0 - q_t2))
     return fsum(mult * terms)
 
 
@@ -82,7 +79,8 @@ def log_z_infinite(shape: BoxShape, q: float) -> float:
     """ln Z for the infinite-height box: -sum_{i,j} ln(1 - q^{i+j-1})."""
     if shape.is_finite:
         raise ValueError("log_z_infinite requires k = inf")
-    _require_q_open_interval(q)
+    if not (0.0 < q < 1.0):
+        raise ValueError(f"q must be in (0, 1) for the infinite-height box; got {q}")
     m, n = shape.m, shape.n
     s = np.arange(1, m + n, dtype=float)
     mult = np.minimum.reduce([s, np.full_like(s, m), np.full_like(s, n), m + n - s])
@@ -116,10 +114,12 @@ def log_z_sliced(m: int, n: int, phi: PhiFunction, eps: float) -> float:
     """ln Z for the infinite-height box with slice weights q_t = e^{-eps phi(t eps)}.
 
     The terms ln(1 - e^{-E_ij}) are formed in place in the exponent matrix and
-    summed exactly (exact_sum equals math.fsum bit for bit).
+    summed exactly (exact_sum equals math.fsum bit for bit).  phi is evaluated
+    on the slices [(1-m) eps, (n-1) eps]; a tabulated profile must cover them.
     """
     if m < 1 or n < 1 or eps <= 0:
         raise ValueError("need m, n >= 1 and eps > 0")
+    phi.check_range((1 - m) * eps, (n - 1) * eps)
     terms = sliced_log_weight_exponents(m, n, phi, eps)
     if not np.all(terms > 0.0):
         raise ValueError("non-positive weight exponent: phi must be strictly positive on [-a, b]")
@@ -137,60 +137,19 @@ def free_energy_value(shape: BoxShape, q: float) -> float:
     return log_z_infinite(shape, q) / shape.volume
 
 
-def sliced_free_energy_value(m: int, n: int, phi: PhiFunction, eps: float) -> float:
-    return log_z_sliced(m, n, phi, eps) / (m * n)
-
-
-def free_energy(shape, weights: WeightSpec) -> FreeEnergySample:
-    """Exact free-energy sample for a BoxShape (uniform only) or ScaledShape."""
-    if isinstance(shape, BoxShape):
-        if not isinstance(weights, Uniform):
-            raise ValueError("a bare BoxShape needs a Uniform weight; use ScaledShape for sliced")
-        eps = -log(weights.q)
-        if eps <= 0:
-            raise ValueError("q = 1 has eps = 0; no finite-size sample exists there")
-        f = free_energy_value(shape, weights.q)
-    elif isinstance(shape, ScaledShape):
-        eps = shape.eps
-        box = shape.box()
-        if isinstance(weights, Uniform):
-            if abs(weights.q - math.exp(-eps)) > 1e-12:
-                raise ValueError("uniform q must equal e^{-eps} for a scaled sample")
-            f = free_energy_value(box, weights.q)
-        elif isinstance(weights, Sliced):
-            if shape.is_finite:
-                raise ValueError("sliced weights apply to the infinite-height box (c = inf)")
-            f = sliced_free_energy_value(box.m, box.n, weights.phi, eps)
-        else:
-            raise TypeError(f"unsupported weight spec {weights!r}")
-    else:
-        raise TypeError(f"expected BoxShape or ScaledShape, got {type(shape).__name__}")
-    inv = 1.0 / eps
-    if abs(inv - round(inv)) > 1e-9 * max(1.0, inv):
-        raise ValueError(f"1/eps = {inv} is not an integer grid point; "
-                         "use free_energy_value for off-grid evaluations")
-    return FreeEnergySample(inv_eps=round(inv), eps=eps, f=f)
-
-
-def series_free_energy(scaled: ScaledShape, variant: str = None,
+def series_free_energy(scaled: ScaledShape,
                        settings: SeriesSettings = SeriesSettings()) -> float:
     """Resummed series sum_n chi(n eps) H_n / n^3 with the scenario prefactor.
 
-    H_n has three exponential factors for the finite box, two for the
-    infinite-height box.  Terms are accumulated in ascending n with
+    H_n has three exponential factors for the finite box (finite c), two for
+    the infinite-height box.  Terms are accumulated in ascending n with
     compensated summation; the loop stops once the remaining tail bound
     chi(n eps) * max(H) * sum_{m>n} m^-3 <= chi(n eps)/(2 n^2) drops below
     term_tol.
     """
-    if variant is None:
-        variant = "finite" if scaled.is_finite else "infinite"
-    if variant not in ("finite", "infinite"):
-        raise ValueError(f"variant must be 'finite' or 'infinite', got {variant!r}")
-    a, b, eps = scaled.a, scaled.b, scaled.eps
-    if variant == "finite":
-        if not scaled.is_finite:
-            raise ValueError("finite variant needs finite c")
-        c = scaled.c
+    a, b, c, eps = scaled.a, scaled.b, scaled.c, scaled.eps
+    finite = scaled.is_finite
+    if finite:
         prefactor = -1.0 / (2.0 * (a * b + b * c + a * c))
     else:
         prefactor = 1.0 / (a * b)
@@ -200,10 +159,9 @@ def series_free_energy(scaled: ScaledShape, variant: str = None,
     while True:
         z = n * eps
         chi_n = chi(z)
-        if variant == "finite":
-            h = (-math.expm1(-n * a)) * (-math.expm1(-n * b)) * (-math.expm1(-n * c))
-        else:
-            h = (-math.expm1(-n * a)) * (-math.expm1(-n * b))
+        h = (-math.expm1(-n * a)) * (-math.expm1(-n * b))
+        if finite:
+            h *= -math.expm1(-n * c)
         acc.add(chi_n * h / n**3)
         if chi_n / (2.0 * n * n) < settings.term_tol:
             break
@@ -215,38 +173,65 @@ def series_free_energy(scaled: ScaledShape, variant: str = None,
     return prefactor * acc.value
 
 
-def grid_samples(scenario: str, a: float, b: float, c: float = INFINITE,
-                 phi: PhiFunction = None, inv_eps_min: int = 2, inv_eps_max: int = 200,
-                 threads: int = 1) -> list[FreeEnergySample]:
+SCENARIO_KINDS = ("finite", "infinite", "sliced")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One of the three boxes, in scaled sides: the finite hexagon (a, b, c),
+    the infinite-height box (a, b), or the infinite-height box with slice
+    weights q_t = e^{-eps phi(t eps)}.
+
+    Construction validates the combination once; every consumer (sampling,
+    coefficients, the sign convention) then reads it from here.
+    """
+
+    kind: str
+    a: float
+    b: float
+    c: float = INFINITE
+    phi: PhiFunction | None = None
+
+    def __post_init__(self):
+        if self.kind not in SCENARIO_KINDS:
+            raise ValueError(f"unknown scenario {self.kind!r}; expected one of "
+                             f"{', '.join(SCENARIO_KINDS)}")
+        _require_sides(a=self.a, b=self.b)
+        if self.kind == "finite":
+            _require_sides(c=self.c)
+        elif self.c != INFINITE:
+            raise ValueError(f"the {self.kind} scenario has infinite height; got c = {self.c}")
+        if self.kind == "sliced":
+            if self.phi is None:
+                raise ValueError("the sliced scenario needs a phi function")
+            self.phi.check_positive(-self.a, self.b)
+        elif self.phi is not None:
+            raise ValueError(f"the {self.kind} scenario takes no phi function")
+
+    @property
+    def convention(self) -> str:
+        return CONVENTION_FINITE if self.kind == "finite" else CONVENTION_POSITIVE
+
+    def free_energy(self, eps: float) -> float:
+        """Exact free energy per site at mesh eps (a/eps, b/eps, c/eps integers)."""
+        box = ScaledShape(self.a, self.b, self.c, eps).box()
+        if self.kind == "sliced":
+            return log_z_sliced(box.m, box.n, self.phi, eps) / (box.m * box.n)
+        return free_energy_value(box, math.exp(-eps))
+
+    def coefficients(self, quad: QuadratureSettings = QuadratureSettings()) -> ExpansionCoefficients:
+        """Closed-form f0..f3 (quad is unused by the sliced scenario)."""
+        if self.kind == "finite":
+            return coeffs_finite(self.a, self.b, self.c, quad)
+        if self.kind == "infinite":
+            return coeffs_infinite(self.a, self.b, quad)
+        return coeffs_sliced(self.a, self.b, self.phi)
+
+
+def grid_samples(scenario: Scenario, inv_eps_min: int = 2,
+                 inv_eps_max: int = 200) -> list[FreeEnergySample]:
     """Exact free-energy samples over the integer grid 1/eps = min..max."""
     if inv_eps_min < 1 or inv_eps_min >= inv_eps_max:
         raise ValueError("need 1 <= inv_eps_min < inv_eps_max")
-    if scenario not in ("finite", "infinite", "sliced"):
-        raise ValueError(f"unknown scenario {scenario!r}")
-    if scenario == "finite" and (c is None or c == INFINITE):
-        raise ValueError("finite scenario needs a finite c")
-    if scenario == "sliced" and phi is None:
-        raise ValueError("sliced scenario needs a phi function")
-    if scenario == "sliced":
-        phi.check_positive(-a, b)
-
-    def one(t: int) -> FreeEnergySample:
-        eps = 1.0 / t
-        if scenario == "finite":
-            scaled = ScaledShape(a, b, c, eps)
-            f = free_energy_value(scaled.box(), math.exp(-eps))
-        elif scenario == "infinite":
-            scaled = ScaledShape(a, b, INFINITE, eps)
-            box = scaled.box()
-            f = free_energy_value(box, math.exp(-eps))
-        else:
-            scaled = ScaledShape(a, b, INFINITE, eps)
-            box = scaled.box()
-            f = sliced_free_energy_value(box.m, box.n, phi, eps)
-        return FreeEnergySample(inv_eps=t, eps=eps, f=f)
-
-    grid = list(range(inv_eps_min, inv_eps_max + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, grid))
-    return [one(t) for t in grid]
+    return [FreeEnergySample(inv_eps=t, eps=1.0 / t, f=scenario.free_energy(1.0 / t))
+            for t in range(inv_eps_min, inv_eps_max + 1)]

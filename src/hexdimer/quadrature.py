@@ -71,9 +71,3 @@ def log_graded_edges(lo: float, hi: float, levels: int = 46) -> np.ndarray:
     width = hi - lo
     rel = [2.0 ** (-levels + i) for i in range(levels + 1)]
     return lo + width * np.asarray([0.0] + rel)
-
-
-def panels(f, edges, order: int = 24) -> float:
-    """Sum fixed Gauss panels over consecutive edge pairs."""
-    return fsum(fixed_panel(f, float(lo), float(hi), order)
-                for lo, hi in zip(edges[:-1], edges[1:]))

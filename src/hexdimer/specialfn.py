@@ -199,8 +199,9 @@ def zeta3() -> float:
     return li(3, 1.0)
 
 
+@lru_cache(maxsize=None)
 def universal_constant(settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """int_0^inf e^{-z} Q(z) dz, the universal finite-size constant."""
+    """int_0^inf e^{-z} Q(z) dz, the universal finite-size constant (cached per settings)."""
     value, _ = universal_constant_detail(settings)
     return value
 
@@ -227,8 +228,3 @@ def universal_constant_detail(settings: QuadratureSettings = DEFAULT_SETTINGS):
             f"universal constant quadrature reached {total_err:.3e}, above rel_tol {s.rel_tol:g}",
             partial=value, achieved=total_err)
     return value, total_err
-
-
-@lru_cache(maxsize=None)
-def universal_constant_cached(settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    return universal_constant(settings)

@@ -1,4 +1,4 @@
-"""Boltzmann weight specifications: uniform q or slice-dependent phi(t).
+"""Slice-dependent Boltzmann weight profiles phi(t).
 
 Slice weight functions expose closed-form first/second derivatives and an
 antiderivative; both are needed by the sliced asymptotics (Euler-Maclaurin
@@ -7,9 +7,6 @@ antiderivative).  The named catalog covers the shapes used in the reference
 experiments; arbitrary data enters through a cubic-spline table.
 """
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +32,11 @@ class PhiFunction:
     def integral(self, t0, t1):
         return self.antiderivative(t1) - self.antiderivative(t0)
 
+    def check_range(self, lo: float, hi: float) -> None:
+        """Raise ValueError unless phi is defined on [lo, hi] (closed forms are, everywhere)."""
+
     def check_positive(self, lo: float, hi: float, samples: int = 2001) -> None:
+        self.check_range(lo, hi)
         grid = np.linspace(lo, hi, samples)
         vals = np.asarray(self(grid), dtype=float)
         if not np.all(vals > 0.0):
@@ -130,13 +131,12 @@ class TabulatedPhi(PhiFunction):
     def __call__(self, t):
         return self._spline(t)
 
-    def check_positive(self, lo: float, hi: float, samples: int = 2001) -> None:
+    def check_range(self, lo: float, hi: float) -> None:
         # the spline would extrapolate silently; callers check their range
         # once here instead of on every evaluation
         if not (self.t_min <= lo and hi <= self.t_max):
             raise ValueError(f"[{lo}, {hi}] lies outside the tabulated range "
                              f"[{self.t_min}, {self.t_max}] of {self.id}")
-        super().check_positive(lo, hi, samples)
 
     def d1(self, t):
         return self._d1(t)
@@ -162,24 +162,3 @@ def phi_from_id(spec: str) -> PhiFunction:
         data = np.loadtxt(args, delimiter=",", comments="#")
         return TabulatedPhi(data[:, 0], data[:, 1], id=f"tabulated:{args}")
     raise ValueError(f"unknown phi spec {spec!r}; expected const:c, linear:a,b, cosine or tabulated:<file>")
-
-
-@dataclass(frozen=True)
-class Uniform:
-    """Uniform Boltzmann weight q in (0, 1]."""
-
-    q: float
-
-    def __post_init__(self):
-        if not (0.0 < self.q <= 1.0) or math.isnan(self.q):
-            raise ValueError(f"uniform weight q must be in (0, 1], got {self.q}")
-
-
-@dataclass(frozen=True)
-class Sliced:
-    """Slice weights q_t = exp(-eps * phi(t * eps)) on diagonal slices."""
-
-    phi: PhiFunction
-
-
-WeightSpec = Uniform | Sliced

@@ -34,6 +34,7 @@ from hexdimer import (
     series_free_energy,
     universal_constant,
     QuadratureSettings,
+    Scenario,
 )
 
 from _reference import TABLE1, UNIVERSAL_CONSTANT, ZETA3
@@ -56,7 +57,7 @@ def table1_results():
     out = {}
     for phi_id, a, b in _TABLE1_CONFIGS:
         phi = phi_from_id(phi_id)
-        samples = grid_samples("sliced", a, b, phi=phi, inv_eps_min=2, inv_eps_max=200)
+        samples = grid_samples(Scenario("sliced", a, b, phi=phi), 2, 200)
         out[(phi_id, a, b)] = (coeffs_sliced(a, b, phi), fit(samples))
     return out, time.time() - t0
 
@@ -65,7 +66,7 @@ def table1_results():
 def finite_fits():
     out = {}
     for (a, b, c) in _FINITE_CONFIGS:
-        samples = grid_samples("finite", a, b, c=c, inv_eps_min=2, inv_eps_max=200)
+        samples = grid_samples(Scenario("finite", a, b, c), 2, 200)
         out[(a, b, c)] = fit(samples)
     return out
 
@@ -107,13 +108,13 @@ def test_criterion_3_dual_evaluator_identity():
         for t in (10, 50, 100):
             scaled = ScaledShape(a, b, c, 1.0 / t)
             exact = free_energy_value(scaled.box(), math.exp(-scaled.eps))
-            series = series_free_energy(scaled, "finite")
+            series = series_free_energy(scaled)
             worst = max(worst, abs(exact - series))
     for (a, b) in ((1.0, 1.0), (2.0, 1.0)):
         for t in (10, 50, 100):
             scaled = ScaledShape(a, b, INFINITE, 1.0 / t)
             exact = free_energy_value(scaled.box(), math.exp(-scaled.eps))
-            series = series_free_energy(scaled, "infinite")
+            series = series_free_energy(scaled)
             worst = max(worst, abs(exact - series))
     elapsed = time.time() - t0
     _report(3, worst < 1e-11 and elapsed < 10.0,
@@ -146,7 +147,7 @@ def test_criterion_5_residual_scaling():
     slopes = []
     ok = True
     for (a, b, c) in _FINITE_CONFIGS:
-        samples = grid_samples("finite", a, b, c=c, inv_eps_min=50, inv_eps_max=200)
+        samples = grid_samples(Scenario("finite", a, b, c), 50, 200)
         coeffs = coeffs_finite(a, b, c)
         slope = residual_slope(samples, coeffs)
         slopes.append(f"({a:g},{b:g},{c:g}): slope={slope:.3f}")

@@ -77,10 +77,42 @@ def test_free_energy_point_rejects_range_outside_table(tmp_path, capsys):
     assert "tabulated range" in err and out == ""
 
 
-def test_partition_q1_rejects_large_exact_count(capsys):
-    code, out, err = run(capsys, "partition", "--M", "4", "--N", "4", "--K", "8", "--q", "1")
-    assert code == 2
-    assert "configurations" in err and out == ""
+def test_partition_q1_large_box(capsys):
+    # q = 1 uses the limit of the product formula, with no enumeration and no size guard
+    code, out, _ = run(capsys, "partition", "--M", "4", "--N", "4", "--K", "8", "--q", "1")
+    assert code == 0
+    log_z = float(out.strip().splitlines()[-1].split(",")[-2])
+    assert abs(log_z - math.log(184225041)) < 1e-14 * math.log(184225041)
+
+
+def test_partition_prints_overflowing_z_as_inf(capsys):
+    for argv in (("--a", "10", "--b", "10", "--inv-eps", "20", "--phi", "const:0.05"),
+                 ("--M", "40", "--N", "40", "--K", "40", "--q", "0.98")):
+        code, out, _ = run(capsys, "partition", *argv)
+        assert code == 0
+        log_z, z = out.strip().splitlines()[-1].split(",")[-2:]
+        assert float(log_z) > 710 and z == "inf"
+
+
+def test_free_energy_rejects_infinite_side(capsys):
+    code, out, err = run(capsys, "free-energy", "--a", "inf", "--b", "1",
+                         "--inv-eps-min", "2", "--inv-eps-max", "10")
+    assert code == 1
+    assert "side a" in err and out == ""
+
+
+def test_tol_override_rejects_unknown_name(capsys):
+    code, out, err = run(capsys, "constant", "--tol-override", "rel_tol_typo=1")
+    assert code == 1
+    assert "rel_tol_typo" in err and out == ""
+
+
+def test_tol_override_only_where_read(capsys):
+    for argv in (("partition", "--M", "1", "--N", "1", "--K", "1", "--q", "0.5"),
+                 ("free-energy", "--M", "1", "--N", "1", "--K", "1", "--q", "0.5"),
+                 ("table1", "--row", "cosine:1,3")):
+        assert main([*argv, "--tol-override", "rel_tol=1e-10"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):

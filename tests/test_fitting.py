@@ -13,10 +13,10 @@ from hexdimer import (
     coeffs_infinite,
     coeffs_sliced,
     CosinePhi,
+    Scenario,
     fit,
     grid_samples,
     residual_slope,
-    sample_grid,
 )
 
 from _reference import TABLE1
@@ -33,12 +33,11 @@ def synth_samples(coeffs, inv_min=2, inv_max=80):
 
 
 def test_sample_grid():
-    assert sample_grid(2, 5) == [2, 3, 4, 5]
-    assert len(sample_grid(2, 200)) == 199
+    scenario = Scenario("infinite", 2.0, 1.0)
+    assert [s.inv_eps for s in grid_samples(scenario, 2, 5)] == [2, 3, 4, 5]
+    assert len(grid_samples(scenario)) == 199  # default grid 2..200
     with pytest.raises(ValueError):
-        sample_grid(10, 10)
-    with pytest.raises(ValueError):
-        sample_grid(1, 5)
+        grid_samples(scenario, 10, 10)
 
 
 def test_exact_linear_recovery():
@@ -56,7 +55,7 @@ def test_recovery_property(truth):
 
 
 def test_fit_reorder_invariance_bit_identical():
-    samples = grid_samples("infinite", 2.0, 1.0, inv_eps_min=2, inv_eps_max=60)
+    samples = grid_samples(Scenario("infinite", 2.0, 1.0), 2, 60)
     shuffled = samples[:]
     random.Random(7).shuffle(shuffled)
     a = fit(samples)
@@ -91,7 +90,7 @@ def test_ill_conditioned_basis_rejected():
 
 
 def test_infinite_height_fit_against_analytic():
-    samples = grid_samples("infinite", 2.0, 1.0, inv_eps_min=2, inv_eps_max=200)
+    samples = grid_samples(Scenario("infinite", 2.0, 1.0), 2, 200)
     result = fit(samples)
     f0, f1, f2, f3 = result.coefficients[:4]
     analytic = coeffs_infinite(2.0, 1.0)
@@ -103,7 +102,7 @@ def test_infinite_height_fit_against_analytic():
 
 def test_sliced_fit_against_reference_row():
     f0_a, f0_n, f1_n, twelve_n, f3_a, f3_n = TABLE1[("cosine", 1, 3)]
-    samples = grid_samples("sliced", 1.0, 3.0, phi=CosinePhi(), inv_eps_min=2, inv_eps_max=200)
+    samples = grid_samples(Scenario("sliced", 1.0, 3.0, phi=CosinePhi()), 2, 200)
     result = fit(samples)
     f0, f1, f2, f3 = result.coefficients[:4]
     assert abs(f0 - f0_n) < 1e-7
@@ -133,7 +132,7 @@ def test_residual_slope_guards():
 
 
 def test_fit_result_expansion_wrapper():
-    samples = grid_samples("infinite", 1.0, 1.0, inv_eps_min=2, inv_eps_max=80)
+    samples = grid_samples(Scenario("infinite", 1.0, 1.0), 2, 80)
     result = fit(samples)
     exp_coeffs = result.expansion("infinite", "f = +ln(Z)/V")
     assert exp_coeffs.provenance == "fitted"

@@ -11,10 +11,9 @@ from hexdimer import (
     ConvergenceError,
     CosinePhi,
     INFINITE,
+    Scenario,
     ScaledShape,
     SeriesSettings,
-    Uniform,
-    free_energy,
     free_energy_value,
     grid_samples,
     log_z_infinite,
@@ -22,8 +21,8 @@ from hexdimer import (
     log_z_sliced,
     oracle_partition,
     series_free_energy,
-    sliced_free_energy_value,
 )
+from hexdimer.enumeration import config_count
 from hexdimer.partition import sliced_log_weight_exponents
 from hexdimer.weights import PhiFunction, TabulatedPhi
 
@@ -44,12 +43,24 @@ def test_macmahon_symmetric_in_sides():
 
 
 def test_macmahon_q_domain():
-    with pytest.raises(ValueError):
-        log_z_macmahon(BoxShape(2, 2, 2), 1.0)
-    with pytest.raises(ValueError):
-        log_z_macmahon(BoxShape(2, 2, 2), 0.0)
+    for bad in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            log_z_macmahon(BoxShape(2, 2, 2), bad)
     with pytest.raises(ValueError):
         log_z_macmahon(BoxShape(2, 2, INFINITE), 0.5)
+    with pytest.raises(ValueError):
+        log_z_infinite(BoxShape(2, 2, INFINITE), 1.0)  # infinitely many configurations
+
+
+def test_macmahon_q1_is_log_of_exact_count():
+    # the q -> 1 limit of each grouped factor is (t-1)/(t-2)
+    for sides in itertools.product((1, 2, 5, 12), repeat=3):
+        shape = BoxShape(*sides)
+        exact = math.log(config_count(shape))
+        assert abs(log_z_macmahon(shape, 1.0) - exact) <= 4e-16 * exact
+    shape = BoxShape(3, 3, 3)
+    assert abs(log_z_macmahon(shape, 1.0) - math.log(oracle_partition(shape, 1.0))) < 1e-12
+    assert abs(log_z_macmahon(BoxShape(4, 4, 8), 1.0) - math.log(184225041)) < 1e-14
 
 
 def test_infinite_height_values():
@@ -158,7 +169,7 @@ def test_sliced_grid_bit_identical_to_scalar_reference(profile):
         t = np.linspace(-a - 0.5, b + 0.5, 321)
         base = TabulatedPhi(t, 1.0 + 0.08 * np.cos(t + 1.0) - 0.05 * np.cos(2.0 * t + 2.0))
     phi = CountingPhi(base)
-    samples = grid_samples("sliced", a, b, phi=phi, inv_eps_min=2, inv_eps_max=200)
+    samples = grid_samples(Scenario("sliced", a, b, phi=phi), 2, 200)
     assert phi.calls <= 3 * len(samples)  # a scalar prefix loop makes m + n - 1 per point
     by_t = {s.inv_eps: s.f for s in samples}
     for t in (2, 3, 17, 64, 200):
@@ -172,6 +183,15 @@ def test_sliced_rejects_nonpositive_weights():
         log_z_sliced(4, 4, LinearPhi(0.1, -1.0), 0.25)  # phi < 0 inside the domain
 
 
+def test_sliced_rejects_range_outside_table():
+    # a = 1, b = 3 at 1/eps = 8 evaluates phi on [-7/8, 23/8]; the table covers [0, 1]
+    t = np.linspace(0.0, 1.0, 11)
+    phi = TabulatedPhi(t, np.ones_like(t))
+    with pytest.raises(ValueError, match="tabulated range"):
+        log_z_sliced(8, 24, phi, 1.0 / 8)
+    assert log_z_sliced(1, 1, phi, 1.0 / 8) > 0  # the single slice t = 0 is covered
+
+
 def test_sliced_exponent_matrix_shape():
     e = sliced_log_weight_exponents(3, 5, ConstantPhi(2.0), 0.5)
     assert e.shape == (5, 3)
@@ -179,16 +199,18 @@ def test_sliced_exponent_matrix_shape():
 
 
 def test_free_energy_unit_box_value():
-    sample = free_energy(BoxShape(1, 1, 1), Uniform(math.exp(-1.0)))
-    assert sample.inv_eps == 1
-    assert abs(sample.f - (-math.log(1 + math.exp(-1.0)) / 6.0)) < 1e-15
+    f = Scenario("finite", 1.0, 1.0, 1.0).free_energy(1.0)
+    assert abs(f - (-math.log(1 + math.exp(-1.0)) / 6.0)) < 1e-15
 
 
 def test_free_energy_sign_conventions():
     # finite boxes are negative, infinite-height (and sliced) positive
     assert free_energy_value(BoxShape(10, 10, 10), math.exp(-0.1)) < 0
     assert free_energy_value(BoxShape(10, 10, INFINITE), math.exp(-0.1)) > 0
-    assert sliced_free_energy_value(10, 10, ConstantPhi(1.0), 0.1) > 0
+    assert Scenario("sliced", 1.0, 1.0, phi=ConstantPhi(1.0)).free_energy(0.1) > 0
+    assert Scenario("finite", 1.0, 1.0, 1.0).convention == "f = -ln(Z)/V"
+    for kind, phi in (("infinite", None), ("sliced", ConstantPhi(1.0))):
+        assert Scenario(kind, 1.0, 1.0, phi=phi).convention == "f = +ln(Z)/V"
 
 
 def test_dual_evaluators_finite():
@@ -196,7 +218,7 @@ def test_dual_evaluators_finite():
         for t in (10, 50):
             scaled = ScaledShape(a, b, c, 1.0 / t)
             exact = free_energy_value(scaled.box(), math.exp(-scaled.eps))
-            series = series_free_energy(scaled, "finite")
+            series = series_free_energy(scaled)
             assert abs(exact - series) < 1e-12
 
 
@@ -204,17 +226,15 @@ def test_dual_evaluators_infinite():
     for (a, b) in ((1.0, 1.0), (2.0, 1.0)):
         scaled = ScaledShape(a, b, INFINITE, 0.1)
         exact = free_energy_value(scaled.box(), math.exp(-scaled.eps))
-        series = series_free_energy(scaled, "infinite")
+        series = series_free_energy(scaled)
         assert abs(exact - series) < 1e-12
 
 
-def test_series_variant_inference_and_validation():
-    scaled = ScaledShape(1.0, 1.0, INFINITE, 0.1)
-    assert series_free_energy(scaled) == series_free_energy(scaled, "infinite")
-    with pytest.raises(ValueError):
-        series_free_energy(scaled, "finite")
-    with pytest.raises(ValueError):
-        series_free_energy(scaled, "bogus")
+def test_series_follows_shape():
+    # the height c picks the three-factor finite series or the two-factor one
+    tall = series_free_energy(ScaledShape(1.0, 1.0, 40.0, 0.1))
+    infinite = series_free_energy(ScaledShape(1.0, 1.0, INFINITE, 0.1))
+    assert tall < 0 < infinite
 
 
 def test_series_partial_sums_monotone():
@@ -233,22 +253,54 @@ def test_series_cap_raises():
 
 
 def test_free_energy_scaled_sliced_sample():
-    scaled = ScaledShape(1.0, 3.0, INFINITE, 0.25)
-    from hexdimer import Sliced
-
-    sample = free_energy(scaled, Sliced(ConstantPhi(1.0)))
-    assert sample.inv_eps == 4
-    direct = sliced_free_energy_value(4, 12, ConstantPhi(1.0), 0.25)
-    assert sample.f == direct
+    f = Scenario("sliced", 1.0, 3.0, phi=ConstantPhi(1.0)).free_energy(0.25)
+    assert f == log_z_sliced(4, 12, ConstantPhi(1.0), 0.25) / 48
 
 
-def test_grid_samples_shape_and_threads():
-    serial = grid_samples("infinite", 2.0, 1.0, inv_eps_min=2, inv_eps_max=12)
-    threaded = grid_samples("infinite", 2.0, 1.0, inv_eps_min=2, inv_eps_max=12, threads=4)
-    assert [s.inv_eps for s in serial] == list(range(2, 13))
-    assert serial == threaded
-    with pytest.raises(ValueError):
-        grid_samples("infinite", 1.0, 1.0, inv_eps_min=10, inv_eps_max=10)
+def test_grid_samples_shape():
+    scenario = Scenario("infinite", 2.0, 1.0)
+    samples = grid_samples(scenario, 2, 12)
+    assert [s.inv_eps for s in samples] == list(range(2, 13))
+    assert all(s.eps == 1.0 / s.inv_eps and s.f == scenario.free_energy(s.eps) for s in samples)
+    for lo, hi in ((12, 2), (0, 5)):
+        with pytest.raises(ValueError):
+            grid_samples(scenario, lo, hi)
+
+
+@pytest.mark.parametrize("kind,a,b,c,phi,match", [
+    ("bogus", 1.0, 1.0, INFINITE, None, "unknown scenario"),
+    ("infinite", math.inf, 1.0, INFINITE, None, "side a"),
+    ("infinite", 1.0, -1.0, INFINITE, None, "side b"),
+    ("finite", 1.0, 1.0, INFINITE, None, "side c"),
+    ("finite", 1.0, 1.0, math.nan, None, "side c"),
+    ("infinite", 1.0, 1.0, 2.0, None, "infinite height"),
+    ("sliced", 1.0, 1.0, 2.0, CosinePhi(), "infinite height"),
+    ("sliced", 1.0, 3.0, INFINITE, None, "needs a phi"),
+    ("infinite", 1.0, 1.0, INFINITE, CosinePhi(), "takes no phi"),
+    ("finite", 1.0, 1.0, 1.0, CosinePhi(), "takes no phi"),
+])
+def test_scenario_validation(kind, a, b, c, phi, match):
+    with pytest.raises(ValueError, match=match):
+        Scenario(kind, a, b, c, phi)
+
+
+def test_scenario_checks_phi_on_the_box():
+    from hexdimer import LinearPhi
+
+    with pytest.raises(ValueError, match="strictly positive"):
+        Scenario("sliced", 1.0, 3.0, phi=LinearPhi(1.0, -0.5))  # phi(3) < 0
+    t = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="tabulated range"):
+        Scenario("sliced", 1.0, 3.0, phi=TabulatedPhi(t, np.ones_like(t)))
+
+
+def test_scenario_coefficients_dispatch():
+    from hexdimer import coeffs_finite, coeffs_infinite, coeffs_sliced
+
+    assert Scenario("finite", 3.0, 2.0, 1.0).coefficients() == coeffs_finite(3.0, 2.0, 1.0)
+    assert Scenario("infinite", 2.0, 1.0).coefficients() == coeffs_infinite(2.0, 1.0)
+    phi = ConstantPhi(1.0)
+    assert Scenario("sliced", 1.0, 1.0, phi=phi).coefficients() == coeffs_sliced(1.0, 1.0, phi)
 
 
 def test_macmahon_gap_bounded_by_qk():

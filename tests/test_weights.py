@@ -5,19 +5,9 @@ from hexdimer import (
     ConstantPhi,
     CosinePhi,
     LinearPhi,
-    Sliced,
     TabulatedPhi,
-    Uniform,
     phi_from_id,
 )
-
-
-def test_uniform_validation():
-    Uniform(1.0)
-    Uniform(0.3)
-    for bad in (0.0, -0.1, 1.5, float("nan")):
-        with pytest.raises(ValueError):
-            Uniform(bad)
 
 
 def test_catalog_parsing():
@@ -76,8 +66,3 @@ def test_tabulated_rejects_range_outside_table():
             phi.check_positive(lo, hi)
     with pytest.raises(ValueError, match="tabulated range"):
         coeffs_sliced(1.0, 3.0, phi)
-
-
-def test_sliced_wrapper_holds_phi():
-    phi = CosinePhi()
-    assert Sliced(phi).phi is phi
