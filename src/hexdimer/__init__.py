@@ -5,7 +5,6 @@ from .asymptotics import (
     CONVENTION_FINITE,
     CONVENTION_POSITIVE,
     ExpansionCoefficients,
-    SlicedDerivativeSettings,
     coeffs_finite,
     coeffs_infinite,
     coeffs_sliced,
@@ -43,7 +42,6 @@ from .kasteleyn import (
 from .partition import (
     FreeEnergySample,
     Scenario,
-    SeriesSettings,
     free_energy_value,
     grid_samples,
     log_z_infinite,
@@ -53,7 +51,6 @@ from .partition import (
 )
 from .shapes import INFINITE, BoxShape, ScaledShape
 from .specialfn import (
-    QuadratureSettings,
     chi,
     chi_dd,
     li,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import FiniteDifferenceNoiseError
 from .quadrature import gauss_legendre, log_graded_edges
-from .specialfn import QuadratureSettings, li, universal_constant, zeta3
+from .specialfn import li, universal_constant, zeta3
 from .weights import PhiFunction
 
 CONVENTION_FINITE = "f = -ln(Z)/V"
@@ -50,24 +50,6 @@ class ExpansionCoefficients:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.f0, self.f1, self.f2, self.f3)
-
-
-@dataclass(frozen=True)
-class SlicedDerivativeSettings:
-    """Finite-difference steps for the sliced f3 extraction."""
-
-    fd_steps: tuple[float, ...] = (1.0 / 64, 1.0 / 96, 1.0 / 128, 1.0 / 192)
-    richardson_order: int = 2
-
-    def __post_init__(self):
-        steps = tuple(float(h) for h in self.fd_steps)
-        if len(steps) < 3:
-            raise ValueError("need at least 3 fd_steps")
-        if any(h2 >= h1 for h1, h2 in zip(steps, steps[1:])) or steps[-1] <= 0:
-            raise ValueError("fd_steps must be strictly decreasing and positive")
-        if self.richardson_order < 1 or self.richardson_order + 1 > len(steps):
-            raise ValueError("richardson_order must be >= 1 and < len(fd_steps)")
-        object.__setattr__(self, "fd_steps", steps)
 
 
 def predict_free_energy(coeffs: ExpansionCoefficients, eps: float) -> float:
@@ -96,28 +78,26 @@ def _require_sides(**sides: float) -> None:
             raise ValueError(f"side {name} must be finite and positive, got {value}")
 
 
-def coeffs_finite(a: float, b: float, c: float,
-                  quad: QuadratureSettings = QuadratureSettings()) -> ExpansionCoefficients:
+def coeffs_finite(a: float, b: float, c: float) -> ExpansionCoefficients:
     """Finite box, convention f = -ln Z/V."""
     _require_sides(a=a, b=b, c=c)
     s = a * b + b * c + a * c
     f0 = (li(3, exp(-a)) + li(3, exp(-b)) + li(3, exp(-c))
           - li(3, exp(-a - b)) - li(3, exp(-b - c)) - li(3, exp(-a - c))
           + li(3, exp(-a - b - c)) - zeta3()) / (2.0 * s)
-    iq = universal_constant(quad)
+    iq = universal_constant()
     f2 = -1.0 / (24.0 * s)
     f3 = -(iq - log_ratio_three(a, b, c) / 6.0 - 0.25) / (4.0 * s)
     return ExpansionCoefficients(f0, 0.0, f2, f3, scenario="finite",
                                  convention=CONVENTION_FINITE)
 
 
-def coeffs_infinite(a: float, b: float,
-                    quad: QuadratureSettings = QuadratureSettings()) -> ExpansionCoefficients:
+def coeffs_infinite(a: float, b: float) -> ExpansionCoefficients:
     """Infinite-height box, convention f = +ln Z/V."""
     _require_sides(a=a, b=b)
     ab = a * b
     f0 = (zeta3() + li(3, exp(-a - b)) - li(3, exp(-a)) - li(3, exp(-b))) / ab
-    iq = universal_constant(quad)
+    iq = universal_constant()
     f2 = 1.0 / (12.0 * ab)
     f3 = (iq - log_ratio_two(a, b) / 6.0 - 0.25) / (2.0 * ab)
     return ExpansionCoefficients(f0, 0.0, f2, f3, scenario="infinite")
@@ -131,6 +111,9 @@ _N_QUAD = 20
 _EFOLDS = 48.0
 _N_MAX_ZERO = 6000
 _N_SAFETY = 64
+# f3 extraction: finite-difference steps (decreasing) and the Richardson order
+_FD_STEPS = (1.0 / 64, 1.0 / 96, 1.0 / 128, 1.0 / 192)
+_RICHARDSON_ORDER = 2
 
 
 def _row_dots(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -290,16 +273,15 @@ def _sliced_pieces(a: float, b: float, phi: PhiFunction, eps: float,
     return f_geo, f_plus, f_minus, f_cross
 
 
-def _extrapolation_basis(order: int, kind: str, h: float) -> list[float]:
+def _extrapolation_basis(kind: str, h: float) -> list[float]:
     if kind == "central":
         cols = [1.0, h * h * log(h), h * h, h**4 * log(h), h**4]
-        return cols[:order + 1]
-    cols = [h, h * h, h**3, h**4]
-    return cols[:order + 1]
+    else:
+        cols = [h, h * h, h**3, h**4]
+    return cols[:_RICHARDSON_ORDER + 1]
 
 
-def sliced_f3(a: float, b: float, phi: PhiFunction,
-              settings: SlicedDerivativeSettings = SlicedDerivativeSettings()) -> tuple[float, float]:
+def sliced_f3(a: float, b: float, phi: PhiFunction) -> tuple[float, float]:
     """The eps^2 coefficient for slice weights, with a noise estimate.
 
     Returns (f3, noise).  The universal constant and the logarithmic terms
@@ -311,19 +293,17 @@ def sliced_f3(a: float, b: float, phi: PhiFunction,
     phi.check_positive(-a, b)
     slope_min = 0.9 * phi.min_on(-a, b)
     ab = a * b
-    steps = settings.fd_steps
-    order = settings.richardson_order
 
     base = _sliced_pieces(a, b, phi, 0.0, slope_min)
     rows_c, y_c = [], []
     rows_d, deltas = [], {1: [], 2: [], 3: []}
-    for h in steps:
+    for h in _FD_STEPS:
         plus = _sliced_pieces(a, b, phi, +h, slope_min)
         minus = _sliced_pieces(a, b, phi, -h, slope_min)
         w = (plus[0] - 2.0 * base[0] + minus[0]) / (h * h) - log(h) / (6.0 * ab)
-        rows_c.append(_extrapolation_basis(order, "central", h))
+        rows_c.append(_extrapolation_basis("central", h))
         y_c.append(w)
-        rows_d.append(_extrapolation_basis(order, "one_sided", h))
+        rows_d.append(_extrapolation_basis("one_sided", h))
         for idx in (1, 2, 3):
             deltas[idx].append(plus[idx] - base[idx])
 
@@ -334,26 +314,25 @@ def sliced_f3(a: float, b: float, phi: PhiFunction,
     noise = 0.5 * resid_c
 
     mat_d = np.asarray(rows_d)
-    h_big = max(steps)
+    h_big = max(_FD_STEPS)
     for idx in (1, 2, 3):
         coef_d, *_ = np.linalg.lstsq(mat_d, np.asarray(deltas[idx]), rcond=None)
         f3 += coef_d[1]
         resid = float(np.max(np.abs(np.asarray(deltas[idx]) - mat_d @ coef_d)))
         noise += resid / (h_big * h_big)
 
-    noise += 4.0e-15 * max(1.0, abs(base[0])) / min(steps) ** 2  # FD roundoff floor
+    noise += 4.0e-15 * max(1.0, abs(base[0])) / min(_FD_STEPS) ** 2  # FD roundoff floor
     if noise > 1e-3 * max(abs(f3), 1e-12):
         raise FiniteDifferenceNoiseError(
             f"sliced f3 noise estimate {noise:.3e} exceeds 1e-3 of |f3| = {abs(f3):.3e}; "
-            "use smaller fd_steps")
+            "the finite-difference steps are too coarse for this profile")
     return float(f3), float(noise)
 
 
-def coeffs_sliced(a: float, b: float, phi: PhiFunction,
-                  settings: SlicedDerivativeSettings = SlicedDerivativeSettings()) -> ExpansionCoefficients:
+def coeffs_sliced(a: float, b: float, phi: PhiFunction) -> ExpansionCoefficients:
     """Slice-weighted infinite-height box, convention f = +ln Z/V."""
     _require_sides(a=a, b=b)
     f0 = sliced_f0(a, b, phi)
     f2 = 1.0 / (12.0 * a * b)
-    f3, noise = sliced_f3(a, b, phi, settings)
+    f3, noise = sliced_f3(a, b, phi)
     return ExpansionCoefficients(f0, 0.0, f2, f3, scenario="sliced", fd_noise=noise)

@@ -18,11 +18,10 @@ from .enumeration import oracle_partition
 from .errors import HexdimerError
 from .fitting import fit
 from .kasteleyn import kasteleyn_partition
-from .partition import (SCENARIO_KINDS, Scenario, SeriesSettings, free_energy_value,
-                        grid_samples, log_z_infinite, log_z_macmahon, log_z_sliced,
-                        series_free_energy)
+from .partition import (SCENARIO_KINDS, Scenario, free_energy_value, grid_samples,
+                        log_z_infinite, log_z_macmahon, log_z_sliced, series_free_energy)
 from .shapes import INFINITE, BoxShape, ScaledShape
-from .specialfn import QuadratureSettings, universal_constant_detail
+from .specialfn import universal_constant_detail
 from .weights import phi_from_id
 
 _TABLE1_ROWS = (
@@ -50,14 +49,20 @@ def _csv_field(x) -> str:
     return s
 
 
+def _json_field(x):
+    # strict JSON has no Infinity or NaN: non-finite floats print as in the CSV
+    if isinstance(x, float):
+        return float(_fmt(x)) if math.isfinite(x) else _fmt(x)
+    return x
+
+
 def _emit(args, header, rows, meta):
     """Write CSV (default) or JSON to --out or stdout, deterministically."""
     meta = dict(meta)
     meta.setdefault("version", __version__)
     if args.json:
         payload = {"meta": meta, "columns": list(header),
-                   "rows": [[(r if not isinstance(r, float) else float(_fmt(r))) for r in row]
-                            for row in rows]}
+                   "rows": [[_json_field(x) for x in row] for row in rows]}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         lines = [f"# {k}: {v}" for k, v in sorted(meta.items())]
@@ -77,41 +82,41 @@ def _parse_k(value: str):
     return int(value)
 
 
-_TOL_NAMES = ("rel_tol", "z_cut", "taylor_switch", "term_tol", "n_max_cap")
+_LATTICE = ("M", "N", "K", "q")
+_GRID = ("inv_eps_min", "inv_eps_max")
 
 
-def _tol_overrides(pairs):
-    out = {}
-    for item in pairs or ():
-        name, _, val = item.partition("=")
-        if not val:
-            raise ValueError(f"--tol-override expects name=value, got {item!r}")
-        if name not in _TOL_NAMES:
-            raise ValueError(f"unknown --tol-override name {name!r}; "
-                             f"expected one of {', '.join(_TOL_NAMES)}")
-        out[name] = float(val)
-    return out
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _quad_settings(args) -> QuadratureSettings:
-    over = _tol_overrides(args.tol_override)
-    kwargs = {k: over[k] for k in ("rel_tol", "z_cut", "taylor_switch") if k in over}
-    return QuadratureSettings(**kwargs)
+def _given(args, names) -> bool:
+    return any(getattr(args, name) is not None for name in names)
 
 
-def _series_settings(args) -> SeriesSettings:
-    over = _tol_overrides(args.tol_override)
-    kwargs = {}
-    if "term_tol" in over:
-        kwargs["term_tol"] = over["term_tol"]
-    if "n_max_cap" in over:
-        kwargs["n_max_cap"] = int(over["n_max_cap"])
-    return SeriesSettings(**kwargs)
+def _require(args, *names) -> None:
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValueError(f"missing {_flag(name)}")
+
+
+def _exclude(args, names, reason: str) -> None:
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"{_flag(name)} cannot be combined with {reason}")
+
+
+def _lattice_box(args, scaled) -> BoxShape:
+    """The lattice box of --M/--N/--K/--q, which exclude every scaled flag."""
+    _exclude(args, scaled, "--M/--N/--K/--q")
+    _require(args, "M", "N", "q")
+    return BoxShape(args.M, args.N, INFINITE if args.K is None else args.K)
 
 
 def _scenario(args, kind: str = None) -> Scenario:
     """The Scenario named by kind; without one, --phi means sliced and a
     finite --c means finite."""
+    _require(args, "a", "b", *(["c"] if kind == "finite" else []))
     phi = phi_from_id(args.phi) if args.phi else None
     c = INFINITE if args.c is None else args.c
     if kind is None:
@@ -136,8 +141,8 @@ def _z_of(logz: float) -> float:
 
 
 def cmd_partition(args) -> int:
-    if args.M is not None:
-        shape = BoxShape(args.M, args.N, args.K if args.K is not None else INFINITE)
+    if _given(args, _LATTICE):
+        shape = _lattice_box(args, ("a", "b", "phi", "inv_eps"))
         q = args.q
         logz = log_z_macmahon(shape, q) if shape.is_finite else log_z_infinite(shape, q)
         rows = [[shape.m, shape.n, "inf" if not shape.is_finite else shape.k, q,
@@ -145,7 +150,8 @@ def cmd_partition(args) -> int:
         header = ("M", "N", "K", "q", "log_Z", "Z")
         meta = {"command": "partition", "formula": "macmahon" if shape.is_finite else "infinite-product"}
     else:
-        scenario = _scenario(args, "sliced")
+        _require(args, "a", "b", "phi", "inv_eps")
+        scenario = Scenario("sliced", args.a, args.b, phi=phi_from_id(args.phi))
         eps = 1.0 / args.inv_eps
         box = ScaledShape(scenario.a, scenario.b, INFINITE, eps).box()
         logz = log_z_sliced(box.m, box.n, scenario.phi, eps)
@@ -157,20 +163,25 @@ def cmd_partition(args) -> int:
 
 
 def cmd_free_energy(args) -> int:
-    if args.inv_eps_min is not None:
-        scenario = _scenario(args)
-        samples = grid_samples(scenario, args.inv_eps_min, args.inv_eps_max)
-        rows = [[s.inv_eps, s.eps, s.f, scenario.kind, _params(scenario)] for s in samples]
+    if _given(args, _LATTICE):
+        shape = _lattice_box(args, ("a", "b", "c", "phi", "inv_eps", *_GRID))
+        # a lattice box is the scenario at eps = 1, here at an arbitrary q;
+        # 0.0 - log keeps eps = 0 unsigned at q = 1
+        scenario = Scenario("finite" if shape.is_finite else "infinite", shape.m, shape.n, shape.k)
+        rows = [["", 0.0 - math.log(args.q), free_energy_value(shape, args.q), scenario.kind,
+                 f"M={shape.m};N={shape.n};K={shape.k};q={args.q}"]]
     elif args.inv_eps is not None:
+        _exclude(args, _GRID, "--inv-eps")
         scenario = _scenario(args)
         eps = 1.0 / args.inv_eps
         rows = [[args.inv_eps, eps, scenario.free_energy(eps), scenario.kind, _params(scenario)]]
     else:
-        shape = BoxShape(args.M, args.N, args.K if args.K is not None else INFINITE)
-        # a lattice box is the scenario at eps = 1, here at an arbitrary q
-        scenario = Scenario("finite" if shape.is_finite else "infinite", shape.m, shape.n, shape.k)
-        rows = [["", -math.log(args.q), free_energy_value(shape, args.q), scenario.kind,
-                 f"M={shape.m};N={shape.n};K={shape.k};q={args.q}"]]
+        if not _given(args, _GRID):
+            raise ValueError("missing --inv-eps, or --inv-eps-min and --inv-eps-max")
+        _require(args, *_GRID)
+        scenario = _scenario(args)
+        samples = grid_samples(scenario, args.inv_eps_min, args.inv_eps_max)
+        rows = [[s.inv_eps, s.eps, s.f, scenario.kind, _params(scenario)] for s in samples]
     header = ("inv_eps", "eps", "f", "variant", "params")
     meta = {"command": "free-energy", "convention": scenario.convention, "scenario": scenario.kind}
     _emit(args, header, rows, meta)
@@ -178,7 +189,7 @@ def cmd_free_energy(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    c = _scenario(args, args.scenario).coefficients(_quad_settings(args))
+    c = _scenario(args, args.scenario).coefficients()
     header = ("coefficient", "value")
     rows = [["f0", c.f0], ["f1", c.f1], ["f2", c.f2], ["f3", c.f3]]
     meta = {"command": "coeffs", "scenario": c.scenario, "provenance": c.provenance,
@@ -191,11 +202,10 @@ def cmd_coeffs(args) -> int:
 
 def cmd_fit(args) -> int:
     scenario = _scenario(args, args.scenario)
-    quad = _quad_settings(args)
     result = fit(grid_samples(scenario, args.inv_eps_min, args.inv_eps_max))
     analytic = None
     try:
-        analytic = scenario.coefficients(quad)
+        analytic = scenario.coefficients()
     except HexdimerError:
         pass
     header = ("basis_term", "fitted", "analytic", "abs_diff")
@@ -247,7 +257,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_constant(args) -> int:
-    value, err = universal_constant_detail(_quad_settings(args))
+    value, err = universal_constant_detail()
     _emit(args, ("value", "error_bound"), [[value, err]],
           {"command": "constant", "integral": "int_0^inf e^{-z} (xi(z)-xi(0))/z dz"})
     return 0
@@ -275,12 +285,11 @@ def _verify_suites(args):
                         yield ("kasteleyn-vs-enumeration", f"{m};{n};{k};q={q}", ok,
                                f"rel={abs(z_kast - z_oracle) / z_oracle:.2e}")
     if "dual" in suites:
-        settings = _series_settings(args)
         for (a, b, c) in ((1.0, 1.0, 1.0), (3.0, 2.0, 1.0)):
             for t in (10, 50):
                 scaled = ScaledShape(a, b, c, 1.0 / t)
                 exact = free_energy_value(scaled.box(), math.exp(-scaled.eps))
-                series = series_free_energy(scaled, settings)
+                series = series_free_energy(scaled)
                 ok = abs(exact - series) < 1e-11
                 yield ("dual-evaluator-finite", f"a={a};b={b};c={c};1/eps={t}", ok,
                        f"diff={exact - series:.2e}")
@@ -288,7 +297,7 @@ def _verify_suites(args):
             for t in (10, 50):
                 scaled = ScaledShape(a, b, INFINITE, 1.0 / t)
                 exact = free_energy_value(scaled.box(), math.exp(-scaled.eps))
-                series = series_free_energy(scaled, settings)
+                series = series_free_energy(scaled)
                 ok = abs(exact - series) < 1e-11
                 yield ("dual-evaluator-infinite", f"a={a};b={b};1/eps={t}", ok,
                        f"diff={exact - series:.2e}")
@@ -316,6 +325,26 @@ def cmd_verify(args) -> int:
     return 0
 
 
+# every flag but --out and --json, which all commands take; build_parser
+# gives each command only the flags it reads
+_FLAGS = {
+    "M": dict(type=int, help="lattice box side"),
+    "N": dict(type=int, help="lattice box side"),
+    "K": dict(type=_parse_k, help="lattice box height: integer or 'inf' (default inf)"),
+    "q": dict(type=float, help="weight per cube, in (0, 1]"),
+    "scenario": dict(choices=SCENARIO_KINDS),
+    "a": dict(type=float, help="scaled side"),
+    "b": dict(type=float, help="scaled side"),
+    "c": dict(type=float, help="scaled height (finite box)"),
+    "phi": dict(help="const:c | linear:alpha,beta | cosine | tabulated:<csv>"),
+    "inv_eps": dict(type=int, help="1/eps"),
+    "inv_eps_min": dict(type=int, help="first 1/eps of the grid"),
+    "inv_eps_max": dict(type=int, help="last 1/eps of the grid"),
+    "row": dict(help="e.g. cosine:1,3 or linear:2,0.5:2,3"),
+    "kasteleyn": dict(action="store_true", help="run only the Kasteleyn suite"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hexdimer",
@@ -324,64 +353,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hexdimer {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_tol_override(p):
-        p.add_argument("--tol-override", action="append", metavar="NAME=VALUE",
-                       help=f"override a tolerance ({', '.join(_TOL_NAMES)})")
-
-    def add_common(p, lattice=False, scaled=False, grid=False):
+    def command(name, func, help, *optional, required=()):
+        p = sub.add_parser(name, help=help)
+        for flag in (*required, *optional):
+            p.add_argument(_flag(flag), dest=flag, required=flag in required, **_FLAGS[flag])
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
-        if lattice:
-            p.add_argument("--M", type=int)
-            p.add_argument("--N", type=int)
-            p.add_argument("--K", type=_parse_k, help="integer or 'inf'")
-            p.add_argument("--q", type=float)
-        if scaled:
-            p.add_argument("--a", type=float)
-            p.add_argument("--b", type=float)
-            p.add_argument("--c", type=float)
-            p.add_argument("--inv-eps", type=int, dest="inv_eps")
-            p.add_argument("--phi", help="const:c | linear:alpha,beta | cosine | tabulated:<csv>")
-        if grid:
-            p.add_argument("--inv-eps-min", type=int, dest="inv_eps_min")
-            p.add_argument("--inv-eps-max", type=int, dest="inv_eps_max")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("partition", help="exact Z and ln Z")
-    add_common(p, lattice=True, scaled=True)
-    p.set_defaults(func=cmd_partition)
-
-    p = sub.add_parser("free-energy", help="free energy per site (single value or grid CSV)")
-    add_common(p, lattice=True, scaled=True, grid=True)
-    p.set_defaults(func=cmd_free_energy)
-
-    p = sub.add_parser("coeffs", help="analytic expansion coefficients")
-    p.add_argument("--scenario", choices=SCENARIO_KINDS, required=True)
-    add_common(p, scaled=True)
-    add_tol_override(p)
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser("fit", help="fit exact samples and compare with analytic coefficients")
-    p.add_argument("--scenario", choices=SCENARIO_KINDS, required=True)
-    add_common(p, scaled=True, grid=True)
-    add_tol_override(p)
-    p.set_defaults(func=cmd_fit, inv_eps=None)
-
-    p = sub.add_parser("table1", help="reproduce the four slice-weight reference rows")
-    p.add_argument("--row", default=None, help="e.g. cosine:1,3 or linear:2,0.5:2,3")
-    add_common(p)
-    p.set_defaults(func=cmd_table1)
-
-    p = sub.add_parser("constant", help="the universal expansion constant")
-    add_common(p)
-    add_tol_override(p)
-    p.set_defaults(func=cmd_constant)
-
-    p = sub.add_parser("verify", help="oracle equivalence suites")
-    p.add_argument("--kasteleyn", action="store_true", help="run only the Kasteleyn suite")
-    add_common(p)
-    add_tol_override(p)
-    p.set_defaults(func=cmd_verify)
-
+    command("partition", cmd_partition, "exact Z and ln Z", *_LATTICE, "a", "b", "phi", "inv_eps")
+    command("free-energy", cmd_free_energy, "free energy per site (single value or grid CSV)",
+            *_LATTICE, "a", "b", "c", "phi", "inv_eps", *_GRID)
+    command("coeffs", cmd_coeffs, "analytic expansion coefficients", "c", "phi",
+            required=("scenario", "a", "b"))
+    command("fit", cmd_fit, "fit exact samples and compare with analytic coefficients", "c", "phi",
+            required=("scenario", "a", "b", *_GRID))
+    command("table1", cmd_table1, "reproduce the four slice-weight reference rows", "row")
+    command("constant", cmd_constant, "the universal expansion constant")
+    command("verify", cmd_verify, "oracle equivalence suites", "kasteleyn")
     return parser
 
 
@@ -396,7 +385,7 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except HexdimerError as exc:

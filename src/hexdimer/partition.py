@@ -18,21 +18,14 @@ from .asymptotics import (CONVENTION_FINITE, CONVENTION_POSITIVE, ExpansionCoeff
                           _require_sides, coeffs_finite, coeffs_infinite, coeffs_sliced)
 from .errors import ConvergenceError
 from .shapes import INFINITE, BoxShape, ScaledShape
-from .specialfn import QuadratureSettings, chi
+from .specialfn import chi
 from .summation import NeumaierSum, exact_sum
 from .weights import PhiFunction
 
 
-@dataclass(frozen=True)
-class SeriesSettings:
-    """Stopping rule for the resummed free-energy series."""
-
-    term_tol: float = 1e-16
-    n_max_cap: int = 10**7
-
-    def __post_init__(self):
-        if not self.term_tol > 0:
-            raise ValueError("term_tol must be positive")
+# stopping rule for the resummed free-energy series
+_SERIES_TERM_TOL = 1e-16
+_SERIES_N_MAX = 10**7
 
 
 @dataclass(frozen=True)
@@ -137,15 +130,14 @@ def free_energy_value(shape: BoxShape, q: float) -> float:
     return log_z_infinite(shape, q) / shape.volume
 
 
-def series_free_energy(scaled: ScaledShape,
-                       settings: SeriesSettings = SeriesSettings()) -> float:
+def series_free_energy(scaled: ScaledShape) -> float:
     """Resummed series sum_n chi(n eps) H_n / n^3 with the scenario prefactor.
 
     H_n has three exponential factors for the finite box (finite c), two for
     the infinite-height box.  Terms are accumulated in ascending n with
     compensated summation; the loop stops once the remaining tail bound
     chi(n eps) * max(H) * sum_{m>n} m^-3 <= chi(n eps)/(2 n^2) drops below
-    term_tol.
+    _SERIES_TERM_TOL, and raises ConvergenceError past _SERIES_N_MAX terms.
     """
     a, b, c, eps = scaled.a, scaled.b, scaled.c, scaled.eps
     finite = scaled.is_finite
@@ -163,12 +155,12 @@ def series_free_energy(scaled: ScaledShape,
         if finite:
             h *= -math.expm1(-n * c)
         acc.add(chi_n * h / n**3)
-        if chi_n / (2.0 * n * n) < settings.term_tol:
+        if chi_n / (2.0 * n * n) < _SERIES_TERM_TOL:
             break
         n += 1
-        if n > settings.n_max_cap:
+        if n > _SERIES_N_MAX:
             raise ConvergenceError(
-                f"series free energy did not converge within {settings.n_max_cap} terms",
+                f"series free energy did not converge within {_SERIES_N_MAX} terms",
                 partial=prefactor * acc.value, achieved=chi_n / (2.0 * n * n))
     return prefactor * acc.value
 
@@ -219,12 +211,12 @@ class Scenario:
             return log_z_sliced(box.m, box.n, self.phi, eps) / (box.m * box.n)
         return free_energy_value(box, math.exp(-eps))
 
-    def coefficients(self, quad: QuadratureSettings = QuadratureSettings()) -> ExpansionCoefficients:
-        """Closed-form f0..f3 (quad is unused by the sliced scenario)."""
+    def coefficients(self) -> ExpansionCoefficients:
+        """Closed-form f0..f3."""
         if self.kind == "finite":
-            return coeffs_finite(self.a, self.b, self.c, quad)
+            return coeffs_finite(self.a, self.b, self.c)
         if self.kind == "infinite":
-            return coeffs_infinite(self.a, self.b, quad)
+            return coeffs_infinite(self.a, self.b)
         return coeffs_sliced(self.a, self.b, self.phi)
 
 

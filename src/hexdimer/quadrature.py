@@ -29,14 +29,13 @@ def fixed_panel(f, a: float, b: float, n: int = 15) -> float:
     return half * float(np.dot(w, f(mid + half * x)))
 
 
-def adaptive(f, a: float, b: float, rel_tol: float = 1e-12, abs_tol: float = 0.0,
-             order: int = 15, max_panels: int = 4000):
+def adaptive(f, a: float, b: float, rel_tol: float = 1e-12, max_panels: int = 4000):
     """Adaptive bisection; per-panel error from an order-vs-split comparison.
 
     Returns (value, error_bound).  Raises ConvergenceError if the panel
     budget is exhausted before the tolerance is met.
     """
-    stack = [(a, b, fixed_panel(f, a, b, order))]
+    stack = [(a, b, fixed_panel(f, a, b))]
     done_vals: list[float] = []
     done_errs: list[float] = []
     scale = abs(stack[0][2])
@@ -44,10 +43,10 @@ def adaptive(f, a: float, b: float, rel_tol: float = 1e-12, abs_tol: float = 0.0
     while stack:
         lo, hi, coarse = stack.pop()
         mid = 0.5 * (lo + hi)
-        left = fixed_panel(f, lo, mid, order)
-        right = fixed_panel(f, mid, hi, order)
+        left = fixed_panel(f, lo, mid)
+        right = fixed_panel(f, mid, hi)
         err = abs(left + right - coarse)
-        tol_here = max(abs_tol, rel_tol * max(scale, abs(left + right))) * (hi - lo) / (b - a)
+        tol_here = rel_tol * max(scale, abs(left + right)) * (hi - lo) / (b - a)
         if err <= tol_here or (hi - lo) < 1e-14 * (b - a):
             done_vals.extend((left, right))
             done_errs.append(err)

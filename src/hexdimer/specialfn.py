@@ -6,16 +6,15 @@ Q(z)     = (xi(z) - xi(0)) / z,  xi(0) = chi''(0) = -1/6
 Li_s(z)  = sum z^n / n^s
 I_Q      = int_0^inf e^{-z} Q(z) dz      (the universal expansion constant)
 
-chi is numerically benign everywhere (expm1 removes the 0/0), so its Taylor
-branch honors the configured switch.  xi's closed form is a fourth-order 0/0:
-the bracket collapses from O(1) terms to -z^4/6, losing ~|4 log10 z| digits,
-so xi, chi'' and Q switch to an exact Bernoulli-generated Taylor series below
-a floor of 0.25 regardless of the configured switch (the series converges for
-|z| < 2*pi; truncation at z^24 is below 1e-16 up to |z| ~ 0.8).
+chi is numerically benign everywhere (expm1 removes the 0/0); its Taylor
+branch only covers |z| < 1e-3.  xi's closed form is a fourth-order 0/0: the
+bracket collapses from O(1) terms to -z^4/6, losing ~|4 log10 z| digits, so
+xi, chi'' and Q switch to an exact Bernoulli-generated Taylor series below
+0.25 (the series converges for |z| < 2*pi; truncation at z^24 is below 1e-16
+up to |z| ~ 0.8).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, exp, expm1, factorial, fsum, isnan, log
@@ -23,31 +22,21 @@ from math import comb, exp, expm1, factorial, fsum, isnan, log
 import numpy as np
 
 from .errors import ConvergenceError
-from .quadrature import adaptive
+from .quadrature import adaptive, gauss_legendre
 from .summation import NeumaierSum
 
+_CHI_TAYLOR_SWITCH = 1e-3
+_LI_TERM_TOL = 1e-17
 _XI_SERIES_FLOOR = 0.25
 _SERIES_TERMS = 13  # even orders through z^24
 
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances for the universal-constant integral and series branches."""
-
-    rel_tol: float = 1e-10
-    z_cut: float = 60.0
-    taylor_switch: float = 1e-3
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if not self.taylor_switch > 0:
-            raise ValueError("taylor_switch must be positive")
-        if exp(-self.z_cut) >= self.rel_tol:
-            raise ValueError("z_cut too small: exp(-z_cut) must be below rel_tol")
-
-
-DEFAULT_SETTINGS = QuadratureSettings()
+# the universal constant: quadrature on [0, _Z_CUT] at _QUAD_REL_TOL, plus the
+# tail bound; the total error bound must stay below _CONSTANT_REL_TOL * |I_Q|
+_Z_CUT = 60.0  # >= 6, where the linear tail bound holds
+_QUAD_REL_TOL = 1e-12
+_CONSTANT_REL_TOL = 1e-10
+_UNIT_ROUNDOFF = 2.0**-53
+_EXP_ULPS = 2.0  # exp and expm1 are within one ulp: relative error <= 2u
 
 
 def _bernoulli(n_max: int) -> list[Fraction]:
@@ -103,61 +92,61 @@ def _poly(coeffs, z: float) -> float:
     return acc
 
 
-def chi(z: float, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+def chi(z: float) -> float:
     """chi(z) = e^{-z} (z/(1-e^{-z}))^2; even, chi(0) = 1."""
     t = abs(float(z))
-    if t < settings.taylor_switch:
+    if t < _CHI_TAYLOR_SWITCH:
         return _even_series(_CHI_C, t)
     d = -expm1(-t)
     return t * t * exp(-t) / (d * d)
 
 
-def _xi_closed(z: float) -> float:
+def _xi_bracket(z, ez, d):
     # xi = P e^{-2z} / (1-e^{-z})^4 with the constant/linear/quadratic-in-z
-    # cancellations already absorbed:
+    # cancellations already absorbed, ez = e^{-z}, d = 1 - e^{-z}:
     #   P e^{-2z} = 6 z^2 e^{-2z} + (e^{-z}-e^{-2z})(6z^2-8z) + (1-e^{-z})^2 (z^2-4z+2)
-    ez = exp(-z)
-    d = -expm1(-z)
+    # The arithmetic is generic, so _Tracked values run the same operations.
     pe2 = 6.0 * z * z * ez * ez + (ez - ez * ez) * (6.0 * z * z - 8.0 * z) + d * d * (z * z - 4.0 * z + 2.0)
     return pe2 / (d * d * d * d)
 
 
-def xi(z: float, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+def _xi_closed(z: float) -> float:
+    return _xi_bracket(z, exp(-z), -expm1(-z))
+
+
+def xi(z: float) -> float:
     """xi(z) = e^z chi''(z); xi(0) = -1/6."""
     z = float(z)
-    switch = max(settings.taylor_switch, _XI_SERIES_FLOOR)
-    if abs(z) < switch:
+    if abs(z) < _XI_SERIES_FLOOR:
         return _poly(_XI_C, z)
     if z < 0:
         return exp(2.0 * z) * _xi_closed(-z)
     return _xi_closed(z)
 
 
-def chi_dd(z: float, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+def chi_dd(z: float) -> float:
     """Second derivative of chi; even, chi''(0) = -1/6."""
     t = abs(float(z))
-    switch = max(settings.taylor_switch, _XI_SERIES_FLOOR)
-    if t < switch:
+    if t < _XI_SERIES_FLOOR:
         return _even_series(_CHIDD_C, t)
     return exp(-t) * _xi_closed(t)
 
 
-def q_func(z: float, settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
+def q_func(z: float) -> float:
     """Q(z) = (xi(z) - xi(0))/z for z >= 0, with Q(0) = xi'(0) = -1/6."""
     z = float(z)
     if z < 0 or isnan(z):
         raise ValueError(f"Q is defined for z >= 0, got {z}")
-    switch = max(settings.taylor_switch, _XI_SERIES_FLOOR)
-    if z < switch:
+    if z < _XI_SERIES_FLOOR:
         return _poly(_Q_C, z)
     return (_xi_closed(z) + 1.0 / 6.0) / z
 
 
-def li(s: int, z: float, term_tol: float = 1e-17, n_cap: int = 10**7) -> float:
+def li(s: int, z: float, n_cap: int = 10**7) -> float:
     """Polylogarithm Li_s(z) = sum_{n>=1} z^n / n^s for integer s >= 1, z in [0, 1].
 
     The series is summed with compensated accumulation until a term drops
-    below term_tol * |partial sum|.  At z = 1 (s >= 2 only) the polynomial
+    below _LI_TERM_TOL * |partial sum|.  At z = 1 (s >= 2 only) the polynomial
     tail is completed with an Euler-Maclaurin correction.
     """
     if not isinstance(s, int) or s < 1:
@@ -176,7 +165,7 @@ def li(s: int, z: float, term_tol: float = 1e-17, n_cap: int = 10**7) -> float:
     while True:
         term = exp(n * logz) / n**s
         acc.add(term)
-        if term < term_tol * abs(acc.value):
+        if term < _LI_TERM_TOL * abs(acc.value):
             return acc.value
         n += 1
         if n > n_cap:
@@ -199,32 +188,85 @@ def zeta3() -> float:
     return li(3, 1.0)
 
 
+class _Tracked:
+    """A float or array with a running roundoff bound mu (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., sec. 3.3): each rounded
+    operation adds |result| to mu and later operations carry mu by their
+    partials, so the value is within u * mu of exact, to first order."""
+
+    def __init__(self, v, mu=0.0):
+        self.v, self.mu = v, mu
+
+    def __add__(self, o):
+        o = o if isinstance(o, _Tracked) else _Tracked(o)
+        return _rounded(self.v + o.v, self.mu + o.mu)
+
+    def __sub__(self, o):
+        return self + _Tracked(-o.v, o.mu)
+
+    def __mul__(self, o):
+        o = o if isinstance(o, _Tracked) else _Tracked(o)
+        return _rounded(self.v * o.v, self.mu * abs(o.v) + o.mu * abs(self.v))
+
+    def __truediv__(self, o):
+        v = self.v / o.v
+        return _rounded(v, (self.mu + o.mu * abs(v)) / abs(o.v))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _rounded(v, mu):
+    return _Tracked(v, mu + abs(v))
+
+
+def _integrand_roundoff(z: np.ndarray) -> np.ndarray:
+    """First-order bound on the floating-point error of the computed
+    e^{-z} Q(z) at each node z > 0: a running bound over the operations of
+    q_func (coefficients and 1/6 rounded once each), plus e^{-z} and 1 - e^{-z}
+    within one ulp.  Those two feed several operations each, so their error
+    enters through the signed derivatives of xi rather than per use.
+    """
+    t = _Tracked(z)
+    series = _poly([_Tracked(c, abs(c)) for c in _Q_C], t)
+    ez, d = np.exp(-z), -np.expm1(-z)
+    xi_z = _xi_bracket(t, _Tracked(ez), _Tracked(d))
+    closed = (xi_z + _Tracked(1.0 / 6.0, 1.0 / 6.0)) / t
+    dxi_dez = (12.0 * z * z * ez + (1.0 - 2.0 * ez) * (6.0 * z * z - 8.0 * z)) / d**4
+    dxi_dd = 2.0 * (z * z - 4.0 * z + 2.0) / d**3 - 4.0 * xi_z.v / d
+    closed_mu = closed.mu + _EXP_ULPS * (np.abs(ez * dxi_dez) + np.abs(d * dxi_dd)) / z
+    on_series = z < _XI_SERIES_FLOOR
+    q = _Tracked(np.where(on_series, series.v, closed.v), np.where(on_series, series.mu, closed_mu))
+    return _UNIT_ROUNDOFF * (_Tracked(ez, _EXP_ULPS * ez) * q).mu
+
+
 @lru_cache(maxsize=None)
-def universal_constant(settings: QuadratureSettings = DEFAULT_SETTINGS) -> float:
-    """int_0^inf e^{-z} Q(z) dz, the universal finite-size constant (cached per settings)."""
-    value, _ = universal_constant_detail(settings)
+def universal_constant() -> float:
+    """int_0^inf e^{-z} Q(z) dz, the universal finite-size constant (cached)."""
+    value, _ = universal_constant_detail()
     return value
 
 
-def universal_constant_detail(settings: QuadratureSettings = DEFAULT_SETTINGS):
+def universal_constant_detail():
     """As universal_constant, but returns (value, error_bound).
 
-    The error bound sums the adaptive-panel estimate on [0, z_cut] and the
-    analytic tail bound |int_{z_cut}^inf e^{-z} Q| <= (z_cut + 1) e^{-z_cut},
-    using 0 < Q(z) < z for z >= 6.
+    The error bound sums the adaptive-panel estimate on [0, z_cut], the
+    analytic tail bound |int_{z_cut}^inf e^{-z} Q| <= (z_cut + 1) e^{-z_cut}
+    (using 0 < Q(z) < z for z >= 6), and the integral of the integrand's
+    floating-point roundoff bound (_integrand_roundoff), which dominates.
     """
-    s = settings
-    if s.z_cut < 6.0:
-        raise ValueError("z_cut must be >= 6 for the linear tail bound to hold")
-
     def integrand(z):
-        return np.exp(-z) * np.asarray([q_func(t, s) for t in np.atleast_1d(z)])
+        return np.exp(-z) * np.asarray([q_func(t) for t in np.atleast_1d(z)])
 
-    value, err = adaptive(integrand, 0.0, s.z_cut, rel_tol=min(s.rel_tol, 1e-12))
-    tail_bound = (s.z_cut + 1.0) * exp(-s.z_cut)
-    total_err = err + tail_bound
-    if total_err > s.rel_tol * abs(value):
+    value, err = adaptive(integrand, 0.0, _Z_CUT, rel_tol=_QUAD_REL_TOL)
+    tail_bound = (_Z_CUT + 1.0) * exp(-_Z_CUT)
+    # 15-point Gauss panels split at the series switch, widths doubling after it
+    edges = np.array([0.0, _XI_SERIES_FLOOR, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, _Z_CUT])
+    (gx, gw), half = gauss_legendre(15), 0.5 * np.diff(edges)[:, None]
+    roundoff = fsum((half * gw * _integrand_roundoff(edges[:-1, None] + half * (gx + 1.0))).ravel())
+    total_err = err + tail_bound + roundoff
+    if total_err > _CONSTANT_REL_TOL * abs(value):
         raise ConvergenceError(
-            f"universal constant quadrature reached {total_err:.3e}, above rel_tol {s.rel_tol:g}",
+            f"universal constant quadrature reached {total_err:.3e}, "
+            f"above rel_tol {_CONSTANT_REL_TOL:g}",
             partial=value, achieved=total_err)
     return value, total_err

@@ -33,11 +33,11 @@ from hexdimer import (
     residual_slope,
     series_free_energy,
     universal_constant,
-    QuadratureSettings,
+    universal_constant_detail,
     Scenario,
 )
 
-from _reference import TABLE1, UNIVERSAL_CONSTANT, ZETA3
+from _reference import TABLE1, UNIVERSAL_CONSTANT, UNIVERSAL_CONSTANT_HP, ZETA3
 
 _TABLE1_CONFIGS = tuple((phi_id, float(a), float(b)) for (phi_id, a, b) in TABLE1)
 _FINITE_CONFIGS = ((1.0, 1.0, 1.0), (3.0, 2.0, 1.0))
@@ -91,14 +91,15 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_universal_constant():
     t0 = time.time()
-    value = universal_constant()
-    halved = universal_constant(QuadratureSettings(rel_tol=0.5e-10))
+    value, bound = universal_constant_detail()
     elapsed = time.time() - t0
+    miss = abs(value - UNIVERSAL_CONSTANT_HP)
     ok = (abs(value - UNIVERSAL_CONSTANT) < 5e-6
-          and abs(value - halved) < 1e-10
+          and value == universal_constant()
+          and miss <= bound < 1e-13
           and elapsed < 1.0)
     _report(2, ok, f"I_Q = {value:.9f} (ref {UNIVERSAL_CONSTANT}), "
-                   f"tol-halving shift {abs(value - halved):.1e}", elapsed)
+                   f"|I_Q - 130-digit ref| {miss:.1e} <= bound {bound:.1e}", elapsed)
 
 
 def test_criterion_3_dual_evaluator_identity():

@@ -13,7 +13,6 @@ from hexdimer import (
     ExpansionCoefficients,
     LinearPhi,
     ScaledShape,
-    SlicedDerivativeSettings,
     coeffs_finite,
     coeffs_infinite,
     coeffs_sliced,
@@ -122,15 +121,6 @@ def test_predictor_residual_ratio_bounded():
         exact = free_energy_value(BoxShape(t, t, t), exp(-eps))
         ratios.append(abs(exact - predict_free_energy(cf, eps)) / eps**4)
     assert max(ratios) / min(ratios) < 3.0
-
-
-def test_sliced_settings_validation():
-    with pytest.raises(ValueError):
-        SlicedDerivativeSettings(fd_steps=(0.1, 0.2, 0.05))
-    with pytest.raises(ValueError):
-        SlicedDerivativeSettings(fd_steps=(0.1, 0.05))
-    with pytest.raises(ValueError):
-        SlicedDerivativeSettings(richardson_order=5)
 
 
 def test_constant_phi_reduction():

@@ -1,6 +1,9 @@
 import json
 import math
 
+import pytest
+
+from hexdimer import partition, specialfn
 from hexdimer.cli import main
 
 from _reference import TABLE1, UNIVERSAL_CONSTANT
@@ -101,18 +104,76 @@ def test_free_energy_rejects_infinite_side(capsys):
     assert "side a" in err and out == ""
 
 
-def test_tol_override_rejects_unknown_name(capsys):
-    code, out, err = run(capsys, "constant", "--tol-override", "rel_tol_typo=1")
+@pytest.mark.parametrize("argv", [
+    ("partition", "--M", "1", "--N", "1", "--K", "1", "--q", "0.5"),
+    ("free-energy", "--M", "1", "--N", "1", "--K", "1", "--q", "0.5"),
+    ("coeffs", "--scenario", "infinite", "--a", "1", "--b", "1"),
+    ("fit", "--scenario", "infinite", "--a", "1", "--b", "1", "--inv-eps-min", "2",
+     "--inv-eps-max", "10"),
+    ("table1", "--row", "cosine:1,3"),
+    ("constant",),
+    ("verify",),
+], ids=lambda argv: argv[0])
+def test_tol_override_is_unrecognised(argv, capsys):
+    # the tolerances are module constants; no command takes an override
+    code, out, err = run(capsys, *argv, "--tol-override", "rel_tol=1e-10")
     assert code == 1
-    assert "rel_tol_typo" in err and out == ""
+    assert "unrecognized arguments: --tol-override" in err and out == ""
 
 
-def test_tol_override_only_where_read(capsys):
-    for argv in (("partition", "--M", "1", "--N", "1", "--K", "1", "--q", "0.5"),
-                 ("free-energy", "--M", "1", "--N", "1", "--K", "1", "--q", "0.5"),
-                 ("table1", "--row", "cosine:1,3")):
-        assert main([*argv, "--tol-override", "rel_tol=1e-10"]) == 1
-        assert "unrecognized arguments" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, flag", [
+    # flags a command does not read are not offered
+    (("coeffs", "--scenario", "infinite", "--a", "2", "--b", "1", "--inv-eps", "7"), "--inv-eps"),
+    (("fit", "--scenario", "infinite", "--a", "2", "--b", "1", "--inv-eps-min", "2",
+      "--inv-eps-max", "10", "--inv-eps", "7"), "--inv-eps"),
+    (("partition", "--a", "1", "--b", "3", "--c", "1", "--inv-eps", "8", "--phi", "cosine"), "--c"),
+    # lattice flags do not mix with scaled ones
+    (("partition", "--M", "2", "--N", "2", "--K", "2", "--q", "0.5", "--a", "1"), "--a"),
+    (("partition", "--M", "2", "--N", "2", "--q", "0.5", "--phi", "cosine"), "--phi"),
+    (("partition", "--M", "2", "--N", "2", "--q", "0.5", "--inv-eps", "4"), "--inv-eps"),
+    (("free-energy", "--a", "1", "--b", "1", "--c", "1", "--inv-eps", "4", "--M", "3"), "--a"),
+    (("free-energy", "--M", "2", "--N", "2", "--q", "0.5", "--inv-eps-min", "2"), "--inv-eps-min"),
+    (("free-energy", "--a", "1", "--b", "1", "--inv-eps", "4", "--inv-eps-min", "2",
+      "--inv-eps-max", "9"), "--inv-eps-min"),
+    # a missing value names the flag instead of failing on None
+    (("free-energy", "--M", "2", "--N", "2", "--K", "2"), "--q"),
+    (("free-energy", "--M", "2", "--K", "2", "--q", "0.5"), "--N"),
+    (("free-energy", "--a", "1", "--b", "1", "--inv-eps-min", "2"), "--inv-eps-max"),
+    (("free-energy", "--a", "1", "--b", "1"), "--inv-eps"),
+    (("free-energy", "--b", "1", "--inv-eps", "4"), "--a"),
+    (("partition", "--a", "1", "--b", "3", "--phi", "cosine"), "--inv-eps"),
+    (("partition", "--a", "1", "--b", "3", "--inv-eps", "8"), "--phi"),
+    (("partition", "--M", "2", "--N", "2", "--K", "2"), "--q"),
+    (("partition",), "--a"),
+    (("coeffs", "--scenario", "infinite", "--b", "1"), "--a"),
+    (("coeffs", "--scenario", "finite", "--a", "1", "--b", "1"), "--c"),
+    (("fit", "--scenario", "infinite", "--a", "1", "--b", "1", "--inv-eps-min", "2"),
+     "--inv-eps-max"),
+])
+def test_usage_errors_name_the_flag(argv, flag, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert flag in err and out == ""
+    assert "NoneType" not in err and "operand" not in err
+
+
+def test_missing_tabulated_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    code, out, err = run(capsys, "partition", "--a", "1", "--b", "3", "--inv-eps", "8",
+                         "--phi", f"tabulated:{missing}")
+    assert code == 1
+    assert "missing.csv" in err and out == ""
+
+
+def test_json_is_strict_for_nonfinite_values(capsys):
+    def reject(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    code, out, _ = run(capsys, "partition", "--M", "40", "--N", "40", "--K", "40", "--q", "0.98",
+                       "--json")
+    assert code == 0
+    log_z, z = json.loads(out, parse_constant=reject)["rows"][0][-2:]
+    assert log_z > 710 and z == "inf"
 
 
 def test_usage_error_exit_code(capsys):
@@ -157,12 +218,13 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in out
 
 
-def test_numerical_failure_exit_code(capsys):
-    # an unconvergeable series tolerance triggers exit 2
-    code, _, err = run(capsys, "coeffs", "--scenario", "infinite", "--a", "1", "--b", "1",
-                       "--tol-override", "rel_tol=1e-30")
-    assert code in (1, 2)  # settings validation (1) or convergence failure (2)
-    assert err
+def test_numerical_failure_exit_code(monkeypatch, capsys):
+    # an unreachable universal-constant tolerance is a convergence failure: exit 2
+    monkeypatch.setattr(specialfn, "_CONSTANT_REL_TOL", 1e-30)
+    specialfn.universal_constant.cache_clear()
+    code, _, err = run(capsys, "coeffs", "--scenario", "infinite", "--a", "1", "--b", "1")
+    assert code == 2
+    assert "universal constant" in err
 
 
 def test_table1_single_row(capsys):
@@ -182,6 +244,12 @@ def test_free_energy_single_lattice_point(capsys):
     assert code == 0
     f = float(out.strip().splitlines()[-1].split(",")[2])
     assert abs(f - (-math.log(1 + math.exp(-1.0)) / 6.0)) < 1e-14
+    # q = 1 is eps = 0, printed unsigned; ln Z is the log of the 20 configurations
+    code, out, _ = run(capsys, "free-energy", "--M", "2", "--N", "2", "--K", "2", "--q", "1")
+    assert code == 0
+    _, eps, f = out.strip().splitlines()[-1].split(",")[:3]
+    assert eps == "0"
+    assert abs(float(f) - (-math.log(20) / 24)) < 1e-15
 
 
 def test_tabulated_phi_through_cli(tmp_path, capsys):
@@ -200,7 +268,8 @@ def test_tabulated_phi_through_cli(tmp_path, capsys):
     assert abs(logz_tab - logz_cos) < 1e-7
 
 
-def test_numerical_failure_from_series_cap(capsys):
-    code, _, err = run(capsys, "verify", "--tol-override", "n_max_cap=10")
+def test_numerical_failure_from_series_cap(monkeypatch, capsys):
+    monkeypatch.setattr(partition, "_SERIES_N_MAX", 10)
+    code, _, err = run(capsys, "verify")
     assert code == 2
     assert "converge" in err

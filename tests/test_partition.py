@@ -13,7 +13,6 @@ from hexdimer import (
     INFINITE,
     Scenario,
     ScaledShape,
-    SeriesSettings,
     free_energy_value,
     grid_samples,
     log_z_infinite,
@@ -23,6 +22,7 @@ from hexdimer import (
     series_free_energy,
 )
 from hexdimer.enumeration import config_count
+from hexdimer import partition
 from hexdimer.partition import sliced_log_weight_exponents
 from hexdimer.weights import PhiFunction, TabulatedPhi
 
@@ -237,18 +237,20 @@ def test_series_follows_shape():
     assert tall < 0 < infinite
 
 
-def test_series_partial_sums_monotone():
+def test_series_partial_sums_monotone(monkeypatch):
     # every term is positive, so looser tolerances give smaller magnitudes
     scaled = ScaledShape(1.0, 1.0, INFINITE, 0.1)
-    loose = series_free_energy(scaled, settings=SeriesSettings(term_tol=1e-6))
-    tight = series_free_energy(scaled, settings=SeriesSettings(term_tol=1e-16))
+    tight = series_free_energy(scaled)
+    monkeypatch.setattr(partition, "_SERIES_TERM_TOL", 1e-6)
+    loose = series_free_energy(scaled)
     assert 0 < loose <= tight
 
 
-def test_series_cap_raises():
+def test_series_cap_raises(monkeypatch):
+    monkeypatch.setattr(partition, "_SERIES_N_MAX", 10)
     scaled = ScaledShape(1.0, 1.0, 1.0, 0.01)
     with pytest.raises(ConvergenceError) as err:
-        series_free_energy(scaled, settings=SeriesSettings(n_max_cap=10))
+        series_free_energy(scaled)
     assert err.value.partial is not None
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hexdimer import (
     ConvergenceError,
-    QuadratureSettings,
     chi,
     chi_dd,
     li,
@@ -17,9 +16,10 @@ from hexdimer import (
     xi,
     zeta3,
 )
+from hexdimer import specialfn
 from hexdimer.quadrature import adaptive
 
-from _reference import UNIVERSAL_CONSTANT, ZETA3
+from _reference import UNIVERSAL_CONSTANT, UNIVERSAL_CONSTANT_HP, ZETA3
 
 
 def test_chi_at_zero_and_small_argument():
@@ -109,9 +109,9 @@ def test_branch_continuity_at_switch():
         right = f(0.25 + 1e-10)
         assert abs(left - right) < 1e-10
     assert abs(q_func(0.25 - 1e-10) - q_func(0.25 + 1e-10)) < 1e-10
-    # chi honors the configured switch
-    s = QuadratureSettings()
-    assert abs(chi(s.taylor_switch * (1 - 1e-8), s) - chi(s.taylor_switch * (1 + 1e-8), s)) < 1e-13
+    # chi's own Taylor switch
+    switch = specialfn._CHI_TAYLOR_SWITCH
+    assert abs(chi(switch * (1 - 1e-8)) - chi(switch * (1 + 1e-8))) < 1e-13
 
 
 def test_li_basic_values():
@@ -144,27 +144,48 @@ def test_universal_constant_reference_value():
     assert abs(value - UNIVERSAL_CONSTANT) < 5e-6
 
 
-def test_universal_constant_stability():
-    base = universal_constant(QuadratureSettings())
-    halved = universal_constant(QuadratureSettings(rel_tol=0.5e-10))
-    assert abs(base - halved) < 1e-10
-    wider = universal_constant(QuadratureSettings(z_cut=120.0))
-    assert abs(base - wider) < 1e-12
-    _, err = universal_constant_detail()
+def test_universal_constant_stability(monkeypatch):
+    base, err = universal_constant_detail()
+    assert base == universal_constant()
     assert err < 1e-10
+    # the tail beyond the cut is below 1e-24, so doubling the cut moves nothing
+    monkeypatch.setattr(specialfn, "_Z_CUT", 120.0)
+    wider, _ = universal_constant_detail()
+    assert abs(base - wider) < 1e-12
+
+
+def test_universal_constant_pinned_to_high_precision():
+    # the reported error bound must cover the true error, not just the
+    # quadrature estimate: the integrand's roundoff near z = 0.25 dominates
+    value, err = universal_constant_detail()
+    assert abs(value - UNIVERSAL_CONSTANT_HP) <= err
+    assert err < 1e-13
+
+
+def test_integrand_roundoff_bounds_observed_error():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+
+    def exact(z):
+        z = mpmath.mpf(z)
+        ez, d = mpmath.exp(-z), -mpmath.expm1(-z)
+        xi_z = (6 * z * z * ez * ez + (ez - ez * ez) * (6 * z * z - 8 * z)
+                + d * d * (z * z - 4 * z + 2)) / d**4
+        return ez * (xi_z + mpmath.mpf(1) / 6) / z
+
+    rng = np.random.default_rng(3)
+    zs = np.concatenate([rng.uniform(1e-3, 0.25, 100), rng.uniform(0.25, 2.0, 300),
+                         rng.uniform(2.0, 60.0, 200)])
+    computed = np.exp(-zs) * np.asarray([q_func(z) for z in zs])
+    bound = specialfn._integrand_roundoff(zs)
+    observed = np.asarray([abs(float(mpmath.mpf(c) - exact(z))) for c, z in zip(computed, zs)])
+    assert np.all(observed <= bound)
 
 
 def test_quadrature_engine_calibration():
     # same engine on e^{-z} * (-1/6) must return -1/6 (+ tail below 1e-13)
     value, _ = adaptive(lambda z: np.exp(-z) * (-1 / 6.0), 0.0, 60.0, rel_tol=1e-13)
     assert abs(value - (-1 / 6.0)) < 1e-13
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        QuadratureSettings(rel_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureSettings(rel_tol=1e-10, z_cut=10.0)  # exp(-10) > 1e-10
 
 
 def test_li_convergence_cap():
