@@ -82,6 +82,16 @@ def _parse_k(value: str):
     return int(value)
 
 
+def _positive_int(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:  # argparse's own wording for a non-integer
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    return n
+
+
 _LATTICE = ("M", "N", "K", "q")
 _GRID = ("inv_eps_min", "inv_eps_max")
 
@@ -337,7 +347,7 @@ _FLAGS = {
     "b": dict(type=float, help="scaled side"),
     "c": dict(type=float, help="scaled height (finite box)"),
     "phi": dict(help="const:c | linear:alpha,beta | cosine | tabulated:<csv>"),
-    "inv_eps": dict(type=int, help="1/eps"),
+    "inv_eps": dict(type=_positive_int, help="1/eps"),
     "inv_eps_min": dict(type=int, help="first 1/eps of the grid"),
     "inv_eps_max": dict(type=int, help="last 1/eps of the grid"),
     "row": dict(help="e.g. cosine:1,3 or linear:2,0.5:2,3"),

@@ -149,6 +149,11 @@ def test_tol_override_is_unrecognised(argv, capsys):
     (("coeffs", "--scenario", "finite", "--a", "1", "--b", "1"), "--c"),
     (("fit", "--scenario", "infinite", "--a", "1", "--b", "1", "--inv-eps-min", "2"),
      "--inv-eps-max"),
+    # 1/eps must be a positive integer
+    (("free-energy", "--a", "1", "--b", "1", "--inv-eps", "0"), "--inv-eps"),
+    (("free-energy", "--a", "1", "--b", "1", "--inv-eps", "-3"), "--inv-eps"),
+    (("partition", "--a", "1", "--b", "3", "--phi", "cosine", "--inv-eps", "0"), "--inv-eps"),
+    (("partition", "--a", "1", "--b", "3", "--phi", "cosine", "--inv-eps", "-2"), "--inv-eps"),
 ])
 def test_usage_errors_name_the_flag(argv, flag, capsys):
     code, out, err = run(capsys, *argv)

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hexdimer
 from hexdimer import (
     BoxShape,
     INFINITE,
@@ -10,8 +15,10 @@ from hexdimer import (
     kasteleyn_matrix,
     kasteleyn_partition,
     log_z_kasteleyn,
+    log_z_macmahon,
     oracle_partition,
 )
+from hexdimer import kasteleyn
 from hexdimer.kasteleyn import HORIZONTAL
 
 from _reference import boxed_plane_partition_count
@@ -19,9 +26,9 @@ from _reference import boxed_plane_partition_count
 
 def test_unit_hexagon_structure():
     emb = build_embedding(BoxShape(1, 1, 1))
-    assert len(emb.white_vertices) == 3
-    assert len(emb.black_vertices) == 3
-    assert len(emb.edges) == 6
+    assert emb.white.shape == (3, 2)
+    assert emb.black.shape == (3, 2)
+    assert emb.edges.shape == (6, 3)
 
 
 def test_vertex_counts():
@@ -33,25 +40,39 @@ def test_vertex_counts():
         assert 2 * emb.size == shape.volume
 
 
+def _positions(emb):
+    """The complex embedding of the module docstring, from the (u, v) arrays."""
+    (wu, wv), (bu, bv) = emb.white.T, emb.black.T
+    return ((-2 * wu - 2 * wv) + 1j * (2 * wu + wv),
+            (-2 * bu - 2 * bv - 1) + 1j * (2 * bu + bv + 2))
+
+
 def test_horizontal_edges_have_integer_aligned_endpoints():
     emb = build_embedding(BoxShape(2, 3, 2))
-    for wi, bi, direction in emb.edges:
-        w, b = emb.white_vertices[wi], emb.black_vertices[bi]
-        same_row = (w.imag == b.imag)
-        assert same_row == (direction == HORIZONTAL)
-        if direction == HORIZONTAL:
-            assert w.real == int(w.real) and w.imag == int(w.imag)
-            assert b.real == int(b.real) and b.imag == int(b.imag)
+    white_pos, black_pos = _positions(emb)
+    wi, bi, direction = emb.edges.T
+    w, b = white_pos[wi], black_pos[bi]
+    assert np.array_equal(w.imag == b.imag, direction == HORIZONTAL)
+    # K carries q^(Re w + Im w) = q^-v on each horizontal edge, 1 on the others
+    exponent = w.real + w.imag
+    assert np.array_equal(exponent, -emb.white[wi, 1])
+    q = 0.5
+    entries = kasteleyn_matrix(emb, q).toarray()[wi, bi]
+    assert np.array_equal(entries, np.where(direction == HORIZONTAL, q ** exponent, 1.0))
 
 
 def test_matrix_entries():
     emb = build_embedding(BoxShape(1, 1, 1))
     mat = kasteleyn_matrix(emb, 0.5)
     assert mat.shape == (3, 3)
-    assert np.all(mat >= 0.0)
+    dense = mat.toarray()
+    assert np.all(dense >= 0.0)
+    # the non-zeros are exactly the edges
+    wi, bi, direction = emb.edges.T
+    assert np.count_nonzero(dense) == len(emb.edges) and np.all(dense[wi, bi] > 0.0)
     # one horizontal edge at weight 1 (v = 0) and one at weight q^{-(-1)} = q
-    horizontal_weights = sorted(mat[wi, bi] for wi, bi, d in emb.edges if d == HORIZONTAL)
-    assert horizontal_weights == [0.5, 1.0]
+    horizontal = direction == HORIZONTAL
+    assert sorted(dense[wi[horizontal], bi[horizontal]]) == [0.5, 1.0]
 
 
 def test_infinite_height_rejected():
@@ -85,6 +106,52 @@ def test_log_form_consistent():
     assert abs(math.exp(log_z_kasteleyn(shape, 0.4)) - oracle_partition(shape, 0.4)) < 1e-9
 
 
-def test_dimension_guard():
-    with pytest.raises(ValueError):
+def test_dimension_guard(monkeypatch):
+    # rejected from the side lengths, before any graph is built
+    def no_build(shape):
+        raise AssertionError("build_embedding called for an oversized box")
+
+    monkeypatch.setattr(kasteleyn, "build_embedding", no_build)
+    with pytest.raises(ValueError, match="exceeds"):
         log_z_kasteleyn(BoxShape(40, 40, 40), 0.9)
+
+
+def test_dimension_guard_boundary():
+    shape = BoxShape(25, 25, 25)  # N = 1875, admitted
+    assert abs(log_z_kasteleyn(shape, 0.9) - log_z_macmahon(shape, 0.9)) <= 1e-9
+    with pytest.raises(ValueError, match="2028"):
+        log_z_kasteleyn(BoxShape(26, 26, 26), 0.9)
+
+
+@pytest.mark.parametrize("side", [8, 16, 24])
+def test_matches_macmahon_on_cubes(side):
+    shape = BoxShape(side, side, side)
+    for q in np.linspace(0.3, 1.0, 15):
+        assert abs(log_z_kasteleyn(shape, q) - log_z_macmahon(shape, q)) <= 2e-10, q
+
+
+@pytest.mark.parametrize("m,n,k", [(24, 10, 30), (5, 30, 20), (30, 20, 5)])
+def test_matches_macmahon_on_boxes(m, n, k):
+    shape = BoxShape(m, n, k)
+    for q in (0.5, 0.9, 1.0):
+        assert abs(log_z_kasteleyn(shape, q) - log_z_macmahon(shape, q)) <= 1e-9, q
+
+
+@pytest.mark.parametrize("m,n,k", [(1, 29, 3), (2, 30, 16)])
+def test_small_q_on_long_boxes(m, n, k):
+    # entries span q^-30..1 on long boxes; no pivot may underflow to zero
+    shape = BoxShape(m, n, k)
+    for q in (0.05, 0.1):
+        assert abs(log_z_kasteleyn(shape, q) - log_z_macmahon(shape, q)) <= 1e-9, q
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is imported inside log_z_kasteleyn: at module top it would
+    # add about 0.3 s and 27 MB to every process that imports hexdimer
+    src = str(Path(hexdimer.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys, hexdimer; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
