@@ -17,7 +17,7 @@ print("\nanalytic coefficients:")
 print(f"  f0 = {analytic.f0:+.9f}   (double integral of -ln(1 - e^(-int phi)))")
 print(f"  f1 = {analytic.f1:+.9f}")
 print(f"  f2 = {analytic.f2:+.9f}   (= 1/(12ab))")
-print(f"  f3 = {analytic.f3:+.9f}   (finite-difference noise {analytic.fd_noise:.1e})")
+print(f"  f3 = {analytic.f3:+.9f}   (rescaled uniform box plus eps-jet sums at eps = 0)")
 
 fitted = fit(grid_samples(box))
 f0, f1, f2, f3 = fitted.coefficients[:4]

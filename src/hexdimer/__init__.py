@@ -25,7 +25,6 @@ from .enumeration import (
 from .errors import (
     ConvergenceError,
     EmbeddingError,
-    FiniteDifferenceNoiseError,
     HexdimerError,
     IllConditionedBasisError,
     OracleSizeError,

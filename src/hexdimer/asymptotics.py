@@ -10,13 +10,14 @@ ln(eps) in d^2 f/d eps^2 is 2 f2, and the eps-independent remainder equals
 3 f2 + 2 f3.
 
 Sliced scenario: f0 is the double integral of -ln(1 - e^{-int phi}) reduced
-to one dimension along the diagonal; f3 is extracted from the smooth series
+to one dimension along the diagonal.  f3 comes from the smooth series
 decomposition f = f_geo + f_plus + f_minus + f_cross (geometric-slope part
-and the three Psi-correction parts).  f_geo admits a convergent continuation
-to eps < 0, so its eps^2 coefficient comes from a true central second
-difference at 0 (with the exact (1/(12ab)) eps^2 ln|eps| contribution
-removed); the Psi parts diverge for eps < 0 and are fitted on positive eps
-against {eps, eps^2, eps^3} instead.
+and the three Psi-correction parts), written as the uniform infinite box at
+rescaled sides plus harmonic sums over n.  By the Mellin analysis of harmonic
+sums (Flajolet, Gourdon and Dumas, Theor. Comput. Sci. 144, 1995) only the
+box carries eps^2 ln eps; it is taken from coeffs_infinite, and every other
+eps^2 coefficient is the absolutely convergent sum of the summands'
+second-order Taylor coefficients at eps = 0, computed with eps-jets.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from math import exp, fsum, log, log1p
 
 import numpy as np
 
-from .errors import FiniteDifferenceNoiseError
 from .quadrature import gauss_legendre, log_graded_edges
 from .specialfn import li, universal_constant, zeta3
 from .weights import PhiFunction
@@ -46,7 +46,6 @@ class ExpansionCoefficients:
     scenario: str
     provenance: str = "analytic"
     convention: str = CONVENTION_POSITIVE
-    fd_noise: float | None = None
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.f0, self.f1, self.f2, self.f3)
@@ -109,11 +108,7 @@ def coeffs_infinite(a: float, b: float) -> ExpansionCoefficients:
 
 _N_QUAD = 20
 _EFOLDS = 48.0
-_N_MAX_ZERO = 6000
-_N_SAFETY = 64
-# f3 extraction: finite-difference steps (decreasing) and the Richardson order
-_FD_STEPS = (1.0 / 64, 1.0 / 96, 1.0 / 128, 1.0 / 192)
-_RICHARDSON_ORDER = 2
+_N_MAX = 2000
 
 
 def _row_dots(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -177,156 +172,120 @@ def sliced_f0(a: float, b: float, phi: PhiFunction) -> float:
 
 
 def _power_tail(n_last: int, t_prev: float, t_last: float) -> float:
-    """Tail beyond n_last of a series whose terms ~ c4/n^4 + c5/n^5."""
+    """Tail beyond n_last of a series whose terms ~ c3/n^3 + c4/n^4."""
     if t_prev == 0.0 and t_last == 0.0:
         return 0.0
     N = float(n_last)
-    mat = np.array([[(N - 1.0) ** -4, (N - 1.0) ** -5], [N ** -4, N ** -5]])
-    c4, c5 = np.linalg.solve(mat, np.array([t_prev, t_last]))
+    mat = np.array([[(N - 1.0) ** -3, (N - 1.0) ** -4], [N ** -3, N ** -4]])
+    c3, c4 = np.linalg.solve(mat, np.array([t_prev, t_last]))
+    tail3 = 1.0 / (2.0 * N**2) - 1.0 / (2.0 * N**3) + 1.0 / (4.0 * N**4)
     tail4 = 1.0 / (3.0 * N**3) - 1.0 / (2.0 * N**4) + 1.0 / (3.0 * N**5)
-    tail5 = 1.0 / (4.0 * N**4) - 1.0 / (2.0 * N**5) + 5.0 / (12.0 * N**6)
-    return float(c4 * tail4 + c5 * tail5)
+    return float(c3 * tail3 + c4 * tail4)
 
 
-def _sliced_pieces(a: float, b: float, phi: PhiFunction, eps: float,
-                   slope_min: float) -> tuple[float, float, float, float]:
-    """Values (f_geo, f_plus, f_minus, f_cross) of the smooth decomposition.
+# Second-order eps-jets: a jet (c0, c1, c2) stands for c0 + c1 eps + c2 eps^2,
+# each coefficient an array over the summation index n.
 
-    eps may be negative only for f_geo consumption: the Psi series diverge
-    there, so the three Psi parts are returned as nan.
+def _jet_mul(x, y):
+    """Truncated Cauchy product."""
+    return (x[0] * y[0], x[0] * y[1] + x[1] * y[0], x[0] * y[2] + x[1] * y[1] + x[2] * y[0])
+
+
+def _jet_exp(e0, e1, e2):
+    """Jet of exp(e0 + e1 eps + e2 eps^2)."""
+    v = np.exp(e0)
+    return (v, v * e1, v * (e2 + 0.5 * e1 * e1))
+
+
+def _jet_add(x, y, sign=1.0):
+    return tuple(u + sign * v for u, v in zip(x, y))
+
+
+def _sliced_pieces(a: float, b: float, phi: PhiFunction) -> tuple[float, float, float]:
+    """eps^0, eps^1 and eps^2 coefficients of f - f_box, with f_box the uniform
+    infinite box with sides (a eta, b eta) at mesh eps eta, eta = phi(b-a).
+
+    f = f_geo + f_plus + f_minus + f_cross is (1/ab) sum_n pref (A_- + S_-)
+    (A_+ + S_+), and f_box is (1/ab) sum_n pref B(n eps eta)^2 H0 / (n eta)^2,
+    with pref = e^{-n eps eta}/n, B(x) = x/(1 - e^{-x}), H0 = (1 - e^{-n b
+    eta})(1 - e^{-n a eta}).  On the b side (s = -1, length b) and the a side
+    (s = +1, length a), lambda = eta + s eps phi'/2 + eps^2 phi''/12,
+    A = (1 - e^{-n L lambda}) B(n eps lambda) / (n lambda), and
+    S = int_0^L Psi_n - eps/2 Psi_n(L) + eps^2/12 Psi_n'(L) with
+    Psi_n = e^{-n r} - e^{-n x lambda}.  Only f_box carries eps^2 ln eps, so
+    every other coefficient is the sum over n of the summands' Taylor
+    coefficients at eps = 0; those decay at least like n^-3 and are summed
+    to _N_MAX with a two-term power tail.
     """
     d = b - a
-    eta = float(phi(d))
-    p1 = float(phi.d1(d))
-    p2 = float(phi.d2(d))
-    lam_m = eta - 0.5 * eps * p1 + eps * eps / 12.0 * p2
-    lam_p = eta + 0.5 * eps * p1 + eps * eps / 12.0 * p2
-
-    if eps == 0.0:
-        n_max = _N_MAX_ZERO
-    else:
-        n_max = int(math.ceil(_EFOLDS / (abs(eps) * eta))) + _N_SAFETY
-    n = np.arange(1.0, n_max + 1)
-
-    def geometric(length, lam):
-        if eps == 0.0:
-            return -np.expm1(-n * length * lam) / (n * lam)
-        return eps * np.expm1(-n * length * lam) / np.expm1(-n * eps * lam)
-
-    a_minus = geometric(b, lam_m)
-    a_plus = geometric(a, lam_p)
-    pref = np.exp(-n * eps * eta) / n
-    ab = a * b
-    if eps < 0.0:
-        return fsum(pref * a_minus * a_plus) / ab, math.nan, math.nan, math.nan
-
+    eta, p1, p2 = float(phi(d)), float(phi.d1(d)), float(phi.d2(d))
+    slope_min = 0.9 * phi.min_on(-a, b)
+    n = np.arange(1.0, _N_MAX + 1)
     gx, gw = gauss_legendre(_N_QUAD)
     gx01, gw01 = (gx + 1.0) / 2.0, gw / 2.0
 
-    def r_of(x, sgn):
-        t = d + sgn * x
-        return (sgn * (phi.antiderivative(t) - phi.antiderivative(d))
-                + 0.5 * eps * (phi(t) - eta) + sgn * eps * eps / 12.0 * (phi.d1(t) - p1))
+    def lam(sgn):
+        return (eta, 0.5 * sgn * p1, p2 / 12.0)
 
-    def psi_sum(length, lam, sgn):
-        # int_0^length Psi_n - eps/2 Psi_n(length) + eps^2/12 Psi_n'(length),
-        # with Psi_n(0) = Psi_n'(0) = 0.  The integrand decays like
-        # e^{-n slope x} and is negligible beyond x_cut(n).  All n share one
-        # set of dyadic panels on [0, length], so r(x) is evaluated once per
-        # node; panel p adds to the prefix of n whose x_cut lies above its
-        # lower edge.  The first edge puts 3 e-folds of the largest n below it.
+    def psi(nn, x, sgn):
+        # jet of Psi_n(x), r = s(Phi(d+sx) - Phi(d)) + eps (phi(d+sx) - eta)/2
+        # + s eps^2 (phi'(d+sx) - phi'(d))/12, subtracted inside the integrand
+        # so the O(x^2) cancellation near 0 is kept
+        t = d + sgn * x
+        e_r = _jet_exp(-nn * sgn * (phi.antiderivative(t) - phi.antiderivative(d)),
+                       -nn * 0.5 * (phi(t) - eta), -nn * sgn * (phi.d1(t) - p1) / 12.0)
+        e_lam = _jet_exp(*(-nn * x * c for c in lam(sgn)))
+        return _jet_add(e_r, e_lam, -1.0)
+
+    def s_jet(length, sgn):
+        # The integrand decays like e^{-n slope x} and is negligible beyond
+        # x_cut(n).  All n share one set of dyadic panels on [0, length], so
+        # phi is evaluated once per node; panel p adds to the prefix of n
+        # whose x_cut lies above its lower edge.  The first edge puts 3
+        # e-folds of the largest n below it.
         x_cut = np.minimum(length, _EFOLDS / (n * slope_min))
         x_min = float(x_cut[-1]) / 16.0
         levels = math.ceil(math.log2(length / x_min))
         edges = [0.0] + [x_min * 2.0**k for k in range(levels)] + [length]
-        out = np.zeros_like(n)
+        out = np.zeros((3, n.size))
         for lo, hi in zip(edges[:-1], edges[1:]):
             count = int(np.count_nonzero(x_cut > lo))
-            nn = n[:count, None]
             x = lo + (hi - lo) * gx01
-            psi = np.exp(-nn * r_of(x, sgn)) - np.exp(-nn * (x * lam))
-            out[:count] += (hi - lo) * (psi @ gw01)
+            for k, c in enumerate(psi(n[:count, None], x, sgn)):
+                out[k, :count] += (hi - lo) * (c @ gw01)
+        end = psi(n, length, sgn)
         t_end = d + sgn * length
-        r_end = float(r_of(length, sgn))
-        rp_end = float(phi(t_end) + sgn * 0.5 * eps * phi.d1(t_end) + eps * eps / 12.0 * phi.d2(t_end))
-        psi_end = np.exp(-n * r_end) - np.exp(-n * length * lam)
-        dpsi_end = -n * rp_end * np.exp(-n * r_end) + n * lam * np.exp(-n * length * lam)
-        return out - 0.5 * eps * psi_end + eps * eps / 12.0 * dpsi_end
+        r_end = sgn * float(phi.antiderivative(t_end) - phi.antiderivative(d))
+        dpsi_end = n * (eta * np.exp(-n * length * eta) - float(phi(t_end)) * np.exp(-n * r_end))
+        return (out[0], out[1] - 0.5 * end[0], out[2] - 0.5 * end[1] + dpsi_end / 12.0)
 
-    s_minus = psi_sum(b, lam_m, -1.0)
-    s_plus = psi_sum(a, lam_p, +1.0)
+    def a_jet(length, sgn):
+        l0, l1, l2 = lam(sgn)
+        e = _jet_exp(-n * length * l0, -n * length * l1, -n * length * l2)
+        one_minus = (-np.expm1(-n * length * l0), -e[1], -e[2])
+        inv_n_lam = (1.0 / (n * l0), -l1 / (n * l0**2), (l1 * l1 / l0 - l2) / (n * l0**2))
+        # B(n eps lambda) = 1 + n eps lambda/2 + (n eps lambda)^2/12 + O(eps^4)
+        bern = (np.ones_like(n), n * l0 / 2.0, n * l1 / 2.0 + (n * l0) ** 2 / 12.0)
+        return _jet_mul(_jet_mul(one_minus, inv_n_lam), bern)
 
-    t_plus = pref * a_minus * s_plus
-    t_minus = pref * s_minus * a_plus
-    t_cross = pref * s_minus * s_plus
-    f_plus = fsum(t_plus) / ab
-    f_minus = fsum(t_minus) / ab
-    f_cross = fsum(t_cross) / ab
-    if eps == 0.0:
-        f_geo = (zeta3() - li(3, exp(-a * eta)) - li(3, exp(-b * eta))
-                 + li(3, exp(-(a + b) * eta))) / (ab * eta * eta)
-        f_plus += _power_tail(n_max, float(t_plus[-2]), float(t_plus[-1])) / ab
-        f_minus += _power_tail(n_max, float(t_minus[-2]), float(t_minus[-1])) / ab
-        f_cross += _power_tail(n_max, float(t_cross[-2]), float(t_cross[-1])) / ab
-    else:
-        f_geo = fsum(pref * a_minus * a_plus) / ab
-    return f_geo, f_plus, f_minus, f_cross
-
-
-def _extrapolation_basis(kind: str, h: float) -> list[float]:
-    if kind == "central":
-        cols = [1.0, h * h * log(h), h * h, h**4 * log(h), h**4]
-    else:
-        cols = [h, h * h, h**3, h**4]
-    return cols[:_RICHARDSON_ORDER + 1]
-
-
-def sliced_f3(a: float, b: float, phi: PhiFunction) -> tuple[float, float]:
-    """The eps^2 coefficient for slice weights, with a noise estimate.
-
-    Returns (f3, noise).  The universal constant and the logarithmic terms
-    are not assembled explicitly here; they live inside the geometric piece's
-    central difference (its ln(h) part is removed with the exactly known
-    coefficient 1/(6ab)).  Raises FiniteDifferenceNoiseError when the noise
-    estimate exceeds 1e-3 of |f3|.
-    """
-    phi.check_positive(-a, b)
-    slope_min = 0.9 * phi.min_on(-a, b)
+    side_b = _jet_add(a_jet(b, -1.0), s_jet(b, -1.0))
+    side_a = _jet_add(a_jet(a, +1.0), s_jet(a, +1.0))
+    h0 = np.expm1(-n * b * eta) * np.expm1(-n * a * eta) / (n * eta) ** 2
+    box = (h0, h0 * n * eta, h0 * 5.0 * (n * eta) ** 2 / 12.0)  # H0 B(n eps eta)^2 / (n eta)^2
+    pref = (1.0 / n, np.full_like(n, -eta), n * eta * eta / 2.0)
+    terms = _jet_mul(pref, _jet_add(_jet_mul(side_b, side_a), box, -1.0))
     ab = a * b
+    return tuple((fsum(t) + _power_tail(_N_MAX, float(t[-2]), float(t[-1]))) / ab for t in terms)
 
-    base = _sliced_pieces(a, b, phi, 0.0, slope_min)
-    rows_c, y_c = [], []
-    rows_d, deltas = [], {1: [], 2: [], 3: []}
-    for h in _FD_STEPS:
-        plus = _sliced_pieces(a, b, phi, +h, slope_min)
-        minus = _sliced_pieces(a, b, phi, -h, slope_min)
-        w = (plus[0] - 2.0 * base[0] + minus[0]) / (h * h) - log(h) / (6.0 * ab)
-        rows_c.append(_extrapolation_basis("central", h))
-        y_c.append(w)
-        rows_d.append(_extrapolation_basis("one_sided", h))
-        for idx in (1, 2, 3):
-            deltas[idx].append(plus[idx] - base[idx])
 
-    mat_c = np.asarray(rows_c)
-    coef_c, *_ = np.linalg.lstsq(mat_c, np.asarray(y_c), rcond=None)
-    resid_c = float(np.max(np.abs(np.asarray(y_c) - mat_c @ coef_c)))
-    f3 = coef_c[0] / 2.0
-    noise = 0.5 * resid_c
-
-    mat_d = np.asarray(rows_d)
-    h_big = max(_FD_STEPS)
-    for idx in (1, 2, 3):
-        coef_d, *_ = np.linalg.lstsq(mat_d, np.asarray(deltas[idx]), rcond=None)
-        f3 += coef_d[1]
-        resid = float(np.max(np.abs(np.asarray(deltas[idx]) - mat_d @ coef_d)))
-        noise += resid / (h_big * h_big)
-
-    noise += 4.0e-15 * max(1.0, abs(base[0])) / min(_FD_STEPS) ** 2  # FD roundoff floor
-    if noise > 1e-3 * max(abs(f3), 1e-12):
-        raise FiniteDifferenceNoiseError(
-            f"sliced f3 noise estimate {noise:.3e} exceeds 1e-3 of |f3| = {abs(f3):.3e}; "
-            "the finite-difference steps are too coarse for this profile")
-    return float(f3), float(noise)
+def sliced_f3(a: float, b: float, phi: PhiFunction) -> float:
+    """The eps^2 coefficient for slice weights: that of the rescaled uniform
+    box, eta^2 f3_inf(a eta, b eta) + ln(eta)/(12ab), plus the eps^2 order of
+    _sliced_pieces."""
+    phi.check_positive(-a, b)
+    eta = float(phi(b - a))
+    box = coeffs_infinite(a * eta, b * eta)
+    return eta * eta * box.f3 + log(eta) / (12.0 * a * b) + _sliced_pieces(a, b, phi)[2]
 
 
 def coeffs_sliced(a: float, b: float, phi: PhiFunction) -> ExpansionCoefficients:
@@ -334,5 +293,4 @@ def coeffs_sliced(a: float, b: float, phi: PhiFunction) -> ExpansionCoefficients
     _require_sides(a=a, b=b)
     f0 = sliced_f0(a, b, phi)
     f2 = 1.0 / (12.0 * a * b)
-    f3, noise = sliced_f3(a, b, phi)
-    return ExpansionCoefficients(f0, 0.0, f2, f3, scenario="sliced", fd_noise=noise)
+    return ExpansionCoefficients(f0, 0.0, f2, sliced_f3(a, b, phi), scenario="sliced")

@@ -79,7 +79,10 @@ def _emit(args, header, rows, meta):
 def _parse_k(value: str):
     if value.lower() in ("inf", "infinite"):
         return INFINITE
-    return int(value)
+    try:
+        return _positive_int(value)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"must be a positive integer or 'inf', got {value!r}") from None
 
 
 def _positive_int(value: str) -> int:
@@ -204,8 +207,6 @@ def cmd_coeffs(args) -> int:
     rows = [["f0", c.f0], ["f1", c.f1], ["f2", c.f2], ["f3", c.f3]]
     meta = {"command": "coeffs", "scenario": c.scenario, "provenance": c.provenance,
             "convention": c.convention}
-    if c.fd_noise is not None:
-        meta["fd_noise"] = _fmt(c.fd_noise)
     _emit(args, header, rows, meta)
     return 0
 
@@ -213,14 +214,13 @@ def cmd_coeffs(args) -> int:
 def cmd_fit(args) -> int:
     scenario = _scenario(args, args.scenario)
     result = fit(grid_samples(scenario, args.inv_eps_min, args.inv_eps_max))
-    analytic = None
+    analytic_vals, analytic_error = [], None
     try:
-        analytic = scenario.coefficients()
-    except HexdimerError:
-        pass
+        analytic_vals = list(scenario.coefficients().as_tuple())
+    except HexdimerError as exc:  # the fitted rows stand on their own
+        analytic_error = str(exc)
     header = ("basis_term", "fitted", "analytic", "abs_diff")
     rows = []
-    analytic_vals = list(analytic.as_tuple()) if analytic else []
     for i, name in enumerate(result.basis.names):
         fitted = result.coefficients[i]
         if i < len(analytic_vals):
@@ -233,6 +233,8 @@ def cmd_fit(args) -> int:
             "grid": f"{args.inv_eps_min}..{args.inv_eps_max}"}
     if result.residual_slope is not None:
         meta["residual_slope"] = _fmt(result.residual_slope)
+    if analytic_error is not None:
+        meta["analytic_error"] = analytic_error
     _emit(args, header, rows, meta)
     return 0
 

@@ -30,7 +30,3 @@ class ConvergenceError(HexdimerError):
 
 class IllConditionedBasisError(HexdimerError):
     """Least-squares design matrix condition estimate exceeded the guard."""
-
-
-class FiniteDifferenceNoiseError(HexdimerError):
-    """Finite-difference noise estimate too large relative to the result."""

@@ -1,7 +1,8 @@
 """Reference values shared across tests.
 
-Independently sourced constants plus the published reference table for the
-slice-weight experiment (analytic and fitted columns).
+Independently sourced constants, the published reference table for the
+slice-weight experiment (analytic and fitted columns), and the slice-weighted
+f3 fitted to exact lattice data.
 """
 from fractions import Fraction
 
@@ -29,6 +30,36 @@ TABLE1 = {
                              -0.015094000, -0.015094162),
 }
 
+# f3 of the slice-weighted box from exact lattice data, by exact_data_f3
+# below (regenerate with the command in its docstring): exact ln Z from
+# log_z_sliced at the 24 meshes 1/eps = unique(round(geomspace(60, 1200, 24))),
+# f1 = 0 and f2 = 1/(12ab) held at their exact values, and a least-squares fit
+# of {1, eps^2, eps^3, eps^4} whose eps^2 column is f3.  The same fit lands
+# within 6e-10 of the closed-form f3 of finite and infinite boxes and within
+# 2e-11 for phi = const:1.  Keys as in TABLE1.
+SLICED_F3_EXACT_FIT = {
+    ("cosine", 1, 3): -0.04388302622444438,
+    ("cosine", 2, 3): -0.030398023775962756,
+    ("linear:1,0.5", 1, 3): -0.0336883130954131,
+    ("linear:2,0.5", 2, 3): -0.015094049762703008,
+    ("linear:1,0.3", 1, 3): -0.03699377270743034,
+}
+
+
+def exact_data_f3(scenario) -> float:
+    """f3 of a slice-weighted Scenario fitted to its exact free energy, as
+    described above SLICED_F3_EXACT_FIT.  Print the pins with
+
+        PYTHONPATH=src python tests/_reference.py
+    """
+    import numpy as np
+
+    eps = 1.0 / np.unique(np.round(np.geomspace(60, 1200, 24)))
+    f = np.array([scenario.free_energy(e) for e in eps])
+    y = f - eps**2 * np.log(eps) / (12.0 * scenario.a * scenario.b)
+    basis = np.column_stack([np.ones_like(eps), eps**2, eps**3, eps**4])
+    return float(np.linalg.lstsq(basis, y, rcond=None)[0][1])
+
 
 def boxed_plane_partition_count(m: int, n: int, k: int) -> int:
     """Exact count of m x n x k boxed plane partitions (product formula, exact
@@ -40,3 +71,11 @@ def boxed_plane_partition_count(m: int, n: int, k: int) -> int:
                 total *= Fraction(i + j + kk - 1, i + j + kk - 2)
     assert total.denominator == 1
     return int(total)
+
+
+if __name__ == "__main__":
+    from hexdimer import Scenario, phi_from_id
+
+    for (phi_id, a, b) in SLICED_F3_EXACT_FIT:
+        scenario = Scenario("sliced", float(a), float(b), phi=phi_from_id(phi_id))
+        print(f"    ({phi_id!r}, {a}, {b}): {exact_data_f3(scenario)!r},")

@@ -188,7 +188,7 @@ def test_criterion_7_constant_phi_reduction():
         infinite = coeffs_infinite(a, b)
         d = [abs(sliced.f0 - infinite.f0), abs(sliced.f1 - infinite.f1),
              abs(sliced.f2 - infinite.f2), abs(sliced.f3 - infinite.f3)]
-        row_ok = d[0] < 1e-10 and d[1] == 0.0 and d[2] < 1e-12 and d[3] < 5e-4
+        row_ok = d[0] < 1e-10 and d[1] == 0.0 and d[2] < 1e-12 and d[3] < 1e-12
         ok = ok and row_ok
         details.append(f"(a,b)=({a:g},{b:g}): d=({d[0]:.1e},{d[1]:.0e},{d[2]:.1e},{d[3]:.1e})")
     c_val = 1.7

@@ -13,6 +13,7 @@ from hexdimer import (
     ExpansionCoefficients,
     LinearPhi,
     ScaledShape,
+    Scenario,
     coeffs_finite,
     coeffs_infinite,
     coeffs_sliced,
@@ -20,13 +21,16 @@ from hexdimer import (
     li,
     log_ratio_three,
     log_ratio_two,
+    phi_from_id,
     predict_free_energy,
     sliced_f0,
     sliced_f3,
     zeta3,
 )
+from hexdimer import asymptotics
+from hexdimer.asymptotics import _sliced_pieces
 
-from _reference import TABLE1
+from _reference import SLICED_F3_EXACT_FIT, TABLE1, exact_data_f3
 
 
 def test_finite_f0_symmetric_cube():
@@ -130,7 +134,7 @@ def test_constant_phi_reduction():
         assert abs(sliced.f0 - infinite.f0) < 1e-10
         assert sliced.f1 == infinite.f1 == 0.0
         assert abs(sliced.f2 - infinite.f2) < 1e-12
-        assert abs(sliced.f3 - infinite.f3) < 5e-4
+        assert abs(sliced.f3 - infinite.f3) < 1e-12
         assert sliced.convention == CONVENTION_POSITIVE
 
 
@@ -156,27 +160,50 @@ def test_sliced_against_reference_table(phi, a, b):
     assert abs(coeffs.f0 - f0_ref) < 5e-8
     assert coeffs.f1 == 0.0
     assert 12 * a * b * coeffs.f2 == pytest.approx(1.0, abs=1e-15)
-    assert abs(coeffs.f3 - f3_ref) < 2e-5
-    assert coeffs.fd_noise is not None and coeffs.fd_noise < 1e-3 * abs(coeffs.f3)
+    assert abs(coeffs.f3 - f3_ref) < 1e-6
 
 
-# Table 1 analytic values (repr) as computed with quadrature nodes built
-# separately for each n; the shared panels must stay within the tolerances
-# below.  Columns: (phi, a, b, f0, f3, fd_noise)
+# Table 1 analytic values (repr); f3 is the eps-jet value at eps = 0.
+# Columns: (phi, a, b, f0, f3)
 TABLE1_ANALYTIC_PINNED = [
-    (CosinePhi(), 1.0, 3.0, 0.47220669610174465, -0.04388943749866839, 6.535121027782054e-08),
-    (CosinePhi(), 2.0, 3.0, 0.23592246763123817, -0.030398296766542966, 9.032917848934239e-09),
-    (LinearPhi(1.0, 0.5), 1.0, 3.0, 0.09728859658058127, -0.03368911724350389, 9.998068551348669e-09),
-    (LinearPhi(2.0, 0.5), 2.0, 3.0, 0.032804447483357924, -0.015094329785916048, 3.328279720735915e-09),
+    (CosinePhi(), 1.0, 3.0, 0.47220669610174465, -0.04388302624171539),
+    (CosinePhi(), 2.0, 3.0, 0.23592246763123817, -0.030398023784665516),
+    (LinearPhi(1.0, 0.5), 1.0, 3.0, 0.09728859658058127, -0.03368831311545032),
+    (LinearPhi(2.0, 0.5), 2.0, 3.0, 0.032804447483357924, -0.015094049763581066),
 ]
 
 
-@pytest.mark.parametrize("phi,a,b,f0_pin,f3_pin,noise_pin", TABLE1_ANALYTIC_PINNED)
-def test_sliced_table1_analytic_pinned(phi, a, b, f0_pin, f3_pin, noise_pin):
+@pytest.mark.parametrize("phi,a,b,f0_pin,f3_pin", TABLE1_ANALYTIC_PINNED)
+def test_sliced_table1_analytic_pinned(phi, a, b, f0_pin, f3_pin):
     assert abs(sliced_f0(a, b, phi) - f0_pin) <= 1e-13 * abs(f0_pin)
-    f3, noise = sliced_f3(a, b, phi)
+    f3 = sliced_f3(a, b, phi)
+    assert isinstance(f3, float)
     assert abs(f3 - f3_pin) <= 1e-11
-    assert abs(noise - noise_pin) <= 1e-12
+
+
+@pytest.mark.parametrize("phi_id,a,b", list(SLICED_F3_EXACT_FIT))
+def test_sliced_f3_matches_exact_data(phi_id, a, b):
+    f3 = sliced_f3(float(a), float(b), phi_from_id(phi_id))
+    assert abs(f3 - SLICED_F3_EXACT_FIT[(phi_id, a, b)]) <= 1e-8
+
+
+def test_exact_data_fit_reproduces_its_pin():
+    # one live fit (about 0.4 s) ties SLICED_F3_EXACT_FIT to the exact evaluator
+    scenario = Scenario("sliced", 1.0, 3.0, phi=CosinePhi())
+    fitted = exact_data_f3(scenario)
+    assert abs(fitted - SLICED_F3_EXACT_FIT[("cosine", 1, 3)]) <= 1e-11
+    assert abs(sliced_f3(1.0, 3.0, scenario.phi) - fitted) <= 1e-8
+
+
+@pytest.mark.parametrize("phi,a,b", [(phi, a, b) for phi, a, b, *_ in TABLE1_ANALYTIC_PINNED])
+def test_sliced_jet_lower_orders(phi, a, b):
+    # f1 = 0, and the zeroth order plus the rescaled box is sliced_f0, an
+    # independent route (the 1-D convolution integral)
+    order0, order1, _ = _sliced_pieces(a, b, phi)
+    eta = float(phi(b - a))
+    assert abs(order1) <= 1e-14
+    f0 = sliced_f0(a, b, phi)
+    assert abs(order0 + coeffs_infinite(a * eta, b * eta).f0 - f0) <= 1e-12 * abs(f0)
 
 
 class CountingCosinePhi(CosinePhi):
@@ -202,12 +229,20 @@ class CountingCosinePhi(CosinePhi):
         return super().antiderivative(self._seen(t))
 
 
-def test_sliced_f3_work_count():
+def test_sliced_f3_work_count(monkeypatch):
     # the series nodes are shared by every n; nodes built per n would
-    # evaluate phi at ~3e8 points here
+    # evaluate phi at ~3e8 points here.  One jet evaluation per f3.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _sliced_pieces(*args)
+
+    monkeypatch.setattr(asymptotics, "_sliced_pieces", counted)
     phi = CountingCosinePhi()
     sliced_f3(1.0, 3.0, phi)
     assert 0 < phi.points <= 2_000_000
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hexdimer import partition, specialfn
+from hexdimer import ConvergenceError, partition, specialfn
 from hexdimer.cli import main
 
 from _reference import TABLE1, UNIVERSAL_CONSTANT
@@ -154,12 +154,15 @@ def test_tol_override_is_unrecognised(argv, capsys):
     (("free-energy", "--a", "1", "--b", "1", "--inv-eps", "-3"), "--inv-eps"),
     (("partition", "--a", "1", "--b", "3", "--phi", "cosine", "--inv-eps", "0"), "--inv-eps"),
     (("partition", "--a", "1", "--b", "3", "--phi", "cosine", "--inv-eps", "-2"), "--inv-eps"),
+    # the height is a positive integer or 'inf'
+    (("partition", "--M", "2", "--N", "2", "--K", "x", "--q", "0.5"), "--K"),
+    (("partition", "--M", "2", "--N", "2", "--K", "0", "--q", "0.5"), "--K"),
 ])
 def test_usage_errors_name_the_flag(argv, flag, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert flag in err and out == ""
-    assert "NoneType" not in err and "operand" not in err
+    assert "NoneType" not in err and "operand" not in err and "_parse_k" not in err
 
 
 def test_missing_tabulated_file_is_a_usage_error(tmp_path, capsys):
@@ -221,6 +224,28 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     code, out, err = run(capsys, "verify")
     assert code == 3
     assert "FAIL" in out
+
+
+def test_fit_reports_why_the_analytic_column_is_blank(monkeypatch, capsys):
+    argv = ("fit", "--scenario", "infinite", "--a", "2", "--b", "1",
+            "--inv-eps-min", "2", "--inv-eps-max", "40")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and "analytic_error" not in plain
+
+    def fail(self):
+        raise ConvergenceError("series did not converge")
+
+    monkeypatch.setattr(partition.Scenario, "coefficients", fail)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "# analytic_error: series did not converge" in out.splitlines()
+
+    def rows(text):
+        return [line.split(",") for line in text.splitlines() if not line.startswith("#")][1:]
+
+    # the fitted rows are kept as they were; only the analytic columns are blank
+    assert [r[:2] for r in rows(out)] == [r[:2] for r in rows(plain)]
+    assert all(r[2:] == ["", ""] for r in rows(out)) and len(rows(out)) == 6
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):
