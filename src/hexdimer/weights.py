@@ -8,6 +8,8 @@ experiments; arbitrary data enters through a cubic-spline table.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -39,9 +41,11 @@ class PhiFunction:
         self.check_range(lo, hi)
         grid = np.linspace(lo, hi, samples)
         vals = np.asarray(self(grid), dtype=float)
-        if not np.all(vals > 0.0):
-            bad = float(grid[int(np.argmin(vals))])
-            raise ValueError(f"phi must be strictly positive on [{lo}, {hi}]; phi({bad}) = {float(np.min(vals))}")
+        ok = np.isfinite(vals) & (vals > 0.0)
+        if not np.all(ok):
+            bad = int(np.argmin(ok))
+            raise ValueError(f"phi must be finite and strictly positive on [{lo}, {hi}]; "
+                             f"{self.id}({float(grid[bad])}) = {float(vals[bad])}")
 
     def min_on(self, lo: float, hi: float, samples: int = 4001) -> float:
         grid = np.linspace(lo, hi, samples)
@@ -50,8 +54,8 @@ class PhiFunction:
 
 class ConstantPhi(PhiFunction):
     def __init__(self, c: float):
-        if not c > 0:
-            raise ValueError("constant phi must be positive")
+        if not (math.isfinite(c) and c > 0):
+            raise ValueError(f"constant phi must be finite and positive; got {c}")
         self.c = float(c)
         self.id = f"const:{self.c:g}"
 
@@ -71,6 +75,8 @@ class LinearPhi(PhiFunction):
     """phi(t) = alpha + beta * t."""
 
     def __init__(self, alpha: float, beta: float):
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise ValueError(f"linear phi needs finite alpha and beta; got {alpha}, {beta}")
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.id = f"linear:{self.alpha:g},{self.beta:g}"
@@ -152,13 +158,26 @@ def phi_from_id(spec: str) -> PhiFunction:
     """Parse a catalog id: const:c | linear:alpha,beta | cosine | tabulated:<csv path>."""
     name, _, args = spec.partition(":")
     if name == "const":
-        return ConstantPhi(float(args))
+        return ConstantPhi(_parse_floats(spec, args, "const:c")[0])
     if name == "linear":
-        alpha, beta = (float(x) for x in args.split(","))
-        return LinearPhi(alpha, beta)
+        return LinearPhi(*_parse_floats(spec, args, "linear:alpha,beta"))
     if name == "cosine":
         return CosinePhi()
     if name == "tabulated":
-        data = np.loadtxt(args, delimiter=",", comments="#")
+        data = np.loadtxt(args, delimiter=",", comments="#", ndmin=2)
+        if data.shape[1] != 2:
+            raise ValueError(f"tabulated phi file {args} has {data.shape[1]} column(s); "
+                             f"expected two, t,phi")
         return TabulatedPhi(data[:, 0], data[:, 1], id=f"tabulated:{args}")
     raise ValueError(f"unknown phi spec {spec!r}; expected const:c, linear:a,b, cosine or tabulated:<file>")
+
+
+def _parse_floats(spec: str, args: str, form: str) -> list[float]:
+    """The comma-separated numbers of a phi spec, as many as form names."""
+    fields = args.split(",")
+    try:
+        if len(fields) == form.count(",") + 1:
+            return [float(x) for x in fields]
+    except ValueError:
+        pass
+    raise ValueError(f"bad phi spec {spec!r}; expected {form}")

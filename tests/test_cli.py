@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -157,6 +158,9 @@ def test_tol_override_is_unrecognised(argv, capsys):
     # the height is a positive integer or 'inf'
     (("partition", "--M", "2", "--N", "2", "--K", "x", "--q", "0.5"), "--K"),
     (("partition", "--M", "2", "--N", "2", "--K", "0", "--q", "0.5"), "--K"),
+    # a phi spec with the wrong number of values names the expected form
+    (("partition", "--a", "1", "--b", "3", "--inv-eps", "4", "--phi", "linear:1"),
+     "linear:alpha,beta"),
 ])
 def test_usage_errors_name_the_flag(argv, flag, capsys):
     code, out, err = run(capsys, *argv)
@@ -171,6 +175,43 @@ def test_missing_tabulated_file_is_a_usage_error(tmp_path, capsys):
                          "--phi", f"tabulated:{missing}")
     assert code == 1
     assert "missing.csv" in err and out == ""
+
+
+def test_one_column_tabulated_file_names_the_form(tmp_path, capsys):
+    table = tmp_path / "one_column.csv"
+    table.write_text("\n".join(str(0.1 * i) for i in range(10)))
+    code, out, err = run(capsys, "partition", "--a", "1", "--b", "3", "--inv-eps", "8",
+                         "--phi", f"tabulated:{table}")
+    assert code == 1 and out == ""
+    assert "one_column.csv" in err and "t,phi" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("free-energy", "--phi", "const:inf", "--a", "1", "--b", "3", "--inv-eps", "4"), "finite"),
+    (("free-energy", "--phi", "linear:inf,0", "--a", "1", "--b", "3", "--inv-eps", "4"), "finite"),
+    (("coeffs", "--scenario", "sliced", "--phi", "const:inf", "--a", "1", "--b", "3"), "finite"),
+    (("partition", "--phi", "linear:1,nan", "--a", "1", "--b", "3", "--inv-eps", "4"), "finite"),
+    # every weight e^{-E} rounds to 1, so Z is infinite
+    (("partition", "--phi", "const:1e-320", "--a", "1", "--b", "3", "--inv-eps", "4"),
+     "rounds to 1"),
+], ids=lambda v: f"{v[0]}-{v[2]}" if isinstance(v, tuple) else None)
+def test_degenerate_phi_is_an_error(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "phi" in err and message in err and "side" not in err
+
+
+def test_sliced_all_zero_sum_prints_zero(capsys):
+    code, out, _ = run(capsys, "partition", "--phi", "const:1e300", "--a", "1", "--b", "3",
+                       "--inv-eps", "4")
+    assert code == 0
+    assert out.strip().splitlines()[-1].split(",")[-2] == "0"
+    code, out, _ = run(capsys, "free-energy", "--phi", "const:1e300", "--a", "1", "--b", "3",
+                       "--inv-eps", "4")
+    assert code == 0
+    assert out.strip().splitlines()[-1].split(",")[2] == "0"
 
 
 def test_json_is_strict_for_nonfinite_values(capsys):

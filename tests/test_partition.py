@@ -183,6 +183,17 @@ def test_sliced_rejects_nonpositive_weights():
         log_z_sliced(4, 4, LinearPhi(0.1, -1.0), 0.25)  # phi < 0 inside the domain
 
 
+def test_sliced_rejects_weights_that_round_to_one():
+    # eps * phi ~ 1e-321: every e^{-E} rounds to 1 and Z is infinite
+    with pytest.raises(ValueError, match="rounds to 1"):
+        log_z_sliced(4, 12, ConstantPhi(1e-320), 0.25)
+
+
+def test_sliced_all_zero_sum_is_positive_zero():
+    # e^{-E} underflows to 0 in every cell: ln Z = +0.0, not -0.0
+    assert math.copysign(1.0, log_z_sliced(4, 12, ConstantPhi(1e300), 0.25)) == 1.0
+
+
 def test_sliced_rejects_range_outside_table():
     # a = 1, b = 3 at 1/eps = 8 evaluates phi on [-7/8, 23/8]; the table covers [0, 1]
     t = np.linspace(0.0, 1.0, 11)

@@ -1,12 +1,16 @@
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexdimer import summation
+from hexdimer.partition import log_z_sliced, sliced_log_weight_exponents
 from hexdimer.summation import exact_sum
+from hexdimer.weights import CosinePhi
 
 
 def same_bits(x: float, y: float) -> bool:
@@ -109,3 +113,60 @@ def test_fsum_errors_carry_over(xs):
         math.fsum(xs)
     with pytest.raises(want.type):
         exact_sum(np.array(xs))
+
+
+def level_spy(monkeypatch):
+    """Record (levels, number of level sums appended) for every _split_levels call."""
+    calls = []
+    split = summation._split_levels
+
+    def spy(x, p, q, parts, levels):
+        before = len(parts)
+        sigma = split(x, p, q, parts, levels)
+        calls.append((levels, len(parts) - before))
+        return sigma
+
+    monkeypatch.setattr(summation, "_split_levels", spy)
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(scaled_floats, min_size=1, max_size=200))
+def test_one_level_remainder_error_within_bound(xs):
+    x = np.array(xs)
+    k = x.size
+    p, q, parts = np.empty(k), np.empty(k), []
+    sigma = summation._split_levels(x, p, q, parts, 1)
+    exact = sum(map(Fraction, xs), Fraction(0))
+    if not sigma:  # fully split: the parts are the sum
+        assert sum(map(Fraction, parts), Fraction(0)) == exact
+        return
+    u = Fraction(1, 2**53)
+    rests = [Fraction(r) for r in p.tolist()]
+    assert all(abs(r) <= u * sigma for r in rests)
+    assert sum(map(Fraction, parts), Fraction(0)) + sum(rests, Fraction(0)) == exact
+    # any order of summing k values each at most u sigma: off by gamma_{k-1} k u sigma
+    gamma = (k - 1) * u / (1 - (k - 1) * u)
+    error = abs(Fraction(float(p.sum())) - sum(rests, Fraction(0)))
+    assert error <= gamma * k * u * sigma
+    assert gamma * k * u * sigma <= Fraction(k * k * summation._U * summation._U * sigma)
+
+
+def test_tie_after_one_level_falls_back_and_matches_fsum(monkeypatch):
+    # 1 + 2^-53 is a rounding midpoint; the 2^-106 beyond it lies in the
+    # float-summed remainders, so one level cannot decide which way it rounds
+    calls = level_spy(monkeypatch)
+    xs = [1.0, 2.0**-53, 2.0**-106]
+    got = exact_sum(np.array(xs))
+    assert same_bits(got, math.fsum(xs)) and got == 1.0 + 2.0**-52
+    assert [levels for levels, _ in calls] == [1, summation._MAX_LEVELS]
+
+
+def test_sliced_terms_decide_after_one_level(monkeypatch):
+    m, n, eps = 200, 600, 1.0 / 200  # cosine (1, 3) at 1/eps = 200
+    calls = level_spy(monkeypatch)
+    log_z = log_z_sliced(m, n, CosinePhi(), eps)
+    blocks = -(-m * n // summation._BLOCK)
+    assert calls == [(1, 1)] * blocks  # one level sum per block, no fallback
+    terms = np.log1p(-np.exp(-sliced_log_weight_exponents(m, n, CosinePhi(), eps)))
+    assert same_bits(log_z, -math.fsum(terms.ravel()))

@@ -37,6 +37,43 @@ def test_positivity_check():
         LinearPhi(0.1, -1.0).check_positive(-1.0, 3.0)
 
 
+class SpikePhi(CosinePhi):
+    """cosine with an infinite value at t = 0."""
+
+    id = "spike"
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t == 0.0, np.inf, super().__call__(t))
+
+
+def test_nonfinite_phi_is_rejected():
+    for make in (lambda: ConstantPhi(np.inf), lambda: ConstantPhi(np.nan),
+                 lambda: LinearPhi(np.inf, 0.0), lambda: LinearPhi(1.0, np.nan)):
+        with pytest.raises(ValueError, match="phi .*finite"):
+            make()
+    with pytest.raises(ValueError, match=r"finite and strictly positive.*spike\(0.0\) = inf"):
+        SpikePhi().check_positive(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("spec, form", [
+    ("linear:1,2,3", "linear:alpha,beta"),
+    ("linear:1,x", "linear:alpha,beta"),
+    ("const:", "const:c"),
+    ("const:1,2", "const:c"),
+])
+def test_bad_spec_names_the_form(spec, form):
+    with pytest.raises(ValueError, match=form):
+        phi_from_id(spec)
+
+
+def test_tabulated_file_needs_two_columns(tmp_path):
+    path = tmp_path / "three.csv"
+    path.write_text("0,1,2\n1,1,2\n2,1,2\n3,1,2\n")
+    with pytest.raises(ValueError, match="three.csv.*t,phi"):
+        phi_from_id(f"tabulated:{path}")
+
+
 def test_tabulated_matches_sampled_function():
     grid = np.linspace(-1.5, 3.5, 400)
     phi = TabulatedPhi(grid, (2 + np.cos(grid)) / 3)
