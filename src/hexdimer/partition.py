@@ -97,9 +97,7 @@ def sliced_log_weight_exponents(m: int, n: int, phi: PhiFunction, eps: float) ->
     np.cumsum(values[:n - 1][::-1], out=c_minus[1:])
     c_plus = np.zeros(m)
     np.cumsum(values[n:], out=c_plus[1:])
-    exponents = np.empty((n, m))
-    exponents[...] = c_plus
-    exponents += c_minus[:, None]  # IEEE addition commutes: bit-equal to np.add.outer
+    exponents = np.add.outer(c_minus, c_plus)
     exponents += eta
     exponents *= eps
     return exponents
@@ -111,7 +109,9 @@ def log_z_sliced(m: int, n: int, phi: PhiFunction, eps: float) -> float:
     The terms ln(1 - e^{-E_ij}) are formed in place in the exponent matrix and
     summed exactly (exact_sum equals math.fsum bit for bit).  phi is evaluated
     on the slices [(1-m) eps, (n-1) eps]; a tabulated profile must cover them.
-    A weight e^{-E_ij} that rounds to 1 makes Z infinite and raises ValueError.
+    When e^{-E_ij} rounds to 1 in floating point (E_ij below about 1e-16),
+    ln(1 - e^{-E_ij}) cannot be formed and ValueError is raised; Z itself is
+    finite for every E_ij > 0.
     """
     if m < 1 or n < 1 or eps <= 0:
         raise ValueError("need m, n >= 1 and eps > 0")
@@ -126,8 +126,8 @@ def log_z_sliced(m: int, n: int, phi: PhiFunction, eps: float) -> float:
         np.log1p(terms, out=terms)
     total = exact_sum(terms)
     if total == -math.inf:
-        raise ValueError(f"a weight e^(-E) rounds to 1, so Z is infinite: eps * phi is too "
-                         f"small for {phi.id} at eps = {eps}")
+        raise ValueError(f"eps * phi is too small for {phi.id} at eps = {eps}: e^(-E) rounds "
+                         f"to 1 in floating point, so ln(1 - e^(-E)) cannot be formed")
     return 0.0 - total  # not -total: an all-zero sum gives 0, not -0
 
 

@@ -1,9 +1,9 @@
 """Exact accumulation: a vectorised correctly rounded sum and a streaming one.
 
 exact_sum serves arrays that are all in hand: one error-free extraction level
-per block and a rigorous bound on the rest decide the rounding, and only
-sums that lie too near a rounding boundary are split again at every level.
-NeumaierSum serves streaming loops with a data-dependent stopping rule.
+per block and a rigorous bound on the rest decide the rounding, and sums that
+lie too near a rounding boundary go to math.fsum.  NeumaierSum serves
+streaming loops with a data-dependent stopping rule.
 """
 import math
 
@@ -12,50 +12,44 @@ import numpy as np
 _BLOCK = 1 << 15          # elements per extraction block (cache resident)
 _HUGE = math.ldexp(1.0, 900)
 _TINY = math.ldexp(1.0, -900)
-_MAX_LEVELS = 64          # a block in [_TINY, _HUGE] needs at most 51 levels
 _U = math.ldexp(1.0, -53)  # unit roundoff
 
 
-def _split_levels(x: np.ndarray, p: np.ndarray, q: np.ndarray, parts: list,
-                  levels: int) -> float | None:
-    """Run up to `levels` extraction levels on x, appending each level's exact sum to parts.
+def _split_level(x: np.ndarray, p: np.ndarray, q: np.ndarray, parts: list) -> float | None:
+    """Split x at one extraction level, appending the level's exact sum to parts.
 
     Error-free splitting of Rump, Ogita and Oishi ("ExtractVector", Accurate
     floating-point summation, Part I, SIAM J. Sci. Comput. 31(1), 2008): with
     n + 2 <= 2^M, max|x| < 2^e and sigma = 2^(M+e), q = (sigma + x) - sigma
     and x - q are exact, |x - q| <= u sigma (u = 2^-53), and sum(q) is exact
-    in any order.  x is only read; the remainders x - q go to p, and later
-    levels split p in place, with q as scratch.
+    in any order.  x is only read; q is scratch and the remainders x - q go
+    to p.
 
-    Returns the last level's sigma when levels ran out, with the remainders
-    left in p; 0.0 when the block is fully split (what is left is zero, or
-    below 2^-900 and appended to parts value by value); None on inf, nan or a
-    value near overflow, which are left to math.fsum so that its errors carry
-    over.
+    Returns sigma, with the remainders in p; 0.0 when nothing remains (x is
+    zero, or below 2^-900 and appended to parts value by value); None on inf,
+    nan or a value near overflow, which are left to math.fsum so that its
+    errors carry over.
     """
-    m_bits = (x.size + 1).bit_length()
-    for _ in range(levels):
-        top = max(x.max(), -x.min())
-        if top == 0.0:
-            return 0.0
-        if not top <= _HUGE:
-            return None
-        if top < _TINY:
-            parts.extend(x[x != 0.0].tolist())
-            return 0.0
-        sigma = math.ldexp(1.0, m_bits + math.frexp(top)[1])
-        np.add(x, sigma, out=q)
-        q -= sigma
-        np.subtract(x, q, out=p)
-        parts.append(float(q.sum()))
-        x = p
+    top = max(x.max(), -x.min())
+    if top == 0.0:
+        return 0.0
+    if not top <= _HUGE:
+        return None
+    if top < _TINY:
+        parts.extend(x[x != 0.0].tolist())
+        return 0.0
+    sigma = math.ldexp(1.0, (x.size + 1).bit_length() + math.frexp(top)[1])
+    np.add(x, sigma, out=q)
+    q -= sigma
+    np.subtract(x, q, out=p)
+    parts.append(float(q.sum()))
     return sigma
 
 
 def exact_sum(values) -> float:
     """The correctly rounded sum of an array: bit for bit what math.fsum returns.
 
-    Each block of k values is split at one level (see _split_levels): the
+    Each block of k values is split at one level (see _split_level): the
     level sums are exact, and the k remainders, each at most u sigma, are
     added in plain floats, off by at most gamma_{k-1} k u sigma <= (k u)^2
     sigma.  With B the sum of those bounds rounded up, the exact total lies
@@ -63,32 +57,29 @@ def exact_sum(values) -> float:
     so when math.fsum rounds T - B and T + B to the same float, that float is
     the exact total rounded to nearest, as math.fsum over the values would
     give.  Otherwise (the total lies within B of a rounding boundary, or is
-    zero) the blocks are split again at every level, which leaves no
-    remainder, and math.fsum rounds the exact level sums once.  The input is
-    never written.  Arrays holding inf, nan or magnitudes above 2^900 go to
-    math.fsum whole.
+    zero) math.fsum sums the values themselves.  The input is never written.
+    Arrays holding inf, nan or magnitudes above 2^900 go to math.fsum whole.
     """
     x = np.asarray(values, dtype=float).ravel()
     size = min(x.size, _BLOCK)
     p, q = np.empty(size), np.empty(size)
-    for levels in (1, _MAX_LEVELS):
-        parts, rests, slack = [], [], []
-        for start in range(0, x.size, _BLOCK):
-            block = x[start:start + _BLOCK]
-            k = block.size
-            sigma = _split_levels(block, p[:k], q[:k], parts, levels)
-            if sigma is None:
-                return math.fsum(x)
-            if sigma:
-                rests.append(float(p[:k].sum()))
-                slack.append(k * k * _U * _U * sigma)  # exact: k < 2^16
-        if not slack:
-            return math.fsum(parts)
-        bound = math.nextafter(math.fsum(slack), math.inf)
-        low = math.fsum(parts + rests + [-bound])
-        if low == math.fsum(parts + rests + [bound]):
-            return low
-    return math.fsum(x)  # not reached: _MAX_LEVELS levels leave no remainder
+    parts, rests, slack = [], [], []
+    for start in range(0, x.size, _BLOCK):
+        block = x[start:start + _BLOCK]
+        k = block.size
+        sigma = _split_level(block, p[:k], q[:k], parts)
+        if sigma is None:
+            return math.fsum(x)
+        if sigma:
+            rests.append(float(p[:k].sum()))
+            slack.append(k * k * _U * _U * sigma)  # exact: k < 2^16
+    if not slack:
+        return math.fsum(parts)
+    bound = math.nextafter(math.fsum(slack), math.inf)
+    low = math.fsum(parts + rests + [-bound])
+    if low == math.fsum(parts + rests + [bound]):
+        return low
+    return math.fsum(x)
 
 
 class NeumaierSum:

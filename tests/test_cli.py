@@ -191,7 +191,7 @@ def test_one_column_tabulated_file_names_the_form(tmp_path, capsys):
     (("free-energy", "--phi", "linear:inf,0", "--a", "1", "--b", "3", "--inv-eps", "4"), "finite"),
     (("coeffs", "--scenario", "sliced", "--phi", "const:inf", "--a", "1", "--b", "3"), "finite"),
     (("partition", "--phi", "linear:1,nan", "--a", "1", "--b", "3", "--inv-eps", "4"), "finite"),
-    # every weight e^{-E} rounds to 1, so Z is infinite
+    # every weight e^{-E} rounds to 1, so ln(1 - e^{-E}) cannot be formed
     (("partition", "--phi", "const:1e-320", "--a", "1", "--b", "3", "--inv-eps", "4"),
      "rounds to 1"),
 ], ids=lambda v: f"{v[0]}-{v[2]}" if isinstance(v, tuple) else None)

@@ -184,9 +184,12 @@ def test_sliced_rejects_nonpositive_weights():
 
 
 def test_sliced_rejects_weights_that_round_to_one():
-    # eps * phi ~ 1e-321: every e^{-E} rounds to 1 and Z is infinite
+    # every E is below 2^-54, so e^{-E} rounds to 1 and ln(1 - e^{-E}) is -inf
+    # in floating point, though Z is finite; a subnormal phi is not needed
     with pytest.raises(ValueError, match="rounds to 1"):
         log_z_sliced(4, 12, ConstantPhi(1e-320), 0.25)
+    with pytest.raises(ValueError, match="rounds to 1"):
+        log_z_sliced(4, 12, ConstantPhi(1e-17), 0.25)
 
 
 def test_sliced_all_zero_sum_is_positive_zero():

@@ -66,7 +66,7 @@ def test_explicit_cases(xs):
 @pytest.mark.parametrize("size", [3, 1 << 15, (1 << 15) + 1, 200_001])
 def test_large_arrays_use_several_levels(size):
     rng = np.random.default_rng(size)
-    # magnitudes spread over 2^-300..2^300, so several extraction levels run
+    # magnitudes spread over 2^-300..2^300, far more than one extraction level holds
     xs = rng.standard_normal(size) * np.exp2(rng.integers(-300, 300, size))
     assert same_bits(exact_sum(xs), math.fsum(xs))
     terms = np.log1p(-np.exp(-rng.uniform(1e-3, 6.0, size)))
@@ -116,18 +116,25 @@ def test_fsum_errors_carry_over(xs):
 
 
 def level_spy(monkeypatch):
-    """Record (levels, number of level sums appended) for every _split_levels call."""
-    calls = []
-    split = summation._split_levels
+    """Record the number of level sums each _split_level call appends, and
+    every math.fsum call made on the input array itself (the fallback)."""
+    calls, fallbacks = [], []
+    split, fsum = summation._split_level, math.fsum
 
-    def spy(x, p, q, parts, levels):
+    def split_spy(x, p, q, parts):
         before = len(parts)
-        sigma = split(x, p, q, parts, levels)
-        calls.append((levels, len(parts) - before))
+        sigma = split(x, p, q, parts)
+        calls.append(len(parts) - before)
         return sigma
 
-    monkeypatch.setattr(summation, "_split_levels", spy)
-    return calls
+    def fsum_spy(xs):
+        if isinstance(xs, np.ndarray):
+            fallbacks.append(xs.size)
+        return fsum(xs)
+
+    monkeypatch.setattr(summation, "_split_level", split_spy)
+    monkeypatch.setattr(summation.math, "fsum", fsum_spy)
+    return calls, fallbacks
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,7 +143,7 @@ def test_one_level_remainder_error_within_bound(xs):
     x = np.array(xs)
     k = x.size
     p, q, parts = np.empty(k), np.empty(k), []
-    sigma = summation._split_levels(x, p, q, parts, 1)
+    sigma = summation._split_level(x, p, q, parts)
     exact = sum(map(Fraction, xs), Fraction(0))
     if not sigma:  # fully split: the parts are the sum
         assert sum(map(Fraction, parts), Fraction(0)) == exact
@@ -155,18 +162,18 @@ def test_one_level_remainder_error_within_bound(xs):
 def test_tie_after_one_level_falls_back_and_matches_fsum(monkeypatch):
     # 1 + 2^-53 is a rounding midpoint; the 2^-106 beyond it lies in the
     # float-summed remainders, so one level cannot decide which way it rounds
-    calls = level_spy(monkeypatch)
+    calls, fallbacks = level_spy(monkeypatch)
     xs = [1.0, 2.0**-53, 2.0**-106]
     got = exact_sum(np.array(xs))
     assert same_bits(got, math.fsum(xs)) and got == 1.0 + 2.0**-52
-    assert [levels for levels, _ in calls] == [1, summation._MAX_LEVELS]
+    assert calls == [1] and fallbacks == [3]
 
 
 def test_sliced_terms_decide_after_one_level(monkeypatch):
     m, n, eps = 200, 600, 1.0 / 200  # cosine (1, 3) at 1/eps = 200
-    calls = level_spy(monkeypatch)
+    calls, fallbacks = level_spy(monkeypatch)
     log_z = log_z_sliced(m, n, CosinePhi(), eps)
     blocks = -(-m * n // summation._BLOCK)
-    assert calls == [(1, 1)] * blocks  # one level sum per block, no fallback
+    assert calls == [1] * blocks and fallbacks == []  # one level sum per block
     terms = np.log1p(-np.exp(-sliced_log_weight_exponents(m, n, CosinePhi(), eps)))
     assert same_bits(log_z, -math.fsum(terms.ravel()))
