@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 
 from . import __version__
@@ -70,10 +72,24 @@ def _emit(args, header, rows, meta):
         lines.extend(",".join(_csv_field(x) for x in row) for row in rows)
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_file(path: str, text: str) -> None:
+    """Write text to path, rewriting an existing regular file in place.
+
+    The file is opened without O_TRUNC and cut to the written length after
+    the write.  Truncating a file that holds data to zero length makes ext4
+    (with its default auto_da_alloc) start writing it back on close, which
+    costs tens of milliseconds per file; an in-place rewrite of the same
+    length stays in the page cache like a new file.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def _parse_k(value: str):

@@ -344,3 +344,14 @@ def test_numerical_failure_from_series_cap(monkeypatch, capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2
     assert "converge" in err
+
+
+def test_out_rewrites_an_existing_file_to_the_new_length(tmp_path, capsys):
+    argv = ["partition", "--a", "1", "--b", "3", "--phi", "cosine", "--inv-eps", "4"]
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    out = tmp_path / "out.csv"
+    for before in ("x" * (3 * len(want)), "", "short\n"):
+        out.write_text(before)
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == want
