@@ -15,11 +15,8 @@ from .asymptotics import (
     sliced_f3,
 )
 from .enumeration import (
-    HeightConfig,
-    config_energy,
     energy_histogram,
     enumerate_configs,
-    is_valid_config,
     oracle_partition,
 )
 from .errors import (
@@ -48,7 +45,7 @@ from .partition import (
     log_z_sliced,
     series_free_energy,
 )
-from .shapes import INFINITE, BoxShape, ScaledShape
+from .shapes import INFINITE, BoxShape
 from .specialfn import (
     chi,
     chi_dd,

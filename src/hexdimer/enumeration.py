@@ -6,7 +6,6 @@ cells with an O(1) per-cell bound, so the output order is deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum
 from typing import Iterator
 
@@ -16,43 +15,6 @@ from .shapes import BoxShape
 MAX_CELLS = 16
 MAX_HEIGHT = 8
 MAX_CONFIGS = 10**6
-
-
-@dataclass(frozen=True)
-class HeightConfig:
-    """Immutable m x n table of column heights."""
-
-    heights: tuple[tuple[int, ...], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.heights)
-
-    @property
-    def n(self) -> int:
-        return len(self.heights[0])
-
-
-def config_energy(config: HeightConfig) -> int:
-    """Total number of cubes: sum of all heights."""
-    return sum(sum(row) for row in config.heights)
-
-
-def is_valid_config(shape: BoxShape, heights) -> bool:
-    """Check the order constraints h_ij <= h_{i-1,j}, h_ij <= h_{i,j-1} and 0 <= h <= k."""
-    m, n, k = shape.m, shape.n, shape.k
-    if len(heights) != m or any(len(row) != n for row in heights):
-        return False
-    for i in range(m):
-        for j in range(n):
-            h = heights[i][j]
-            if h < 0 or h > k:
-                return False
-            if i > 0 and h > heights[i - 1][j]:
-                return False
-            if j > 0 and h > heights[i][j - 1]:
-                return False
-    return True
 
 
 def config_count(shape: BoxShape) -> int:
@@ -69,12 +31,12 @@ def config_count(shape: BoxShape) -> int:
     return num // den
 
 
-def _check_guard(shape: BoxShape, max_cells: int, max_height: int) -> None:
+def _check_guard(shape: BoxShape) -> None:
     if not shape.is_finite:
         raise OracleSizeError("oracle too large: enumeration requires finite k")
-    if shape.m * shape.n > max_cells or shape.k > max_height:
+    if shape.m * shape.n > MAX_CELLS or shape.k > MAX_HEIGHT:
         raise OracleSizeError(
-            f"oracle too large: need m*n <= {max_cells} and k <= {max_height}, "
+            f"oracle too large: need m*n <= {MAX_CELLS} and k <= {MAX_HEIGHT}, "
             f"got m*n = {shape.m * shape.n}, k = {shape.k}")
     count = config_count(shape)
     if count > MAX_CONFIGS:
@@ -83,16 +45,16 @@ def _check_guard(shape: BoxShape, max_cells: int, max_height: int) -> None:
             f"more than {MAX_CONFIGS}")
 
 
-def enumerate_configs(shape: BoxShape, max_cells: int = MAX_CELLS,
-                      max_height: int = MAX_HEIGHT) -> Iterator[HeightConfig]:
-    """Yield every monotone height table exactly once, lexicographically."""
-    _check_guard(shape, max_cells, max_height)
+def enumerate_configs(shape: BoxShape) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield every monotone height table, as a tuple of m rows, exactly once,
+    lexicographically."""
+    _check_guard(shape)
     m, n, k = shape.m, shape.n, shape.k
     grid = [[0] * n for _ in range(m)]
 
-    def fill(cell: int) -> Iterator[HeightConfig]:
+    def fill(cell: int):
         if cell == m * n:
-            yield HeightConfig(tuple(tuple(row) for row in grid))
+            yield tuple(tuple(row) for row in grid)
             return
         i, j = divmod(cell, n)
         bound = k
@@ -108,19 +70,18 @@ def enumerate_configs(shape: BoxShape, max_cells: int = MAX_CELLS,
     yield from fill(0)
 
 
-def oracle_partition(shape: BoxShape, q: float, max_cells: int = MAX_CELLS,
-                     max_height: int = MAX_HEIGHT) -> float:
-    """Z(q) = sum over configurations of q^energy, by direct enumeration."""
+def oracle_partition(shape: BoxShape, q: float) -> float:
+    """Z(q) = sum over configurations of q^(number of cubes), by direct enumeration."""
     if not (0.0 < q <= 1.0):
         raise ValueError(f"q must be in (0, 1], got {q}")
-    return fsum(q ** config_energy(c)
-                for c in enumerate_configs(shape, max_cells, max_height))
+    return fsum(q ** sum(map(sum, h)) for h in enumerate_configs(shape))
 
 
-def energy_histogram(shape: BoxShape, **kwargs) -> dict[int, int]:
-    """Number of configurations at each energy; Z is its generating polynomial."""
+def energy_histogram(shape: BoxShape) -> dict[int, int]:
+    """Number of configurations at each energy (the number of cubes, the sum of
+    the heights); Z is its generating polynomial."""
     hist: dict[int, int] = {}
-    for c in enumerate_configs(shape, **kwargs):
-        e = config_energy(c)
+    for h in enumerate_configs(shape):
+        e = sum(map(sum, h))
         hist[e] = hist.get(e, 0) + 1
     return hist

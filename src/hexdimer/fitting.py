@@ -59,11 +59,6 @@ class FitResult:
     condition_estimate: float
     residual_slope: float | None
 
-    def expansion(self, scenario: str, convention: str) -> ExpansionCoefficients:
-        f0, f1, f2, f3 = self.coefficients[:4]
-        return ExpansionCoefficients(f0, f1, f2, f3, scenario=scenario,
-                                     provenance="fitted", convention=convention)
-
 
 def fit(samples: Sequence[FreeEnergySample], basis: FitBasis | None = None) -> FitResult:
     """Linear least squares by column-scaled Householder QR (no normal equations)."""

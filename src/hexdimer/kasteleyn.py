@@ -70,12 +70,6 @@ class BandMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.ab.shape[1], self.ab.shape[1])
 
-    def toarray(self) -> np.ndarray:
-        i, j = np.indices(self.shape)
-        d = self.kl + self.ku + i - j
-        inside = (d >= self.kl) & (d < len(self.ab))
-        return np.where(inside, self.ab[d.clip(0, len(self.ab) - 1), j], 0.0)
-
 
 def _sweep_order(keep):
     """Sweep-order index grid (-1 off the graph), and its cells in the order."""
@@ -149,7 +143,10 @@ def log_z_kasteleyn(shape: BoxShape, q: float) -> float:
         raise ValueError(f"q must be in (0, 1], got {q}")
     if shape.is_finite and shape.volume // 2 > MAX_DIMENSION:
         raise ValueError(f"Kasteleyn matrix dimension {shape.volume // 2} exceeds {MAX_DIMENSION}")
-    embedding = build_embedding(shape)
+    # Z is symmetric in the sides; the ascending order keeps GEPP accurate on
+    # elongated boxes (60 x 25 x 5 at q = 0.999: 1.5e-1 off in ln Z unsorted)
+    box = BoxShape(*sorted((shape.m, shape.n, shape.k)))
+    embedding = build_embedding(box)
     mat = kasteleyn_matrix(embedding, q)
     # Halve each row's exponent spread before factorization so extreme q
     # powers cancel in the log-domain correction rather than under/overflow.
@@ -164,7 +161,7 @@ def log_z_kasteleyn(shape: BoxShape, q: float) -> float:
     if info != 0 or not np.all(np.isfinite(pivots)):
         raise SingularMatrixError(f"Kasteleyn determinant vanished for {shape}, q={q}; Z > 0 "
                                   "always, so the embedding or weighting is inconsistent")
-    j0 = shape.m * shape.n * (shape.n - 1) // 2
+    j0 = box.m * box.n * (box.n - 1) // 2
     return float(np.sum(np.log(pivots))) - float(np.sum(scale_log)) + j0 * log_q
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .asymptotics import (CONVENTION_FINITE, CONVENTION_POSITIVE, ExpansionCoefficients,
                           _require_sides, coeffs_finite, coeffs_infinite, coeffs_sliced)
 from .errors import ConvergenceError
-from .shapes import INFINITE, BoxShape, ScaledShape
+from .shapes import INFINITE, BoxShape
 from .specialfn import chi
 from .summation import NeumaierSum, exact_sum
 from .weights import PhiFunction
@@ -26,6 +26,8 @@ from .weights import PhiFunction
 # stopping rule for the resummed free-energy series
 _SERIES_TERM_TOL = 1e-16
 _SERIES_N_MAX = 10**7
+# how far a/eps, b/eps and c/eps may sit from an integer
+_LATTICE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -138,17 +140,21 @@ def free_energy_value(shape: BoxShape, q: float) -> float:
     return log_z_infinite(shape, q) / shape.volume
 
 
-def series_free_energy(scaled: ScaledShape) -> float:
+def series_free_energy(scenario: Scenario, eps: float) -> float:
     """Resummed series sum_n chi(n eps) H_n / n^3 with the scenario prefactor.
 
-    H_n has three exponential factors for the finite box (finite c), two for
-    the infinite-height box.  Terms are accumulated in ascending n with
-    compensated summation; the loop stops once the remaining tail bound
-    chi(n eps) * max(H) * sum_{m>n} m^-3 <= chi(n eps)/(2 n^2) drops below
-    _SERIES_TERM_TOL, and raises ConvergenceError past _SERIES_N_MAX terms.
+    H_n has three exponential factors for the finite box, two for the
+    infinite-height box; the sliced box has no such series.  Terms are
+    accumulated in ascending n with compensated summation; the loop stops once
+    the remaining tail bound chi(n eps) * max(H) * sum_{m>n} m^-3 <=
+    chi(n eps)/(2 n^2) drops below _SERIES_TERM_TOL, and raises
+    ConvergenceError past _SERIES_N_MAX terms.
     """
-    a, b, c, eps = scaled.a, scaled.b, scaled.c, scaled.eps
-    finite = scaled.is_finite
+    if scenario.kind == "sliced":
+        raise ValueError("the series free energy covers the finite and infinite boxes, not sliced")
+    scenario.box(eps)  # rejects eps <= 0 and off-lattice meshes, as the exact route does
+    a, b, c = scenario.a, scenario.b, scenario.c
+    finite = scenario.kind == "finite"
     if finite:
         prefactor = -1.0 / (2.0 * (a * b + b * c + a * c))
     else:
@@ -212,9 +218,22 @@ class Scenario:
     def convention(self) -> str:
         return CONVENTION_FINITE if self.kind == "finite" else CONVENTION_POSITIVE
 
+    def box(self, eps: float) -> BoxShape:
+        """The lattice box at mesh eps: a/eps, b/eps and, for the finite box,
+        c/eps must be integers within _LATTICE_TOL."""
+        if not eps > 0:
+            raise ValueError("mesh eps must be positive")
+        lattice = []
+        for name, x in (("a", self.a), ("b", self.b), ("c", self.c)):
+            ratio = x / eps
+            if x != INFINITE and abs(ratio - round(ratio)) > _LATTICE_TOL:
+                raise ValueError(f"{name}/eps = {ratio} is not an integer within {_LATTICE_TOL}")
+            lattice.append(INFINITE if x == INFINITE else round(ratio))
+        return BoxShape(*lattice)
+
     def free_energy(self, eps: float) -> float:
-        """Exact free energy per site at mesh eps (a/eps, b/eps, c/eps integers)."""
-        box = ScaledShape(self.a, self.b, self.c, eps).box()
+        """Exact free energy per site at mesh eps (see box)."""
+        box = self.box(eps)
         if self.kind == "sliced":
             return log_z_sliced(box.m, box.n, self.phi, eps) / (box.m * box.n)
         return free_energy_value(box, math.exp(-eps))

@@ -14,6 +14,10 @@ import numpy as np
 
 from .errors import ConvergenceError
 
+_PANEL_NODES = 15      # Gauss-Legendre nodes per panel
+_MAX_PANELS = 4000     # adaptive's panel budget
+_GRADING_LEVELS = 46   # dyadic levels of log_graded_edges
+
 
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int):
@@ -22,14 +26,14 @@ def gauss_legendre(n: int):
     return x, w
 
 
-def fixed_panel(f, a: float, b: float, n: int = 15) -> float:
+def fixed_panel(f, a: float, b: float) -> float:
     """Gauss-Legendre estimate of int_a^b f; f must accept numpy arrays."""
-    x, w = gauss_legendre(n)
+    x, w = gauss_legendre(_PANEL_NODES)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return half * float(np.dot(w, f(mid + half * x)))
 
 
-def adaptive(f, a: float, b: float, rel_tol: float = 1e-12, max_panels: int = 4000):
+def adaptive(f, a: float, b: float, rel_tol: float = 1e-12):
     """Adaptive bisection; per-panel error from an order-vs-split comparison.
 
     Returns (value, error_bound).  Raises ConvergenceError if the panel
@@ -52,21 +56,22 @@ def adaptive(f, a: float, b: float, rel_tol: float = 1e-12, max_panels: int = 40
             done_errs.append(err)
             continue
         used += 2
-        if used > max_panels:
+        if used > _MAX_PANELS:
             raise ConvergenceError(
-                f"adaptive quadrature did not converge within {max_panels} panels",
+                f"adaptive quadrature did not converge within {_MAX_PANELS} panels",
                 partial=fsum(done_vals) + left + right, achieved=fsum(done_errs) + err)
         stack.append((lo, mid, left))
         stack.append((mid, hi, right))
     return fsum(done_vals), fsum(done_errs)
 
 
-def log_graded_edges(lo: float, hi: float, levels: int = 46) -> np.ndarray:
+def log_graded_edges(lo: float, hi: float) -> np.ndarray:
     """Panel edges on [lo, hi] graded dyadically toward lo.
 
-    The first edge sits at (hi-lo)*2^-levels above lo; the sliver below it is
-    for the caller to bound analytically (for s*log s behavior it is ~1e-26).
+    The first edge sits at (hi-lo)*2^-_GRADING_LEVELS above lo; the sliver
+    below it is for the caller to bound analytically (for s*log s behavior it
+    is ~1e-26).
     """
     width = hi - lo
-    rel = [2.0 ** (-levels + i) for i in range(levels + 1)]
+    rel = [2.0 ** (-_GRADING_LEVELS + i) for i in range(_GRADING_LEVELS + 1)]
     return lo + width * np.asarray([0.0] + rel)

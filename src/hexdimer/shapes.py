@@ -1,4 +1,4 @@
-"""Lattice box shapes and their scaled (continuum) counterparts.
+"""Lattice box shapes (the scaled boxes are partition.Scenario).
 
 An infinite height is represented by ``math.inf`` rather than a sentinel
 integer, so volume formulas cannot silently overflow.
@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 
 INFINITE = math.inf
-
-_LATTICE_TOL = 1e-9
 
 
 def _is_positive_int(x) -> bool:
@@ -41,45 +39,3 @@ class BoxShape:
         if self.is_finite:
             return 2 * (self.m * self.n + self.n * self.k + self.m * self.k)
         return self.m * self.n
-
-
-@dataclass(frozen=True)
-class ScaledShape:
-    """Continuum side ratios (a, b, c) with mesh eps; a/eps etc. must be integers."""
-
-    a: float
-    b: float
-    c: float
-    eps: float
-
-    def __post_init__(self):
-        if not (self.a > 0 and self.b > 0 and self.c > 0):
-            raise ValueError("scaled sides a, b, c must be positive")
-        if not self.eps > 0:
-            raise ValueError("mesh eps must be positive")
-        for name, x in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if x == INFINITE:
-                continue
-            ratio = x / self.eps
-            if abs(ratio - round(ratio)) > _LATTICE_TOL:
-                raise ValueError(f"{name}/eps = {ratio} is not an integer within {_LATTICE_TOL}")
-
-    @classmethod
-    def from_box(cls, box: BoxShape, inv_eps: int) -> "ScaledShape":
-        if not _is_positive_int(inv_eps):
-            raise ValueError("inv_eps must be a positive integer")
-        eps = 1.0 / inv_eps
-        c = INFINITE if not box.is_finite else box.k * eps
-        return cls(box.m * eps, box.n * eps, c, eps)
-
-    @property
-    def inv_eps(self) -> int:
-        return round(1.0 / self.eps)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.c != INFINITE
-
-    def box(self) -> BoxShape:
-        k = INFINITE if not self.is_finite else round(self.c / self.eps)
-        return BoxShape(round(self.a / self.eps), round(self.b / self.eps), k)

@@ -27,6 +27,8 @@ from .summation import NeumaierSum
 
 _CHI_TAYLOR_SWITCH = 1e-3
 _LI_TERM_TOL = 1e-17
+_LI_N_MAX = 10**7
+_ZETA_DIRECT_TERMS = 10000  # summed directly before the Euler-Maclaurin tail
 _XI_SERIES_FLOOR = 0.25
 _SERIES_TERMS = 13  # even orders through z^24
 
@@ -142,11 +144,12 @@ def q_func(z: float) -> float:
     return (_xi_closed(z) + 1.0 / 6.0) / z
 
 
-def li(s: int, z: float, n_cap: int = 10**7) -> float:
+def li(s: int, z: float) -> float:
     """Polylogarithm Li_s(z) = sum_{n>=1} z^n / n^s for integer s >= 1, z in [0, 1].
 
     The series is summed with compensated accumulation until a term drops
-    below _LI_TERM_TOL * |partial sum|.  At z = 1 (s >= 2 only) the polynomial
+    below _LI_TERM_TOL * |partial sum|, or raises ConvergenceError past
+    _LI_N_MAX terms.  At z = 1 (s >= 2 only) the polynomial
     tail is completed with an Euler-Maclaurin correction.
     """
     if not isinstance(s, int) or s < 1:
@@ -168,16 +171,16 @@ def li(s: int, z: float, n_cap: int = 10**7) -> float:
         if term < _LI_TERM_TOL * abs(acc.value):
             return acc.value
         n += 1
-        if n > n_cap:
-            raise ConvergenceError(f"Li_{s}({z}) did not converge within {n_cap} terms",
+        if n > _LI_N_MAX:
+            raise ConvergenceError(f"Li_{s}({z}) did not converge within {_LI_N_MAX} terms",
                                    partial=acc.value, achieved=term)
 
 
 @lru_cache(maxsize=None)
-def _zeta_em(s: int, n_direct: int = 10000) -> float:
+def _zeta_em(s: int) -> float:
     """zeta(s) for integer s >= 2: direct sum to N plus Euler-Maclaurin tail."""
-    head = fsum(1.0 / n**s for n in range(1, n_direct + 1))
-    N = float(n_direct)
+    head = fsum(1.0 / n**s for n in range(1, _ZETA_DIRECT_TERMS + 1))
+    N = float(_ZETA_DIRECT_TERMS)
     tail = (N ** (1 - s) / (s - 1) - 0.5 * N ** (-s) + s / 12.0 * N ** (-s - 1)
             - s * (s + 1) * (s + 2) / 720.0 * N ** (-s - 3))
     return head + tail

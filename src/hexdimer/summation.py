@@ -87,8 +87,8 @@ class NeumaierSum:
 
     __slots__ = ("_s", "_c", "count")
 
-    def __init__(self, value: float = 0.0):
-        self._s = float(value)
+    def __init__(self):
+        self._s = 0.0
         self._c = 0.0
         self.count = 0
 

@@ -12,6 +12,10 @@ import math
 
 import numpy as np
 
+# grid points of the sampled positivity check and minimum on an interval
+_CHECK_SAMPLES = 2001
+_MIN_SAMPLES = 4001
+
 
 class PhiFunction:
     """Continuous positive weight profile t -> phi(t)."""
@@ -37,9 +41,9 @@ class PhiFunction:
     def check_range(self, lo: float, hi: float) -> None:
         """Raise ValueError unless phi is defined on [lo, hi] (closed forms are, everywhere)."""
 
-    def check_positive(self, lo: float, hi: float, samples: int = 2001) -> None:
+    def check_positive(self, lo: float, hi: float) -> None:
         self.check_range(lo, hi)
-        grid = np.linspace(lo, hi, samples)
+        grid = np.linspace(lo, hi, _CHECK_SAMPLES)
         vals = np.asarray(self(grid), dtype=float)
         ok = np.isfinite(vals) & (vals > 0.0)
         if not np.all(ok):
@@ -47,8 +51,8 @@ class PhiFunction:
             raise ValueError(f"phi must be finite and strictly positive on [{lo}, {hi}]; "
                              f"{self.id}({float(grid[bad])}) = {float(vals[bad])}")
 
-    def min_on(self, lo: float, hi: float, samples: int = 4001) -> float:
-        grid = np.linspace(lo, hi, samples)
+    def min_on(self, lo: float, hi: float) -> float:
+        grid = np.linspace(lo, hi, _MIN_SAMPLES)
         return float(np.min(np.asarray(self(grid), dtype=float)))
 
 

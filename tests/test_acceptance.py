@@ -12,7 +12,6 @@ import pytest
 from hexdimer import (
     BoxShape,
     INFINITE,
-    ScaledShape,
     chi,
     chi_dd,
     coeffs_finite,
@@ -105,17 +104,11 @@ def test_criterion_2_universal_constant():
 def test_criterion_3_dual_evaluator_identity():
     t0 = time.time()
     worst = 0.0
-    for (a, b, c) in ((1.0, 1.0, 1.0), (3.0, 2.0, 1.0)):
+    for scenario in (Scenario("finite", 1.0, 1.0, 1.0), Scenario("finite", 3.0, 2.0, 1.0),
+                     Scenario("infinite", 1.0, 1.0), Scenario("infinite", 2.0, 1.0)):
         for t in (10, 50, 100):
-            scaled = ScaledShape(a, b, c, 1.0 / t)
-            exact = free_energy_value(scaled.box(), math.exp(-scaled.eps))
-            series = series_free_energy(scaled)
-            worst = max(worst, abs(exact - series))
-    for (a, b) in ((1.0, 1.0), (2.0, 1.0)):
-        for t in (10, 50, 100):
-            scaled = ScaledShape(a, b, INFINITE, 1.0 / t)
-            exact = free_energy_value(scaled.box(), math.exp(-scaled.eps))
-            series = series_free_energy(scaled)
+            exact = free_energy_value(scenario.box(1.0 / t), math.exp(-1.0 / t))
+            series = series_free_energy(scenario, 1.0 / t)
             worst = max(worst, abs(exact - series))
     elapsed = time.time() - t0
     _report(3, worst < 1e-11 and elapsed < 10.0,

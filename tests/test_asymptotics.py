@@ -12,7 +12,6 @@ from hexdimer import (
     CosinePhi,
     ExpansionCoefficients,
     LinearPhi,
-    ScaledShape,
     Scenario,
     coeffs_finite,
     coeffs_infinite,
@@ -105,10 +104,10 @@ def test_predictor_basics():
 def test_predictor_residual_scales_like_eps4():
     cf = coeffs_finite(1.0, 1.0, 1.0)
     resid = {}
+    cube = Scenario("finite", 1.0, 1.0, 1.0)
     for t in (20, 50, 100):
-        scaled = ScaledShape(1.0, 1.0, 1.0, 1.0 / t)
-        exact = free_energy_value(scaled.box(), exp(-scaled.eps))
-        resid[t] = abs(exact - predict_free_energy(cf, scaled.eps))
+        exact = free_energy_value(cube.box(1.0 / t), exp(-1.0 / t))
+        resid[t] = abs(exact - predict_free_energy(cf, 1.0 / t))
     assert resid[100] < 10.0 * (1.0 / 100) ** 4
     xs = [log(1.0 / t) for t in resid]
     ys = [log(r) for r in resid.values()]

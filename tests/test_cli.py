@@ -161,6 +161,9 @@ def test_tol_override_is_unrecognised(argv, capsys):
     # a phi spec with the wrong number of values names the expected form
     (("partition", "--a", "1", "--b", "3", "--inv-eps", "4", "--phi", "linear:1"),
      "linear:alpha,beta"),
+    # q outside (0, 1] is named before ln q is taken for the eps column
+    (("free-energy", "--M", "2", "--N", "2", "--K", "2", "--q", "0"), "q must be in (0, 1]"),
+    (("free-energy", "--M", "2", "--N", "2", "--K", "2", "--q", "-0.5"), "q must be in (0, 1]"),
 ])
 def test_usage_errors_name_the_flag(argv, flag, capsys):
     code, out, err = run(capsys, *argv)
@@ -250,18 +253,11 @@ def test_verify_passes(capsys):
     assert "pass" in out
 
 
-def test_verify_kasteleyn_only(capsys):
-    code, out, _ = run(capsys, "verify", "--kasteleyn")
-    assert code == 0
-    assert "kasteleyn-vs-enumeration" in out
-    assert "dual-evaluator" not in out
-
-
 def test_verify_failure_exit_code(monkeypatch, capsys):
     import hexdimer.cli as cli
 
     monkeypatch.setattr(cli, "_verify_suites",
-                        lambda args: iter([("fake", "case", False, "boom")]))
+                        lambda: iter([("fake", "case", False, "boom")]))
     code, out, err = run(capsys, "verify")
     assert code == 3
     assert "FAIL" in out

@@ -6,15 +6,31 @@ from hexdimer import (
     BoxShape,
     INFINITE,
     OracleSizeError,
-    config_energy,
     energy_histogram,
     enumerate_configs,
-    is_valid_config,
     oracle_partition,
 )
-from hexdimer.enumeration import MAX_CONFIGS, HeightConfig, config_count
+from hexdimer import enumeration
+from hexdimer.enumeration import MAX_CONFIGS, config_count
 
 from _reference import boxed_plane_partition_count
+
+
+def is_valid_config(shape, heights) -> bool:
+    """Check the order constraints h_ij <= h_{i-1,j}, h_ij <= h_{i,j-1} and 0 <= h <= k."""
+    m, n, k = shape.m, shape.n, shape.k
+    if len(heights) != m or any(len(row) != n for row in heights):
+        return False
+    for i in range(m):
+        for j in range(n):
+            h = heights[i][j]
+            if h < 0 or h > k:
+                return False
+            if i > 0 and h > heights[i - 1][j]:
+                return False
+            if j > 0 and h > heights[i][j - 1]:
+                return False
+    return True
 
 
 def test_small_counts():
@@ -25,7 +41,7 @@ def test_small_counts():
 
 def test_single_column_heights():
     configs = list(enumerate_configs(BoxShape(1, 1, 2)))
-    assert [c.heights[0][0] for c in configs] == [0, 1, 2]
+    assert configs == [((0,),), ((1,),), ((2,),)]
 
 
 @pytest.mark.parametrize("m,n,k", [(m, n, k) for m in (1, 2, 3) for n in (1, 2, 3) for k in (1, 2, 3)])
@@ -37,24 +53,18 @@ def test_counts_match_product_formula(m, n, k):
 def test_configs_unique_and_valid():
     shape = BoxShape(2, 3, 2)
     seen = set()
-    for c in enumerate_configs(shape):
-        assert c.heights not in seen
-        seen.add(c.heights)
-        assert is_valid_config(shape, c.heights)
-
-
-def test_config_energy():
-    assert config_energy(HeightConfig(((0, 0), (0, 0)))) == 0
-    assert config_energy(HeightConfig(((1,),))) == 1
-    assert config_energy(HeightConfig(((2, 1), (1, 0)))) == 4
+    for heights in enumerate_configs(shape):
+        assert heights not in seen
+        seen.add(heights)
+        assert is_valid_config(shape, heights)
 
 
 def test_validator_consistency_under_single_increments():
     # bumping any one cell either stays valid or breaks exactly the order/cap
     # constraints the validator enforces
     shape = BoxShape(2, 3, 2)
-    for c in enumerate_configs(shape):
-        rows = [list(r) for r in c.heights]
+    for heights in enumerate_configs(shape):
+        rows = [list(r) for r in heights]
         for i in range(shape.m):
             for j in range(shape.n):
                 rows[i][j] += 1
@@ -95,15 +105,16 @@ def test_oracle_monotone_in_sides(m, n, k, q):
     assert oracle_partition(BoxShape(m, n, k + 1), q) >= base
 
 
-def test_size_guard():
+def test_size_guard(monkeypatch):
     with pytest.raises(OracleSizeError):
         list(enumerate_configs(BoxShape(5, 4, 2)))
     with pytest.raises(OracleSizeError):
         list(enumerate_configs(BoxShape(2, 2, 9)))
     with pytest.raises(OracleSizeError):
         list(enumerate_configs(BoxShape(2, 2, INFINITE)))
-    # guard is configurable
-    assert sum(1 for _ in enumerate_configs(BoxShape(5, 4, 1), max_cells=20)) > 0
+    # the guard reads the module constants
+    monkeypatch.setattr(enumeration, "MAX_CELLS", 20)
+    assert sum(1 for _ in enumerate_configs(BoxShape(5, 4, 1))) > 0
 
 
 @pytest.mark.parametrize("m,n,k", [(4, 4, 8), (2, 8, 8), (4, 4, 5)])

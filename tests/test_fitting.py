@@ -129,11 +129,3 @@ def test_residual_slope_guards():
     exact = [FreeEnergySample(t, 1.0 / t, 0.3) for t in range(20, 40)]
     with pytest.raises(ValueError):
         residual_slope(exact, coeffs)
-
-
-def test_fit_result_expansion_wrapper():
-    samples = grid_samples(Scenario("infinite", 1.0, 1.0), 2, 80)
-    result = fit(samples)
-    exp_coeffs = result.expansion("infinite", "f = +ln(Z)/V")
-    assert exp_coeffs.provenance == "fitted"
-    assert exp_coeffs.f0 == result.coefficients[0]

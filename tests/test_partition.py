@@ -12,7 +12,6 @@ from hexdimer import (
     CosinePhi,
     INFINITE,
     Scenario,
-    ScaledShape,
     free_energy_value,
     grid_samples,
     log_z_infinite,
@@ -138,15 +137,14 @@ class CountingPhi(PhiFunction):
         self.calls += 1
         return self.base(t)
 
-    def check_positive(self, lo, hi, samples=2001):
-        self.base.check_positive(lo, hi, samples)
+    def check_positive(self, lo, hi):
+        self.base.check_positive(lo, hi)
 
 
 def reference_sliced_f(a, b, phi, t):
     """Free energy at 1/eps = t from scalar prefix-sum loops and math.fsum."""
     eps = 1.0 / t
-    box = ScaledShape(a, b, INFINITE, eps).box()
-    m, n = box.m, box.n
+    m, n = round(a * t), round(b * t)
     d = n - m
     c_minus, acc = [0.0] * n, 0.0
     for i in range(1, n):
@@ -229,42 +227,50 @@ def test_free_energy_sign_conventions():
 
 def test_dual_evaluators_finite():
     for (a, b, c) in ((1.0, 1.0, 1.0), (3.0, 2.0, 1.0)):
+        scenario = Scenario("finite", a, b, c)
         for t in (10, 50):
-            scaled = ScaledShape(a, b, c, 1.0 / t)
-            exact = free_energy_value(scaled.box(), math.exp(-scaled.eps))
-            series = series_free_energy(scaled)
+            exact = free_energy_value(scenario.box(1.0 / t), math.exp(-1.0 / t))
+            series = series_free_energy(scenario, 1.0 / t)
             assert abs(exact - series) < 1e-12
 
 
 def test_dual_evaluators_infinite():
     for (a, b) in ((1.0, 1.0), (2.0, 1.0)):
-        scaled = ScaledShape(a, b, INFINITE, 0.1)
-        exact = free_energy_value(scaled.box(), math.exp(-scaled.eps))
-        series = series_free_energy(scaled)
+        scenario = Scenario("infinite", a, b)
+        exact = free_energy_value(scenario.box(0.1), math.exp(-0.1))
+        series = series_free_energy(scenario, 0.1)
         assert abs(exact - series) < 1e-12
 
 
 def test_series_follows_shape():
     # the height c picks the three-factor finite series or the two-factor one
-    tall = series_free_energy(ScaledShape(1.0, 1.0, 40.0, 0.1))
-    infinite = series_free_energy(ScaledShape(1.0, 1.0, INFINITE, 0.1))
+    tall = series_free_energy(Scenario("finite", 1.0, 1.0, 40.0), 0.1)
+    infinite = series_free_energy(Scenario("infinite", 1.0, 1.0), 0.1)
     assert tall < 0 < infinite
+
+
+def test_series_rejects_sliced_and_off_lattice_meshes():
+    with pytest.raises(ValueError, match="not sliced"):
+        series_free_energy(Scenario("sliced", 1.0, 3.0, phi=ConstantPhi(1.0)), 0.25)
+    with pytest.raises(ValueError, match="a/eps"):
+        series_free_energy(Scenario("infinite", 1.5, 1.0), 1.0)
+    with pytest.raises(ValueError, match="mesh eps must be positive"):
+        series_free_energy(Scenario("infinite", 1.0, 1.0), 0.0)
 
 
 def test_series_partial_sums_monotone(monkeypatch):
     # every term is positive, so looser tolerances give smaller magnitudes
-    scaled = ScaledShape(1.0, 1.0, INFINITE, 0.1)
-    tight = series_free_energy(scaled)
+    scenario = Scenario("infinite", 1.0, 1.0)
+    tight = series_free_energy(scenario, 0.1)
     monkeypatch.setattr(partition, "_SERIES_TERM_TOL", 1e-6)
-    loose = series_free_energy(scaled)
+    loose = series_free_energy(scenario, 0.1)
     assert 0 < loose <= tight
 
 
 def test_series_cap_raises(monkeypatch):
     monkeypatch.setattr(partition, "_SERIES_N_MAX", 10)
-    scaled = ScaledShape(1.0, 1.0, 1.0, 0.01)
     with pytest.raises(ConvergenceError) as err:
-        series_free_energy(scaled)
+        series_free_energy(Scenario("finite", 1.0, 1.0, 1.0), 0.01)
     assert err.value.partial is not None
 
 

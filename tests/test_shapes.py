@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hexdimer import INFINITE, BoxShape, ScaledShape
+from hexdimer import INFINITE, BoxShape, CosinePhi, Scenario
 
 
 def test_finite_volume_formula():
@@ -23,16 +23,21 @@ def test_invalid_boxes_rejected(bad):
 
 
 def test_scaled_shape_lattice_consistency():
-    s = ScaledShape(1.0, 2.0, 3.0, 0.1)
-    assert s.box() == BoxShape(10, 20, 30)
-    assert s.inv_eps == 10
-    with pytest.raises(ValueError):
-        ScaledShape(1.0, 2.0, 3.0, 0.3)  # 1/0.3 not integral
+    # a scenario's scaled sides map to the lattice box at mesh eps
+    assert Scenario("finite", 1.0, 2.0, 3.0).box(0.1) == BoxShape(10, 20, 30)
+    assert Scenario("infinite", 1.0, 2.0).box(0.1) == BoxShape(10, 20, INFINITE)
+    assert Scenario("sliced", 1.0, 3.0, phi=CosinePhi()).box(0.25) == BoxShape(4, 12, INFINITE)
+    with pytest.raises(ValueError, match=r"a/eps = 1.5 is not an integer within 1e-09"):
+        Scenario("infinite", 1.5, 1.0).box(1.0)
+    with pytest.raises(ValueError, match="c/eps"):
+        Scenario("finite", 1.0, 2.0, 3.5).box(1.0)
+    for eps in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="mesh eps must be positive"):
+            Scenario("finite", 1.0, 2.0, 3.0).box(eps)
 
 
 def test_scaled_from_box_roundtrip():
+    # sides that are not exact in binary still map back to the integer box
     box = BoxShape(3, 2, INFINITE)
-    s = ScaledShape.from_box(box, 7)
-    assert s.box() == box
-    assert math.isclose(s.a, 3 / 7)
-    assert not s.is_finite
+    assert Scenario("infinite", 3 / 7, 2 / 7).box(1 / 7) == box
+    assert Scenario("finite", 3 / 7, 2 / 7, 5 / 7).box(1 / 7) == BoxShape(3, 2, 5)

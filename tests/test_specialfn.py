@@ -16,7 +16,7 @@ from hexdimer import (
     xi,
     zeta3,
 )
-from hexdimer import specialfn
+from hexdimer import quadrature, specialfn
 from hexdimer.quadrature import adaptive
 
 from _reference import UNIVERSAL_CONSTANT, UNIVERSAL_CONSTANT_HP, ZETA3
@@ -188,12 +188,13 @@ def test_quadrature_engine_calibration():
     assert abs(value - (-1 / 6.0)) < 1e-13
 
 
-def test_li_convergence_cap():
+def test_li_convergence_cap(monkeypatch):
+    monkeypatch.setattr(specialfn, "_LI_N_MAX", 100)
     with pytest.raises(ConvergenceError):
-        li(2, 0.999999, n_cap=100)
+        li(2, 0.999999)
 
 
-def test_adaptive_quadrature_panel_budget():
+def test_adaptive_quadrature_panel_budget(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
     with pytest.raises(ConvergenceError):
-        adaptive(lambda z: 1.0 / np.sqrt(np.abs(z) + 1e-300), 0.0, 1.0,
-                 rel_tol=1e-14, max_panels=8)
+        adaptive(lambda z: 1.0 / np.sqrt(np.abs(z) + 1e-300), 0.0, 1.0, rel_tol=1e-14)
