@@ -5,11 +5,12 @@ closed-form expansion; the leftover shrinks like eps^4.  The same data, fed
 to the least-squares extractor, recovers the coefficients.
 """
 from hexdimer import Scenario, fit, grid_samples, predict_free_energy, residual_slope
+from hexdimer.fitting import BASIS_NAMES
 
 a, b, c = 3.0, 2.0, 1.0
 box = Scenario("finite", a, b, c)
 coeffs = box.coefficients()
-print(f"finite box (a,b,c) = ({a:g},{b:g},{c:g}), convention {coeffs.convention}")
+print(f"finite box (a,b,c) = ({a:g},{b:g},{c:g}), convention {box.convention}")
 print(f"  f0 = {coeffs.f0:+.12f}")
 print(f"  f1 = {coeffs.f1:+.12f}")
 print(f"  f2 = {coeffs.f2:+.12f}   (equals -1/(24(ab+bc+ca)))")
@@ -29,5 +30,5 @@ print(f"\nlog-log residual slope on 1/eps in [50, 200]: {slope:.3f}  (expect 4)"
 
 full = fit(grid_samples(box, 2, 200))
 print("\nleast-squares recovery from exact samples (grid 2..200):")
-for name, fitted, analytic in zip(full.basis.names[:4], full.coefficients[:4], coeffs.as_tuple()):
+for name, fitted, analytic in zip(BASIS_NAMES, full.coefficients, coeffs):
     print(f"  {name:>14}: fitted {fitted:+.9f}   analytic {analytic:+.9f}")

@@ -2,8 +2,6 @@
 hexagonal-lattice dimer model (boxed plane partitions)."""
 
 from .asymptotics import (
-    CONVENTION_FINITE,
-    CONVENTION_POSITIVE,
     ExpansionCoefficients,
     coeffs_finite,
     coeffs_infinite,
@@ -27,7 +25,7 @@ from .errors import (
     OracleSizeError,
     SingularMatrixError,
 )
-from .fitting import FitBasis, FitResult, fit, residual_slope
+from .fitting import FitResult, fit, residual_slope
 from .kasteleyn import (
     HexEmbedding,
     build_embedding,
@@ -36,6 +34,8 @@ from .kasteleyn import (
     log_z_kasteleyn,
 )
 from .partition import (
+    CONVENTION_FINITE,
+    CONVENTION_POSITIVE,
     FreeEnergySample,
     Scenario,
     free_energy_value,

@@ -1,9 +1,9 @@
 """Closed-form finite-size expansion coefficients f0..f3 and the predictor.
 
 f(eps) ~ f0 + f1 eps + f2 eps^2 ln(eps) + f3 eps^2, with f1 = 0 in every
-scenario.  Conventions follow the exact evaluators (see partition module):
-the finite box uses f = -ln Z/V, the infinite-height and sliced scenarios
-use f = +ln Z/V, which is what the reference numeric table reports.
+scenario.  Signs follow the exact evaluators, whose conventions the partition
+module owns: the finite box uses f = -ln Z/V, the infinite-height and sliced
+scenarios use f = +ln Z/V, which is what the reference numeric table reports.
 
 Matching rule (arbitrated against fits of exact data): the coefficient of
 ln(eps) in d^2 f/d eps^2 is 2 f2, and the eps-independent remainder equals
@@ -22,8 +22,8 @@ second-order Taylor coefficients at eps = 0, computed with eps-jets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import exp, fsum, log, log1p
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,24 +31,15 @@ from .quadrature import gauss_legendre, log_graded_edges
 from .specialfn import li, universal_constant, zeta3
 from .weights import PhiFunction
 
-CONVENTION_FINITE = "f = -ln(Z)/V"
-CONVENTION_POSITIVE = "f = +ln(Z)/V"
 
-
-@dataclass(frozen=True)
-class ExpansionCoefficients:
-    """Expansion coefficients with provenance and the adopted sign convention."""
+class ExpansionCoefficients(NamedTuple):
+    """f0..f3 of f ~ f0 + f1 eps + f2 eps^2 ln(eps) + f3 eps^2; the sign
+    convention is that of the Scenario they belong to."""
 
     f0: float
     f1: float
     f2: float
     f3: float
-    scenario: str
-    provenance: str = "analytic"
-    convention: str = CONVENTION_POSITIVE
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.f0, self.f1, self.f2, self.f3)
 
 
 def predict_free_energy(coeffs: ExpansionCoefficients, eps: float) -> float:
@@ -75,6 +66,10 @@ def _require_sides(**sides: float) -> None:
     for name, value in sides.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"side {name} must be finite and positive, got {value}")
+        # the closed forms take ln(1 - e^(-side)), which log1p(-1) cannot give
+        if exp(-value) == 1.0:
+            raise ValueError(f"side {name} = {value} is too small: e^(-{name}) rounds to 1 "
+                             f"in floating point, so ln(1 - e^(-{name})) cannot be formed")
 
 
 def coeffs_finite(a: float, b: float, c: float) -> ExpansionCoefficients:
@@ -87,8 +82,7 @@ def coeffs_finite(a: float, b: float, c: float) -> ExpansionCoefficients:
     iq = universal_constant()
     f2 = -1.0 / (24.0 * s)
     f3 = -(iq - log_ratio_three(a, b, c) / 6.0 - 0.25) / (4.0 * s)
-    return ExpansionCoefficients(f0, 0.0, f2, f3, scenario="finite",
-                                 convention=CONVENTION_FINITE)
+    return ExpansionCoefficients(f0, 0.0, f2, f3)
 
 
 def coeffs_infinite(a: float, b: float) -> ExpansionCoefficients:
@@ -99,7 +93,7 @@ def coeffs_infinite(a: float, b: float) -> ExpansionCoefficients:
     iq = universal_constant()
     f2 = 1.0 / (12.0 * ab)
     f3 = (iq - log_ratio_two(a, b) / 6.0 - 0.25) / (2.0 * ab)
-    return ExpansionCoefficients(f0, 0.0, f2, f3, scenario="infinite")
+    return ExpansionCoefficients(f0, 0.0, f2, f3)
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +125,14 @@ def sliced_f0(a: float, b: float, phi: PhiFunction) -> float:
     cap_u = float(phi.integral(d, b))        # u(a)
     cap_v = float(phi.integral(-a, d))       # v(b)
 
-    def z_of_u(u):
-        z = np.clip(np.asarray(u, dtype=float) / float(phi(d)), 0.0, a)
+    def inverse(w, length, sign):
+        # x in [0, length] with sign * int_d^{d + sign x} phi = w by Newton's
+        # method: z(u) on the a side (sign +1), y(v) on the b side (sign -1)
+        x = np.clip(np.asarray(w, dtype=float) / float(phi(d)), 0.0, length)
         for _ in range(12):
-            z = np.clip(z - (phi.integral(d, d + z) - u) / phi(d + z), 0.0, a)
-        return z
-
-    def y_of_v(v):
-        y = np.clip(np.asarray(v, dtype=float) / float(phi(d)), 0.0, b)
-        for _ in range(12):
-            y = np.clip(y - (phi.integral(d - y, d) - v) / phi(d - y), 0.0, b)
-        return y
+            t = d + sign * x
+            x = np.clip(x - (sign * phi.integral(d, t) - w) / phi(t), 0.0, length)
+        return x
 
     gx, gw = gauss_legendre(32)
 
@@ -151,7 +142,7 @@ def sliced_f0(a: float, b: float, phi: PhiFunction) -> float:
         u_lo, u_hi = np.maximum(0.0, s - cap_v), np.minimum(cap_u, s)
         mid, half = 0.5 * (u_hi + u_lo), 0.5 * (u_hi - u_lo)
         u = mid[:, None] + half[:, None] * gx
-        vals = 1.0 / (phi(d + z_of_u(u)) * phi(d - y_of_v(s[:, None] - u)))
+        vals = 1.0 / (phi(d + inverse(u, a, 1.0)) * phi(d - inverse(s[:, None] - u, b, -1.0)))
         return np.where(u_hi > u_lo, half * _row_dots(vals, gw), 0.0)
 
     m1, m2, end = min(cap_u, cap_v), max(cap_u, cap_v), cap_u + cap_v
@@ -293,4 +284,4 @@ def coeffs_sliced(a: float, b: float, phi: PhiFunction) -> ExpansionCoefficients
     _require_sides(a=a, b=b)
     f0 = sliced_f0(a, b, phi)
     f2 = 1.0 / (12.0 * a * b)
-    return ExpansionCoefficients(f0, 0.0, f2, sliced_f3(a, b, phi), scenario="sliced")
+    return ExpansionCoefficients(f0, 0.0, f2, sliced_f3(a, b, phi))

@@ -15,13 +15,13 @@ import stat
 import sys
 
 from . import __version__
-from .asymptotics import CONVENTION_POSITIVE
 from .enumeration import oracle_partition
 from .errors import HexdimerError
-from .fitting import fit
+from .fitting import BASIS_NAMES, fit
 from .kasteleyn import kasteleyn_partition
-from .partition import (SCENARIO_KINDS, Scenario, free_energy_value, grid_samples,
-                        log_z_infinite, log_z_macmahon, log_z_sliced, series_free_energy)
+from .partition import (CONVENTION_POSITIVE, SCENARIO_KINDS, Scenario, free_energy_value,
+                        grid_samples, log_z_infinite, log_z_macmahon, log_z_sliced,
+                        series_free_energy)
 from .shapes import INFINITE, BoxShape
 from .specialfn import universal_constant_detail
 from .weights import ConstantPhi, phi_from_id
@@ -219,11 +219,11 @@ def cmd_free_energy(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    c = _scenario(args, args.scenario).coefficients()
+    scenario = _scenario(args, args.scenario)
     header = ("coefficient", "value")
-    rows = [["f0", c.f0], ["f1", c.f1], ["f2", c.f2], ["f3", c.f3]]
-    meta = {"command": "coeffs", "scenario": c.scenario, "provenance": c.provenance,
-            "convention": c.convention}
+    rows = [[name, value] for name, value in scenario.coefficients()._asdict().items()]
+    meta = {"command": "coeffs", "scenario": scenario.kind, "provenance": "analytic",
+            "convention": scenario.convention}
     _emit(args, header, rows, meta)
     return 0
 
@@ -231,15 +231,14 @@ def cmd_coeffs(args) -> int:
 def cmd_fit(args) -> int:
     scenario = _scenario(args, args.scenario)
     result = fit(grid_samples(scenario, args.inv_eps_min, args.inv_eps_max))
-    analytic_vals, analytic_error = [], None
+    analytic_vals, analytic_error = (), None
     try:
-        analytic_vals = list(scenario.coefficients().as_tuple())
+        analytic_vals = scenario.coefficients()
     except HexdimerError as exc:  # the fitted rows stand on their own
         analytic_error = str(exc)
     header = ("basis_term", "fitted", "analytic", "abs_diff")
     rows = []
-    for i, name in enumerate(result.basis.names):
-        fitted = result.coefficients[i]
+    for i, (name, fitted) in enumerate(zip(BASIS_NAMES, result.coefficients)):
         if i < len(analytic_vals):
             rows.append([name, fitted, analytic_vals[i], abs(fitted - analytic_vals[i])])
         else:
@@ -280,7 +279,7 @@ def cmd_table1(args) -> int:
         out_rows.append([scenario.phi.id, a, b, analytic.f0, f0, f1, 12.0 * a * b * f2,
                          analytic.f3, f3, abs(f3 - analytic.f3)])
     meta = {"command": "table1", "convention": CONVENTION_POSITIVE,
-            "grid": "2..200", "basis": "1,eps,eps2*log(eps),eps2,eps3,eps4"}
+            "grid": "2..200", "basis": ",".join(BASIS_NAMES)}
     _emit(args, header, out_rows, meta)
     return 0
 

@@ -1,6 +1,6 @@
 """Least-squares extraction of expansion coefficients from exact samples.
 
-The default basis {1, eps, eps^2 ln eps, eps^2, eps^3, eps^4} is nearly
+The basis {1, eps, eps^2 ln eps, eps^2, eps^3, eps^4} is nearly
 collinear on a [1/200, 1/2] grid, so columns are normalized before the QR
 solve and the coefficients are rescaled afterwards.  Samples are sorted by
 eps before the decomposition, which makes the result independent of input
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum, log
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,53 +19,29 @@ from .errors import IllConditionedBasisError
 from .partition import FreeEnergySample
 
 CONDITION_LIMIT = 1e12
+BASIS_NAMES = ("1", "eps", "eps2*log(eps)", "eps2", "eps3", "eps4")
 
 
-@dataclass(frozen=True)
-class FitBasis:
-    """Ordered basis functions of eps with printable names."""
-
-    names: tuple[str, ...]
-    terms: tuple[Callable[[np.ndarray], np.ndarray], ...]
-
-    @classmethod
-    def default(cls) -> "FitBasis":
-        return cls(
-            names=("1", "eps", "eps2*log(eps)", "eps2", "eps3", "eps4"),
-            terms=(
-                lambda e: np.ones_like(e),
-                lambda e: e,
-                lambda e: e**2 * np.log(e),
-                lambda e: e**2,
-                lambda e: e**3,
-                lambda e: e**4,
-            ),
-        )
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def design_matrix(self, eps: np.ndarray) -> np.ndarray:
-        return np.column_stack([t(eps) for t in self.terms])
+def design_matrix(eps: np.ndarray) -> np.ndarray:
+    """The basis columns of BASIS_NAMES evaluated at the eps values."""
+    return np.column_stack([np.ones_like(eps), eps, eps**2 * np.log(eps), eps**2, eps**3, eps**4])
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted coefficients (basis order) plus conditioning diagnostics."""
+    """Fitted coefficients (in BASIS_NAMES order) plus conditioning diagnostics."""
 
-    basis: FitBasis
     coefficients: tuple[float, ...]
     residual_rms: float
     condition_estimate: float
     residual_slope: float | None
 
 
-def fit(samples: Sequence[FreeEnergySample], basis: FitBasis | None = None) -> FitResult:
+def fit(samples: Sequence[FreeEnergySample]) -> FitResult:
     """Linear least squares by column-scaled Householder QR (no normal equations)."""
-    if basis is None:
-        basis = FitBasis.default()
-    if len(samples) < len(basis) + 4:
-        raise ValueError(f"need at least {len(basis) + 4} samples for {len(basis)} basis terms, "
+    terms = len(BASIS_NAMES)
+    if len(samples) < terms + 4:
+        raise ValueError(f"need at least {terms + 4} samples for {terms} basis terms, "
                          f"got {len(samples)}")
     ordered = sorted(samples, key=lambda s: s.eps)
     eps = np.array([s.eps for s in ordered])
@@ -73,7 +49,7 @@ def fit(samples: Sequence[FreeEnergySample], basis: FitBasis | None = None) -> F
         raise ValueError("duplicate eps values in samples")
     y = np.array([s.f for s in ordered])
 
-    design = basis.design_matrix(eps)
+    design = design_matrix(eps)
     norms = np.linalg.norm(design, axis=0)
     scaled = design / norms
     condition = float(np.linalg.cond(scaled))
@@ -86,12 +62,11 @@ def fit(samples: Sequence[FreeEnergySample], basis: FitBasis | None = None) -> F
     rms = float(np.sqrt(np.mean(residuals**2)))
 
     slope = None
-    four_term = ExpansionCoefficients(*coef[:4], scenario="fit", provenance="fitted")
     try:
-        slope = residual_slope(ordered, four_term)
+        slope = residual_slope(ordered, ExpansionCoefficients(*coef[:4]))
     except ValueError:
         pass
-    return FitResult(basis=basis, coefficients=tuple(float(c) for c in coef),
+    return FitResult(coefficients=tuple(float(c) for c in coef),
                      residual_rms=rms, condition_estimate=condition, residual_slope=slope)
 
 

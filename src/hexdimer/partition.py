@@ -14,8 +14,8 @@ from math import fsum, log
 
 import numpy as np
 
-from .asymptotics import (CONVENTION_FINITE, CONVENTION_POSITIVE, ExpansionCoefficients,
-                          _require_sides, coeffs_finite, coeffs_infinite, coeffs_sliced)
+from .asymptotics import (ExpansionCoefficients, _require_sides, coeffs_finite, coeffs_infinite,
+                          coeffs_sliced)
 from .errors import ConvergenceError
 from .shapes import INFINITE, BoxShape
 from .specialfn import chi
@@ -133,6 +133,11 @@ def log_z_sliced(m: int, n: int, phi: PhiFunction, eps: float) -> float:
     return 0.0 - total  # not -total: an all-zero sum gives 0, not -0
 
 
+# the signs free_energy_value applies; Scenario.convention names its own
+CONVENTION_FINITE = "f = -ln(Z)/V"
+CONVENTION_POSITIVE = "f = +ln(Z)/V"
+
+
 def free_energy_value(shape: BoxShape, q: float) -> float:
     """Free energy per site from the exact product formulas (uniform weight)."""
     if shape.is_finite:
@@ -220,15 +225,22 @@ class Scenario:
 
     def box(self, eps: float) -> BoxShape:
         """The lattice box at mesh eps: a/eps, b/eps and, for the finite box,
-        c/eps must be integers within _LATTICE_TOL."""
+        c/eps must be positive integers within _LATTICE_TOL."""
         if not eps > 0:
             raise ValueError("mesh eps must be positive")
         lattice = []
         for name, x in (("a", self.a), ("b", self.b), ("c", self.c)):
+            if x == INFINITE:
+                lattice.append(INFINITE)
+                continue
             ratio = x / eps
-            if x != INFINITE and abs(ratio - round(ratio)) > _LATTICE_TOL:
+            steps = round(ratio)
+            if abs(ratio - steps) > _LATTICE_TOL:
                 raise ValueError(f"{name}/eps = {ratio} is not an integer within {_LATTICE_TOL}")
-            lattice.append(INFINITE if x == INFINITE else round(ratio))
+            if steps == 0:
+                raise ValueError(f"{name}/eps = {ratio} rounds to 0 lattice steps; "
+                                 f"the side must span at least one")
+            lattice.append(steps)
         return BoxShape(*lattice)
 
     def free_energy(self, eps: float) -> float:

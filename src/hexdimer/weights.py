@@ -56,25 +56,6 @@ class PhiFunction:
         return float(np.min(np.asarray(self(grid), dtype=float)))
 
 
-class ConstantPhi(PhiFunction):
-    def __init__(self, c: float):
-        if not (math.isfinite(c) and c > 0):
-            raise ValueError(f"constant phi must be finite and positive; got {c}")
-        self.c = float(c)
-        self.id = f"const:{self.c:g}"
-
-    def __call__(self, t):
-        return self.c + 0.0 * np.asarray(t, dtype=float)
-
-    def d1(self, t):
-        return 0.0 * np.asarray(t, dtype=float)
-
-    d2 = d1
-
-    def antiderivative(self, t):
-        return self.c * np.asarray(t, dtype=float)
-
-
 class LinearPhi(PhiFunction):
     """phi(t) = alpha + beta * t."""
 
@@ -97,6 +78,16 @@ class LinearPhi(PhiFunction):
     def antiderivative(self, t):
         t = np.asarray(t, dtype=float)
         return self.alpha * t + self.beta * t * t / 2.0
+
+
+class ConstantPhi(LinearPhi):
+    """phi(t) = c, the linear profile with beta = 0."""
+
+    def __init__(self, c: float):
+        if not (math.isfinite(c) and c > 0):
+            raise ValueError(f"constant phi must be finite and positive; got {c}")
+        super().__init__(c, 0.0)
+        self.id = f"const:{self.alpha:g}"
 
 
 class CosinePhi(PhiFunction):

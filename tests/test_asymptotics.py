@@ -6,8 +6,6 @@ import pytest
 
 from hexdimer import (
     BoxShape,
-    CONVENTION_FINITE,
-    CONVENTION_POSITIVE,
     ConstantPhi,
     CosinePhi,
     ExpansionCoefficients,
@@ -37,7 +35,6 @@ def test_finite_f0_symmetric_cube():
     expected = (3 * li(3, exp(-1.0)) - 3 * li(3, exp(-2.0)) + li(3, exp(-3.0)) - zeta3()) / 6.0
     assert abs(c.f0 - expected) < 1e-15
     assert c.f1 == 0.0
-    assert c.convention == CONVENTION_FINITE
 
 
 def test_finite_f0_permutation_symmetric():
@@ -63,7 +60,6 @@ def test_infinite_coefficients():
     expected_f0 = zeta3() + li(3, exp(-2.0)) - 2 * li(3, exp(-1.0))
     assert abs(c.f0 - expected_f0) < 1e-15
     assert c.f1 == 0.0
-    assert c.convention == CONVENTION_POSITIVE
     for (a, b) in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0)):
         assert 12 * a * b * coeffs_infinite(a, b).f2 == pytest.approx(1.0, abs=1e-15)
 
@@ -91,7 +87,7 @@ def test_log_series_identity():
 
 
 def test_predictor_basics():
-    c = ExpansionCoefficients(1.0, 0.0, 0.0, 0.0, scenario="finite")
+    c = ExpansionCoefficients(1.0, 0.0, 0.0, 0.0)
     assert predict_free_energy(c, 0.5) == 1.0
     cf = coeffs_finite(1.0, 1.0, 1.0)
     assert abs(predict_free_energy(cf, 1e-9) - cf.f0) < 1e-12
@@ -134,7 +130,6 @@ def test_constant_phi_reduction():
         assert sliced.f1 == infinite.f1 == 0.0
         assert abs(sliced.f2 - infinite.f2) < 1e-12
         assert abs(sliced.f3 - infinite.f3) < 1e-12
-        assert sliced.convention == CONVENTION_POSITIVE
 
 
 def test_sliced_scaled_constant_reduction():

@@ -6,6 +6,7 @@ import pytest
 
 from hexdimer import ConvergenceError, partition, specialfn
 from hexdimer.cli import main
+from hexdimer.fitting import BASIS_NAMES
 
 from _reference import TABLE1, UNIVERSAL_CONSTANT
 
@@ -164,6 +165,13 @@ def test_tol_override_is_unrecognised(argv, capsys):
     # q outside (0, 1] is named before ln q is taken for the eps column
     (("free-energy", "--M", "2", "--N", "2", "--K", "2", "--q", "0"), "q must be in (0, 1]"),
     (("free-energy", "--M", "2", "--N", "2", "--K", "2", "--q", "-0.5"), "q must be in (0, 1]"),
+    # a side far below the mesh is named as the scaled side, not as a lattice box
+    (("free-energy", "--a", "1e-10", "--b", "1", "--inv-eps", "1"), "a/eps = 1e-10 rounds to 0"),
+    (("free-energy", "--a", "1", "--b", "1", "--c", "1e-10", "--inv-eps", "1"),
+     "c/eps = 1e-10 rounds to 0"),
+    # a side whose e^(-side) rounds to 1 is named, not a math domain error
+    (("coeffs", "--scenario", "infinite", "--a", "1e-17", "--b", "1"), "side a = 1e-17"),
+    (("coeffs", "--scenario", "finite", "--a", "1", "--b", "1", "--c", "1e-17"), "side c = 1e-17"),
 ])
 def test_usage_errors_name_the_flag(argv, flag, capsys):
     code, out, err = run(capsys, *argv)
@@ -283,6 +291,16 @@ def test_fit_reports_why_the_analytic_column_is_blank(monkeypatch, capsys):
     # the fitted rows are kept as they were; only the analytic columns are blank
     assert [r[:2] for r in rows(out)] == [r[:2] for r in rows(plain)]
     assert all(r[2:] == ["", ""] for r in rows(out)) and len(rows(out)) == 6
+
+
+def test_fit_and_table1_name_the_same_basis(capsys):
+    code, out, _ = run(capsys, "fit", "--scenario", "infinite", "--a", "2", "--b", "1",
+                       "--inv-eps-min", "2", "--inv-eps-max", "40", "--json")
+    assert code == 0
+    assert tuple(row[0] for row in json.loads(out)["rows"]) == BASIS_NAMES
+    code, out, _ = run(capsys, "table1", "--row", "linear:1,0.5:1,3")
+    assert code == 0
+    assert f"# basis: {','.join(BASIS_NAMES)}" in out.splitlines()
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

@@ -1,0 +1,26 @@
+"""tools/compare_cli.py reports SAME for one tree against itself and DIFF,
+naming what differs, against a tree whose CLI prints something else."""
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = importlib.util.spec_from_file_location("compare_cli", ROOT / "tools" / "compare_cli.py")
+compare_cli = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(compare_cli)
+
+INVOCATION = ("partition", "--M", "1", "--N", "1", "--K", "2", "--q", "0.5",
+              "--out", compare_cli.OUT)
+
+
+def test_same_tree_is_same_and_other_output_is_a_diff(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(compare_cli, "INVOCATIONS", (INVOCATION,))
+    src = str(ROOT / "src")
+    assert compare_cli.main([src, src]) == 0
+    assert capsys.readouterr().out.startswith("SAME: hexdimer partition")
+
+    fake = tmp_path / "hexdimer"
+    fake.mkdir()
+    (fake / "__init__.py").write_text("")
+    (fake / "cli.py").write_text("print('not the same')\n")
+    assert compare_cli.main([src, str(tmp_path)]) == 1
+    assert capsys.readouterr().out.startswith("DIFF (stdout, file): hexdimer partition")

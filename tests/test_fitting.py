@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hexdimer import (
     ExpansionCoefficients,
-    FitBasis,
     FreeEnergySample,
     IllConditionedBasisError,
     coeffs_infinite,
@@ -18,16 +17,16 @@ from hexdimer import (
     grid_samples,
     residual_slope,
 )
+from hexdimer import fitting
 
 from _reference import TABLE1
 
 
 def synth_samples(coeffs, inv_min=2, inv_max=80):
-    basis = FitBasis.default()
     out = []
     for t in range(inv_min, inv_max + 1):
         eps = 1.0 / t
-        row = basis.design_matrix(np.array([eps]))[0]
+        row = fitting.design_matrix(np.array([eps]))[0]
         out.append(FreeEnergySample(t, eps, float(row @ np.asarray(coeffs))))
     return out
 
@@ -72,21 +71,12 @@ def test_fit_guards():
         fit(dup)
 
 
-def test_ill_conditioned_basis_rejected():
-    bad = FitBasis(
-        names=("1", "x", "x_again", "eps2", "eps3", "eps4"),
-        terms=(
-            lambda e: np.ones_like(e),
-            lambda e: e,
-            lambda e: e * (1 + 1e-14),
-            lambda e: e**2,
-            lambda e: e**3,
-            lambda e: e**4,
-        ),
-    )
+def test_ill_conditioned_basis_rejected(monkeypatch):
     samples = synth_samples((0.1, 0.2, 0, 0.3, 0, 0), inv_min=2, inv_max=40)
-    with pytest.raises(IllConditionedBasisError):
-        fit(samples, basis=bad)
+    condition = fit(samples).condition_estimate
+    monkeypatch.setattr(fitting, "CONDITION_LIMIT", 0.5 * condition)
+    with pytest.raises(IllConditionedBasisError, match="condition estimate"):
+        fit(samples)
 
 
 def test_infinite_height_fit_against_analytic():
@@ -113,7 +103,7 @@ def test_sliced_fit_against_reference_row():
 
 def test_residual_slope_synthetic_powers():
     # residual c*eps^3 against a 4-term model with only f0 set
-    coeffs = ExpansionCoefficients(0.3, 0.0, 0.0, 0.0, scenario="fit")
+    coeffs = ExpansionCoefficients(0.3, 0.0, 0.0, 0.0)
     samples = [FreeEnergySample(t, 1.0 / t, 0.3 + 2.0 * (1.0 / t) ** 3)
                for t in range(20, 201, 6)]
     slope = residual_slope(samples, coeffs)
@@ -121,7 +111,7 @@ def test_residual_slope_synthetic_powers():
 
 
 def test_residual_slope_guards():
-    coeffs = ExpansionCoefficients(0.3, 0.0, 0.0, 0.0, scenario="fit")
+    coeffs = ExpansionCoefficients(0.3, 0.0, 0.0, 0.0)
     few = [FreeEnergySample(t, 1.0 / t, 0.3 + (1.0 / t) ** 3) for t in range(20, 28)]
     with pytest.raises(ValueError):
         residual_slope(few, coeffs)

@@ -31,6 +31,11 @@ def test_scaled_shape_lattice_consistency():
         Scenario("infinite", 1.5, 1.0).box(1.0)
     with pytest.raises(ValueError, match="c/eps"):
         Scenario("finite", 1.0, 2.0, 3.5).box(1.0)
+    # within the integer tolerance of 0, but not a lattice side
+    with pytest.raises(ValueError, match=r"a/eps = 1e-10 rounds to 0 lattice steps"):
+        Scenario("infinite", 1e-10, 1.0).box(1.0)
+    with pytest.raises(ValueError, match=r"c/eps = 1e-10 rounds to 0 lattice steps"):
+        Scenario("finite", 1.0, 2.0, 1e-10).box(1.0)
     for eps in (0.0, -0.1, math.nan):
         with pytest.raises(ValueError, match="mesh eps must be positive"):
             Scenario("finite", 1.0, 2.0, 3.0).box(eps)

@@ -1,0 +1,91 @@
+"""Compare the hexdimer command line of two source trees, byte for byte.
+
+    python tools/compare_cli.py PARENT_SRC CHANGE_SRC
+
+Each argument is a directory that holds the ``hexdimer`` package (the ``src``
+directory of a checkout).  Every invocation in INVOCATIONS runs as
+``python -m hexdimer.cli ...`` in a fresh subprocess, with PYTHONPATH set to
+one tree and a fresh scratch directory as its working directory.  Its stdout,
+stderr, exit code and the file that ``--out`` writes are compared.  One SAME
+or DIFF line is printed per invocation, a DIFF naming what differs.  The exit
+code is 0 when every invocation is the same, 1 when any differs and 2 on a
+usage error.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+OUT = "out.txt"  # the --out file, relative to the scratch directory
+
+_FINITE = ("--scenario", "finite", "--a", "1", "--b", "2", "--c", "3")
+_CUBE = ("--scenario", "finite", "--a", "1", "--b", "1", "--c", "1")
+_INFINITE = ("--scenario", "infinite", "--a", "2", "--b", "1")
+_SLICED = ("--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "cosine")
+_GRID = ("--inv-eps-min", "2", "--inv-eps-max", "100")
+_SLICED_GRID = ("--inv-eps-min", "2", "--inv-eps-max", "200")
+
+INVOCATIONS = (
+    ("coeffs", *_FINITE),
+    ("coeffs", *_CUBE, "--json"),
+    ("coeffs", *_INFINITE),
+    ("coeffs", *_INFINITE, "--json"),
+    ("coeffs", *_SLICED),
+    ("coeffs", *_SLICED, "--json"),
+    ("fit", *_FINITE, *_GRID),
+    ("fit", *_CUBE, *_GRID, "--json"),
+    ("fit", *_INFINITE, *_GRID),
+    ("fit", *_INFINITE, *_GRID, "--json"),
+    ("fit", *_SLICED, *_SLICED_GRID),
+    ("fit", *_SLICED, *_SLICED_GRID, "--json"),
+    ("table1",),
+    ("table1", "--row", "linear:2,0.5:2,3", "--json"),
+    ("verify",),
+    ("constant",),
+    ("partition", "--M", "3", "--N", "4", "--K", "5", "--q", "0.7"),
+    ("partition", "--M", "3", "--N", "4", "--K", "inf", "--q", "0.7", "--json"),
+    ("partition", "--a", "1", "--b", "3", "--phi", "cosine", "--inv-eps", "40"),
+    ("free-energy", "--M", "3", "--N", "4", "--K", "5", "--q", "0.7"),
+    ("free-energy", "--a", "1", "--b", "2", "--c", "3", "--inv-eps", "10"),
+    ("free-energy", "--a", "1", "--b", "3", "--phi", "cosine", "--inv-eps", "25"),
+    ("free-energy", "--a", "1", "--b", "1", "--c", "1", *_GRID, "--out", OUT),
+    ("free-energy", "--a", "1", "--b", "3", "--phi", "cosine", *_SLICED_GRID, "--out", OUT),
+)
+
+
+def run(src: Path, argv: tuple[str, ...]) -> dict:
+    """stdout, stderr, exit code and --out file of one invocation on one tree."""
+    with tempfile.TemporaryDirectory() as workdir:
+        proc = subprocess.run([sys.executable, "-m", "hexdimer.cli", *argv], cwd=workdir,
+                              env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True)
+        out = Path(workdir, OUT)
+        return {"stdout": proc.stdout, "stderr": proc.stderr, "exit code": proc.returncode,
+                "file": out.read_bytes() if out.is_file() else None}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Compare the hexdimer CLI of two source trees.")
+    parser.add_argument("parent_src", type=Path, help="directory holding the parent's hexdimer")
+    parser.add_argument("change_src", type=Path, help="directory holding the change's hexdimer")
+    args = parser.parse_args(argv)
+    trees = [src.resolve() for src in (args.parent_src, args.change_src)]
+    for src in trees:
+        if not (src / "hexdimer" / "cli.py").is_file():
+            parser.error(f"{src} holds no hexdimer package")
+    differ = 0
+    for invocation in INVOCATIONS:
+        parent, change = (run(src, invocation) for src in trees)
+        diffs = [key for key in parent if parent[key] != change[key]]
+        status = f"DIFF ({', '.join(diffs)})" if diffs else "SAME"
+        print(f"{status}: hexdimer {' '.join(invocation)}", flush=True)
+        differ += bool(diffs)
+    print(f"{len(INVOCATIONS) - differ} same, {differ} different")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
