@@ -14,7 +14,6 @@ from .asymptotics import (
 )
 from .enumeration import (
     energy_histogram,
-    enumerate_configs,
     oracle_partition,
 )
 from .errors import (

@@ -61,8 +61,14 @@ def log_ratio_three(a: float, b: float, c: float) -> float:
             - log1p(-exp(-a - b)) - log1p(-exp(-b - c)) - log1p(-exp(-a - c)))
 
 
-def _require_sides(**sides: float) -> None:
-    # an infinite side would silently give zero or nan coefficients
+def _require_sides(a: float, b: float, c: float | None = None) -> None:
+    """Check scaled sides for the closed forms; c is None for infinite height.
+
+    An infinite side, or an area so large that the closed forms' divisor
+    (12 ab, or 24(ab + bc + ca) for the finite box) overflows, would silently
+    give zero or nan coefficients.
+    """
+    sides = {"a": a, "b": b} if c is None else {"a": a, "b": b, "c": c}
     for name, value in sides.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"side {name} must be finite and positive, got {value}")
@@ -70,11 +76,18 @@ def _require_sides(**sides: float) -> None:
         if exp(-value) == 1.0:
             raise ValueError(f"side {name} = {value} is too small: e^(-{name}) rounds to 1 "
                              f"in floating point, so ln(1 - e^(-{name})) cannot be formed")
+    if c is None:
+        area, name, factor = a * b, "ab", 12.0
+    else:
+        area, name, factor = a * b + b * c + a * c, "ab+bc+ca", 24.0
+    if not math.isfinite(factor * area):
+        raise ValueError(f"sides too large: {name} = {area}, and the closed forms divide by "
+                         f"{factor:g}({name}), which overflows")
 
 
 def coeffs_finite(a: float, b: float, c: float) -> ExpansionCoefficients:
     """Finite box, convention f = -ln Z/V."""
-    _require_sides(a=a, b=b, c=c)
+    _require_sides(a, b, c)
     s = a * b + b * c + a * c
     f0 = (li(3, exp(-a)) + li(3, exp(-b)) + li(3, exp(-c))
           - li(3, exp(-a - b)) - li(3, exp(-b - c)) - li(3, exp(-a - c))
@@ -87,7 +100,7 @@ def coeffs_finite(a: float, b: float, c: float) -> ExpansionCoefficients:
 
 def coeffs_infinite(a: float, b: float) -> ExpansionCoefficients:
     """Infinite-height box, convention f = +ln Z/V."""
-    _require_sides(a=a, b=b)
+    _require_sides(a, b)
     ab = a * b
     f0 = (zeta3() + li(3, exp(-a - b)) - li(3, exp(-a)) - li(3, exp(-b))) / ab
     iq = universal_constant()
@@ -281,7 +294,7 @@ def sliced_f3(a: float, b: float, phi: PhiFunction) -> float:
 
 def coeffs_sliced(a: float, b: float, phi: PhiFunction) -> ExpansionCoefficients:
     """Slice-weighted infinite-height box, convention f = +ln Z/V."""
-    _require_sides(a=a, b=b)
+    _require_sides(a, b)
     f0 = sliced_f0(a, b, phi)
     f2 = 1.0 / (12.0 * a * b)
     return ExpansionCoefficients(f0, 0.0, f2, sliced_f3(a, b, phi))

@@ -1,13 +1,14 @@
 """Brute-force configuration enumeration: the ground-truth partition oracle.
 
 Configurations are monotone height tables h[i][j] <= min(h[i-1][j], h[i][j-1], k)
-(boxed plane partitions).  The enumeration is lexicographic over row-major
-cells with an O(1) per-cell bound, so the output order is deterministic.
+(boxed plane partitions).  energy_histogram walks them lexicographically over
+row-major cells with an O(1) per-cell bound, counting each configuration at
+its number of cubes; oracle_partition sums q^(cubes) over that count.
 """
 from __future__ import annotations
 
+from itertools import chain, repeat
 from math import fsum
-from typing import Iterator
 
 from .errors import OracleSizeError
 from .shapes import BoxShape
@@ -45,43 +46,46 @@ def _check_guard(shape: BoxShape) -> None:
             f"more than {MAX_CONFIGS}")
 
 
-def enumerate_configs(shape: BoxShape) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every monotone height table, as a tuple of m rows, exactly once,
-    lexicographically."""
+def energy_histogram(shape: BoxShape) -> dict[int, int]:
+    """Number of configurations at each energy (the number of cubes, the sum of
+    the heights), in ascending energy; Z is its generating polynomial.
+
+    The walk visits every configuration once, lexicographically over row-major
+    cells, and carries only the running cube count: no table is built per
+    configuration.
+    """
     _check_guard(shape)
-    m, n, k = shape.m, shape.n, shape.k
-    grid = [[0] * n for _ in range(m)]
+    n, k = shape.n, shape.k
+    last = shape.m * n - 1
+    grid = [0] * (last + 1)  # the current table, row-major
+    counts = [0] * (shape.m * n * k + 1)  # configurations per energy 0..mnk
 
-    def fill(cell: int):
-        if cell == m * n:
-            yield tuple(tuple(row) for row in grid)
-            return
-        i, j = divmod(cell, n)
+    def fill(cell: int, energy: int) -> None:
         bound = k
-        if i > 0:
-            bound = min(bound, grid[i - 1][j])
-        if j > 0:
-            bound = min(bound, grid[i][j - 1])
+        if cell >= n:
+            bound = min(bound, grid[cell - n])
+        if cell % n:
+            bound = min(bound, grid[cell - 1])
+        if cell == last:
+            for h in range(energy, energy + bound + 1):
+                counts[h] += 1
+            return
         for h in range(bound + 1):
-            grid[i][j] = h
-            yield from fill(cell + 1)
-        grid[i][j] = 0
+            grid[cell] = h
+            fill(cell + 1, energy + h)
 
-    yield from fill(0)
+    fill(0, 0)
+    return {e: c for e, c in enumerate(counts) if c}
 
 
 def oracle_partition(shape: BoxShape, q: float) -> float:
-    """Z(q) = sum over configurations of q^(number of cubes), by direct enumeration."""
+    """Z(q) = sum over configurations of q^(number of cubes), by direct enumeration.
+
+    The sum is math.fsum over the multiset of terms, q^e repeated once per
+    configuration at energy e; fsum is correctly rounded, so the order of the
+    terms cannot change the result.
+    """
     if not (0.0 < q <= 1.0):
         raise ValueError(f"q must be in (0, 1], got {q}")
-    return fsum(q ** sum(map(sum, h)) for h in enumerate_configs(shape))
-
-
-def energy_histogram(shape: BoxShape) -> dict[int, int]:
-    """Number of configurations at each energy (the number of cubes, the sum of
-    the heights); Z is its generating polynomial."""
-    hist: dict[int, int] = {}
-    for h in enumerate_configs(shape):
-        e = sum(map(sum, h))
-        hist[e] = hist.get(e, 0) + 1
-    return hist
+    return fsum(chain.from_iterable(repeat(q ** e, count)
+                                    for e, count in energy_histogram(shape).items()))

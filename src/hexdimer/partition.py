@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import fsum, log
+from math import log
 
 import numpy as np
 
@@ -67,7 +67,7 @@ def log_z_macmahon(shape: BoxShape, q: float) -> float:
         q_t2 = np.exp((t - 2.0) * log(q))
         # ln[(1-q^{t-1})/(1-q^{t-2})] = log1p(q^{t-2}(1-q)/(1-q^{t-2}))
         terms = np.log1p(q_t2 * (1.0 - q) / (1.0 - q_t2))
-    return fsum(mult * terms)
+    return exact_sum(mult * terms)
 
 
 def log_z_infinite(shape: BoxShape, q: float) -> float:
@@ -79,7 +79,7 @@ def log_z_infinite(shape: BoxShape, q: float) -> float:
     m, n = shape.m, shape.n
     s = np.arange(1, m + n, dtype=float)
     mult = np.minimum.reduce([s, np.full_like(s, m), np.full_like(s, n), m + n - s])
-    return -fsum(mult * np.log1p(-np.exp(s * log(q))))
+    return -exact_sum(mult * np.log1p(-np.exp(s * log(q))))
 
 
 def sliced_log_weight_exponents(m: int, n: int, phi: PhiFunction, eps: float) -> np.ndarray:
@@ -207,11 +207,12 @@ class Scenario:
         if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario {self.kind!r}; expected one of "
                              f"{', '.join(SCENARIO_KINDS)}")
-        _require_sides(a=self.a, b=self.b)
         if self.kind == "finite":
-            _require_sides(c=self.c)
-        elif self.c != INFINITE:
-            raise ValueError(f"the {self.kind} scenario has infinite height; got c = {self.c}")
+            _require_sides(self.a, self.b, self.c)
+        else:
+            _require_sides(self.a, self.b)
+            if self.c != INFINITE:
+                raise ValueError(f"the {self.kind} scenario has infinite height; got c = {self.c}")
         if self.kind == "sliced":
             if self.phi is None:
                 raise ValueError("the sliced scenario needs a phi function")
@@ -234,6 +235,8 @@ class Scenario:
                 lattice.append(INFINITE)
                 continue
             ratio = x / eps
+            if not math.isfinite(ratio):
+                raise ValueError(f"{name}/eps = {ratio}: the side is too large for mesh {eps}")
             steps = round(ratio)
             if abs(ratio - steps) > _LATTICE_TOL:
                 raise ValueError(f"{name}/eps = {ratio} is not an integer within {_LATTICE_TOL}")

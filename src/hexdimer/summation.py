@@ -1,9 +1,10 @@
 """Exact accumulation: a vectorised correctly rounded sum and a streaming one.
 
-exact_sum serves arrays that are all in hand: one error-free extraction level
-per block and a rigorous bound on the rest decide the rounding, and sums that
-lie too near a rounding boundary go to math.fsum.  NeumaierSum serves
-streaming loops with a data-dependent stopping rule.
+exact_sum serves arrays that are all in hand.  Up to _FSUM_MAX values it is
+math.fsum over the values as a list; above that, one error-free extraction
+level per block and a rigorous bound on the rest decide the rounding, and
+sums that lie too near a rounding boundary go to math.fsum.  NeumaierSum
+serves streaming loops with a data-dependent stopping rule.
 """
 import math
 
@@ -13,6 +14,14 @@ _BLOCK = 1 << 15          # elements per extraction block (cache resident)
 _HUGE = math.ldexp(1.0, 900)
 _TINY = math.ldexp(1.0, -900)
 _U = math.ldexp(1.0, -53)  # unit roundoff
+# up to this many values, math.fsum over a list is faster than the extraction,
+# whose fixed cost is about 10 us
+_FSUM_MAX = 256
+
+
+def _fsum(x: np.ndarray) -> float:
+    """math.fsum over the values of x (a list reads faster than numpy scalars)."""
+    return math.fsum(x.tolist())
 
 
 def _split_level(x: np.ndarray, p: np.ndarray, q: np.ndarray, parts: list) -> float | None:
@@ -58,9 +67,12 @@ def exact_sum(values) -> float:
     the exact total rounded to nearest, as math.fsum over the values would
     give.  Otherwise (the total lies within B of a rounding boundary, or is
     zero) math.fsum sums the values themselves.  The input is never written.
-    Arrays holding inf, nan or magnitudes above 2^900 go to math.fsum whole.
+    Arrays of at most _FSUM_MAX values, and arrays holding inf, nan or
+    magnitudes above 2^900, go to math.fsum whole.
     """
     x = np.asarray(values, dtype=float).ravel()
+    if x.size <= _FSUM_MAX:
+        return _fsum(x)
     size = min(x.size, _BLOCK)
     p, q = np.empty(size), np.empty(size)
     parts, rests, slack = [], [], []
@@ -69,7 +81,7 @@ def exact_sum(values) -> float:
         k = block.size
         sigma = _split_level(block, p[:k], q[:k], parts)
         if sigma is None:
-            return math.fsum(x)
+            return _fsum(x)
         if sigma:
             rests.append(float(p[:k].sum()))
             slack.append(k * k * _U * _U * sigma)  # exact: k < 2^16
@@ -79,7 +91,7 @@ def exact_sum(values) -> float:
     low = math.fsum(parts + rests + [-bound])
     if low == math.fsum(parts + rests + [bound]):
         return low
-    return math.fsum(x)
+    return _fsum(x)
 
 
 class NeumaierSum:

@@ -249,3 +249,20 @@ def test_nonfinite_sides_rejected(bad):
             coeffs_infinite(*args)
         with pytest.raises(ValueError, match="finite"):
             coeffs_sliced(*args, CosinePhi())
+
+
+def test_overflowing_area_rejected():
+    # the closed forms divide by 12 ab, or 24(ab + bc + ca); an overflow there
+    # would print zeros
+    with pytest.raises(ValueError, match=r"ab\+bc\+ca = inf"):
+        coeffs_finite(1e200, 1e200, 1.0)
+    with pytest.raises(ValueError, match="which overflows"):
+        coeffs_finite(1e154, 1e154, 1.0)
+    for a, b in ((1e200, 1e200), (1e308, 3.0), (1e307, 15.0)):
+        with pytest.raises(ValueError, match=r"ab = "):
+            coeffs_infinite(a, b)
+        with pytest.raises(ValueError, match=r"ab = "):
+            coeffs_sliced(a, b, CosinePhi())
+    # just inside: every coefficient but f1 is finite and nonzero
+    c = coeffs_infinite(1e307, 1.0)
+    assert all(math.isfinite(v) and v != 0.0 for v in (c.f0, c.f2, c.f3))

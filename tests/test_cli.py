@@ -106,6 +106,26 @@ def test_free_energy_rejects_infinite_side(capsys):
     assert "side a" in err and out == ""
 
 
+@pytest.mark.parametrize("argv,match", [
+    # the closed forms' divisor overflows; Scenario rejects the sides before any box
+    (("free-energy", "--a", "1e308", "--b", "1", "--c", "1", "--inv-eps", "10"), "ab+bc+ca = inf"),
+    (("partition", "--a", "1e308", "--b", "3", "--phi", "cosine", "--inv-eps", "2"), "ab = inf"),
+    (("coeffs", "--scenario", "infinite", "--a", "1e200", "--b", "1e200"), "ab = inf"),
+    (("coeffs", "--scenario", "finite", "--a", "1e200", "--b", "1e200", "--c", "1"),
+     "ab+bc+ca = inf"),
+    (("coeffs", "--scenario", "sliced", "--a", "1e200", "--b", "1e200", "--phi", "cosine"),
+     "ab = inf"),
+    # admissible sides whose lattice box at this mesh is infinite
+    (("free-energy", "--a", "1e307", "--b", "1", "--inv-eps", "100"), "a/eps = inf"),
+    (("partition", "--a", "1e300", "--b", "1e-10", "--phi", "const:1", "--inv-eps", "1000000000"),
+     "a/eps = inf"),
+])
+def test_overflowing_sides_are_rejected(capsys, argv, match):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and match in err
+
+
 @pytest.mark.parametrize("argv", [
     ("partition", "--M", "1", "--N", "1", "--K", "1", "--q", "0.5"),
     ("free-energy", "--M", "1", "--N", "1", "--K", "1", "--q", "0.5"),

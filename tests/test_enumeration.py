@@ -1,3 +1,7 @@
+import functools
+import math
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,13 +11,51 @@ from hexdimer import (
     INFINITE,
     OracleSizeError,
     energy_histogram,
-    enumerate_configs,
     oracle_partition,
 )
 from hexdimer import enumeration
-from hexdimer.enumeration import MAX_CONFIGS, config_count
+from hexdimer.enumeration import MAX_CELLS, MAX_CONFIGS, MAX_HEIGHT, config_count
 
 from _reference import boxed_plane_partition_count
+
+
+def enumerate_configs(shape):
+    """Yield every monotone height table, as a tuple of m rows, exactly once,
+    lexicographically over row-major cells (the listing the library counts)."""
+    m, n, k = shape.m, shape.n, shape.k
+    grid = [[0] * n for _ in range(m)]
+
+    def fill(cell):
+        if cell == m * n:
+            yield tuple(tuple(row) for row in grid)
+            return
+        i, j = divmod(cell, n)
+        bound = k
+        if i > 0:
+            bound = min(bound, grid[i - 1][j])
+        if j > 0:
+            bound = min(bound, grid[i][j - 1])
+        for h in range(bound + 1):
+            grid[i][j] = h
+            yield from fill(cell + 1)
+        grid[i][j] = 0
+
+    yield from fill(0)
+
+
+# every box the guard admits with at most 20,000 configurations: 295 boxes
+LISTED_BOXES = [(m, n, k) for m in range(1, MAX_CELLS + 1) for n in range(1, MAX_CELLS // m + 1)
+                for k in range(1, MAX_HEIGHT + 1) if config_count(BoxShape(m, n, k)) <= 20_000]
+
+
+@functools.cache
+def listed_energies(m, n, k):
+    """The number of cubes of each listed configuration, in listing order."""
+    return tuple(sum(map(sum, h)) for h in enumerate_configs(BoxShape(m, n, k)))
+
+
+def same_bits(x: float, y: float) -> bool:
+    return struct.pack("<d", x) == struct.pack("<d", y)
 
 
 def is_valid_config(shape, heights) -> bool:
@@ -106,15 +148,17 @@ def test_oracle_monotone_in_sides(m, n, k, q):
 
 
 def test_size_guard(monkeypatch):
-    with pytest.raises(OracleSizeError):
-        list(enumerate_configs(BoxShape(5, 4, 2)))
-    with pytest.raises(OracleSizeError):
-        list(enumerate_configs(BoxShape(2, 2, 9)))
-    with pytest.raises(OracleSizeError):
-        list(enumerate_configs(BoxShape(2, 2, INFINITE)))
+    for walk in (energy_histogram, lambda shape: oracle_partition(shape, 0.5)):
+        with pytest.raises(OracleSizeError):
+            walk(BoxShape(5, 4, 2))
+        with pytest.raises(OracleSizeError):
+            walk(BoxShape(2, 2, 9))
+        with pytest.raises(OracleSizeError):
+            walk(BoxShape(2, 2, INFINITE))
     # the guard reads the module constants
     monkeypatch.setattr(enumeration, "MAX_CELLS", 20)
-    assert sum(1 for _ in enumerate_configs(BoxShape(5, 4, 1))) > 0
+    assert sum(energy_histogram(BoxShape(5, 4, 1)).values()) == config_count(BoxShape(5, 4, 1))
+    assert oracle_partition(BoxShape(5, 4, 1), 1.0) == config_count(BoxShape(5, 4, 1))
 
 
 @pytest.mark.parametrize("m,n,k", [(4, 4, 8), (2, 8, 8), (4, 4, 5)])
@@ -122,7 +166,9 @@ def test_size_guard_on_exact_count(m, n, k):
     # inside the cell and height limits, but more than MAX_CONFIGS configurations
     assert config_count(BoxShape(m, n, k)) > MAX_CONFIGS
     with pytest.raises(OracleSizeError, match="configurations"):
-        next(enumerate_configs(BoxShape(m, n, k)))
+        energy_histogram(BoxShape(m, n, k))
+    with pytest.raises(OracleSizeError, match="configurations"):
+        oracle_partition(BoxShape(m, n, k), 0.5)
 
 
 @pytest.mark.parametrize("m,n,k", [(1, 1, 1), (2, 3, 4), (4, 4, 4), (2, 8, 3), (5, 4, 1)])
@@ -133,3 +179,20 @@ def test_config_count_matches_product_formula(m, n, k):
 def test_oracle_q_domain():
     with pytest.raises(ValueError):
         oracle_partition(BoxShape(1, 1, 1), 1.5)
+
+
+def test_energy_histogram_matches_listing():
+    for m, n, k in LISTED_BOXES:
+        listed = {}
+        for e in listed_energies(m, n, k):
+            listed[e] = listed.get(e, 0) + 1
+        hist = energy_histogram(BoxShape(m, n, k))
+        assert hist == listed and list(hist) == sorted(hist), (m, n, k)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 1.0])
+def test_oracle_partition_matches_per_configuration_fsum(q):
+    # bit for bit: math.fsum over q^e, one term per listed configuration
+    for m, n, k in LISTED_BOXES:
+        want = math.fsum(q ** e for e in listed_energies(m, n, k))
+        assert same_bits(oracle_partition(BoxShape(m, n, k), q), want), (m, n, k, q)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 from math import fsum
 
 import numpy as np
@@ -24,6 +25,10 @@ from hexdimer.enumeration import config_count
 from hexdimer import partition
 from hexdimer.partition import sliced_log_weight_exponents
 from hexdimer.weights import PhiFunction, TabulatedPhi
+
+
+def same_bits(x: float, y: float) -> bool:
+    return struct.pack("<d", x) == struct.pack("<d", y)
 
 
 def test_macmahon_small_boxes():
@@ -60,6 +65,29 @@ def test_macmahon_q1_is_log_of_exact_count():
     shape = BoxShape(3, 3, 3)
     assert abs(log_z_macmahon(shape, 1.0) - math.log(oracle_partition(shape, 1.0))) < 1e-12
     assert abs(log_z_macmahon(BoxShape(4, 4, 8), 1.0) - math.log(184225041)) < 1e-14
+
+
+def test_uniform_products_match_their_fsum_expressions():
+    # the grouped terms, formed as in log_z_macmahon and log_z_infinite and
+    # summed with math.fsum: exact_sum must give the same bits
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        m, n, k = (int(v) for v in rng.integers(1, 601, 3))
+        for q in (1.0, float(rng.uniform(0.5, 1.0)), math.exp(-1.0 / int(rng.integers(2, 201)))):
+            mult = np.convolve(np.convolve(np.ones(m), np.ones(n)), np.ones(k))
+            t = np.arange(3, m + n + k + 1, dtype=float)
+            if q == 1.0:
+                terms = np.log1p(1.0 / (t - 2.0))
+            else:
+                q_t2 = np.exp((t - 2.0) * math.log(q))
+                terms = np.log1p(q_t2 * (1.0 - q) / (1.0 - q_t2))
+            assert same_bits(log_z_macmahon(BoxShape(m, n, k), q), fsum(mult * terms))
+            if q == 1.0:
+                continue
+            s = np.arange(1, m + n, dtype=float)
+            mult = np.minimum.reduce([s, np.full_like(s, m), np.full_like(s, n), m + n - s])
+            want = -fsum(mult * np.log1p(-np.exp(s * math.log(q))))
+            assert same_bits(log_z_infinite(BoxShape(m, n, INFINITE), q), want)
 
 
 def test_infinite_height_values():
@@ -300,10 +328,21 @@ def test_grid_samples_shape():
     ("sliced", 1.0, 3.0, INFINITE, None, "needs a phi"),
     ("infinite", 1.0, 1.0, INFINITE, CosinePhi(), "takes no phi"),
     ("finite", 1.0, 1.0, 1.0, CosinePhi(), "takes no phi"),
+    ("infinite", 1e200, 1e200, INFINITE, None, "ab = inf"),
+    ("sliced", 1e200, 1e200, INFINITE, CosinePhi(), "ab = inf"),
+    ("finite", 1e200, 1e200, 1.0, None, r"ab\+bc\+ca = inf"),
+    ("finite", 1e154, 1e154, 1.0, None, r"24\(ab\+bc\+ca\), which overflows"),
 ])
 def test_scenario_validation(kind, a, b, c, phi, match):
     with pytest.raises(ValueError, match=match):
         Scenario(kind, a, b, c, phi)
+
+
+def test_scenario_box_rejects_an_infinite_side_over_eps():
+    scenario = Scenario("infinite", 1e307, 1.0)
+    with pytest.raises(ValueError, match="a/eps = inf"):
+        scenario.box(0.01)
+    assert scenario.box(1.0) == BoxShape(int(1e307), 1, INFINITE)
 
 
 def test_scenario_checks_phi_on_the_box():

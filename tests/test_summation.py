@@ -42,6 +42,46 @@ def test_cancelling_copies_match_fsum(xs, seed):
     assert_matches_fsum([ys[i] for i in rng.permutation(len(ys))])
 
 
+# values that make ties and signed zeros likely: powers of two, their halves
+# and quarters of an ulp, and both zeros
+tie_floats = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0**-53, -2.0**-53, 2.0**-54, 2.0**-106])
+
+
+@st.composite
+def arrays_around_fsum_max(draw):
+    """1 to 600 values, so both sides of _FSUM_MAX are drawn: a few drawn
+    values, repeated with random signs and power-of-two scales (exact).  Some
+    sums are built to land on a rounding midpoint x + ulp(x)/2 amid
+    cancelling pairs."""
+    size = draw(st.integers(1, 600))
+    base = draw(st.lists(scaled_floats | tie_floats, min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = [math.ldexp(v, int(e)) * s for v, e, s in zip(
+        rng.choice(base, size).tolist(), rng.integers(-40, 40, size), rng.choice([-1.0, 1.0], size))]
+    if size >= 2 and draw(st.booleans()):
+        x = xs[0] or 1.0
+        pairs = xs[1:size // 2]
+        xs = [x, math.ulp(x) / 2] + pairs + [-y for y in pairs]
+        xs = [xs[i] for i in rng.permutation(len(xs))]
+    return xs
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays_around_fsum_max())
+def test_matches_fsum_either_side_of_fsum_max(xs):
+    assert summation._FSUM_MAX == 256
+    assert_matches_fsum(xs)
+
+
+@pytest.mark.parametrize("size", [255, 256, 257, 600])
+def test_signed_zeros_and_midpoints_at_fsum_max(size):
+    assert_matches_fsum([-0.0] * size)
+    assert_matches_fsum([0.0, -0.0] * (size // 2) + [-0.0] * (size % 2))
+    midpoint = [1.0, 2.0**-53] + [0.0] * (size - 2)
+    assert_matches_fsum(midpoint)
+    assert_matches_fsum(midpoint[:-1] + [2.0**-106] if size > 2 else midpoint)
+
+
 @pytest.mark.parametrize("xs", [
     [],
     [0.0],
@@ -117,9 +157,9 @@ def test_fsum_errors_carry_over(xs):
 
 def level_spy(monkeypatch):
     """Record the number of level sums each _split_level call appends, and
-    every math.fsum call made on the input array itself (the fallback)."""
+    the size of every array that _fsum sums whole (the fallback)."""
     calls, fallbacks = [], []
-    split, fsum = summation._split_level, math.fsum
+    split, fsum_whole = summation._split_level, summation._fsum
 
     def split_spy(x, p, q, parts):
         before = len(parts)
@@ -127,13 +167,12 @@ def level_spy(monkeypatch):
         calls.append(len(parts) - before)
         return sigma
 
-    def fsum_spy(xs):
-        if isinstance(xs, np.ndarray):
-            fallbacks.append(xs.size)
-        return fsum(xs)
+    def fsum_spy(x):
+        fallbacks.append(x.size)
+        return fsum_whole(x)
 
     monkeypatch.setattr(summation, "_split_level", split_spy)
-    monkeypatch.setattr(summation.math, "fsum", fsum_spy)
+    monkeypatch.setattr(summation, "_fsum", fsum_spy)
     return calls, fallbacks
 
 
@@ -162,6 +201,7 @@ def test_one_level_remainder_error_within_bound(xs):
 def test_tie_after_one_level_falls_back_and_matches_fsum(monkeypatch):
     # 1 + 2^-53 is a rounding midpoint; the 2^-106 beyond it lies in the
     # float-summed remainders, so one level cannot decide which way it rounds
+    monkeypatch.setattr(summation, "_FSUM_MAX", 0)  # 3 values would skip the split
     calls, fallbacks = level_spy(monkeypatch)
     xs = [1.0, 2.0**-53, 2.0**-106]
     got = exact_sum(np.array(xs))

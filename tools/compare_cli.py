@@ -48,11 +48,13 @@ INVOCATIONS = (
     ("constant",),
     ("partition", "--M", "3", "--N", "4", "--K", "5", "--q", "0.7"),
     ("partition", "--M", "3", "--N", "4", "--K", "inf", "--q", "0.7", "--json"),
+    ("partition", "--M", "4", "--N", "4", "--K", "4", "--q", "1"),
     ("partition", "--a", "1", "--b", "3", "--phi", "cosine", "--inv-eps", "40"),
     ("free-energy", "--M", "3", "--N", "4", "--K", "5", "--q", "0.7"),
     ("free-energy", "--a", "1", "--b", "2", "--c", "3", "--inv-eps", "10"),
     ("free-energy", "--a", "1", "--b", "3", "--phi", "cosine", "--inv-eps", "25"),
     ("free-energy", "--a", "1", "--b", "1", "--c", "1", *_GRID, "--out", OUT),
+    ("free-energy", "--a", "2", "--b", "1", *_SLICED_GRID, "--out", OUT),
     ("free-energy", "--a", "1", "--b", "3", "--phi", "cosine", *_SLICED_GRID, "--out", OUT),
 )
 
