@@ -1,9 +1,10 @@
 """Reference values shared across tests.
 
 Independently sourced constants, the published reference table for the
-slice-weight experiment (analytic and fitted columns), and the slice-weighted
-f3 fitted to exact lattice data.
+slice-weight experiment (analytic and fitted columns), the slice-weighted
+f3 fitted to exact lattice data, and a bit-for-bit float comparison.
 """
+import struct
 from fractions import Fraction
 
 ZETA3 = 1.2020569031595942854  # Apery's constant, standard tables
@@ -71,6 +72,11 @@ def boxed_plane_partition_count(m: int, n: int, k: int) -> int:
                 total *= Fraction(i + j + kk - 1, i + j + kk - 2)
     assert total.denominator == 1
     return int(total)
+
+
+def same_bits(x: float, y: float) -> bool:
+    """x and y are the same double, bit for bit (so -0.0 differs from 0.0)."""
+    return struct.pack("<d", x) == struct.pack("<d", y)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,5 @@
 import functools
 import math
-import struct
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +15,7 @@ from hexdimer import (
 from hexdimer import enumeration
 from hexdimer.enumeration import MAX_CELLS, MAX_CONFIGS, MAX_HEIGHT, config_count
 
-from _reference import boxed_plane_partition_count
+from _reference import boxed_plane_partition_count, same_bits
 
 
 def enumerate_configs(shape):
@@ -52,10 +51,6 @@ LISTED_BOXES = [(m, n, k) for m in range(1, MAX_CELLS + 1) for n in range(1, MAX
 def listed_energies(m, n, k):
     """The number of cubes of each listed configuration, in listing order."""
     return tuple(sum(map(sum, h)) for h in enumerate_configs(BoxShape(m, n, k)))
-
-
-def same_bits(x: float, y: float) -> bool:
-    return struct.pack("<d", x) == struct.pack("<d", y)
 
 
 def is_valid_config(shape, heights) -> bool:

@@ -1,6 +1,5 @@
 import itertools
 import math
-import struct
 from math import fsum
 
 import numpy as np
@@ -26,9 +25,7 @@ from hexdimer import partition
 from hexdimer.partition import sliced_log_weight_exponents
 from hexdimer.weights import PhiFunction, TabulatedPhi
 
-
-def same_bits(x: float, y: float) -> bool:
-    return struct.pack("<d", x) == struct.pack("<d", y)
+from _reference import same_bits
 
 
 def test_macmahon_small_boxes():

@@ -1,5 +1,5 @@
+import contextlib
 import math
-import struct
 from fractions import Fraction
 
 import numpy as np
@@ -12,13 +12,33 @@ from hexdimer.partition import log_z_sliced, sliced_log_weight_exponents
 from hexdimer.summation import exact_sum
 from hexdimer.weights import CosinePhi
 
+from _reference import same_bits
 
-def same_bits(x: float, y: float) -> bool:
-    return struct.pack("<d", x) == struct.pack("<d", y)
+
+@contextlib.contextmanager
+def fsum_max(size: int):
+    """Run exact_sum with summation._FSUM_MAX set to size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(summation, "_FSUM_MAX", size)
+        yield
+
+
+# exact_sum as shipped, and with the extraction forced on however few values
+FSUM_MAX_BOTH = (summation._FSUM_MAX, 0)
+
+
+def sums_both_ways(xs) -> list[float]:
+    x = np.array(xs, dtype=float)
+    sums = []
+    for size in FSUM_MAX_BOTH:
+        with fsum_max(size):
+            sums.append(exact_sum(x))
+    return sums
 
 
 def assert_matches_fsum(xs) -> None:
-    assert same_bits(exact_sum(np.array(xs, dtype=float)), math.fsum(xs))
+    want = math.fsum(xs)
+    assert all(same_bits(got, want) for got in sums_both_ways(xs))
 
 
 # finite floats with binary exponents in [-600, 600]
@@ -108,9 +128,9 @@ def test_large_arrays_use_several_levels(size):
     rng = np.random.default_rng(size)
     # magnitudes spread over 2^-300..2^300, far more than one extraction level holds
     xs = rng.standard_normal(size) * np.exp2(rng.integers(-300, 300, size))
-    assert same_bits(exact_sum(xs), math.fsum(xs))
+    assert_matches_fsum(xs.tolist())
     terms = np.log1p(-np.exp(-rng.uniform(1e-3, 6.0, size)))
-    assert same_bits(exact_sum(terms), math.fsum(terms))
+    assert_matches_fsum(terms.tolist())
 
 
 def test_same_sign_full_blocks():
@@ -140,8 +160,9 @@ def test_matrix_input_is_summed_whole_and_left_unchanged():
     [0.5] * (1 << 15) + [1e308, -1e308, 1e308, 1.0],
 ])
 def test_nonfinite_and_huge_follow_fsum(xs):
-    got, want = exact_sum(np.array(xs)), math.fsum(xs)
-    assert same_bits(got, want) or (math.isnan(got) and math.isnan(want))
+    want = math.fsum(xs)
+    for got in sums_both_ways(xs):
+        assert same_bits(got, want) or (math.isnan(got) and math.isnan(want))
 
 
 @pytest.mark.parametrize("xs", [
@@ -151,8 +172,9 @@ def test_nonfinite_and_huge_follow_fsum(xs):
 def test_fsum_errors_carry_over(xs):
     with pytest.raises(Exception) as want:
         math.fsum(xs)
-    with pytest.raises(want.type):
-        exact_sum(np.array(xs))
+    for size in FSUM_MAX_BOTH:
+        with fsum_max(size), pytest.raises(want.type):
+            exact_sum(np.array(xs))
 
 
 def level_spy(monkeypatch):
