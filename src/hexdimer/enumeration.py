@@ -7,6 +7,7 @@ its number of cubes; oracle_partition sums q^(cubes) over that count.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import chain, repeat
 from math import fsum
 
@@ -78,14 +79,23 @@ def energy_histogram(shape: BoxShape) -> dict[int, int]:
     return {e: c for e, c in enumerate(counts) if c}
 
 
-def oracle_partition(shape: BoxShape, q: float) -> float:
-    """Z(q) = sum over configurations of q^(number of cubes), by direct enumeration.
+def _z_of_q(shape: BoxShape) -> Callable[[float], float]:
+    """Z as a function of q in (0, 1], over one walk of the shape.
 
-    The sum is math.fsum over the multiset of terms, q^e repeated once per
+    Z(q) is math.fsum over the multiset of terms, q^e repeated once per
     configuration at energy e; fsum is correctly rounded, so the order of the
     terms cannot change the result.
     """
+    histogram = energy_histogram(shape)
+
+    def z(q: float) -> float:
+        return fsum(chain.from_iterable(repeat(q ** e, count) for e, count in histogram.items()))
+
+    return z
+
+
+def oracle_partition(shape: BoxShape, q: float) -> float:
+    """Z(q) = sum over configurations of q^(number of cubes), by direct enumeration."""
     if not (0.0 < q <= 1.0):
         raise ValueError(f"q must be in (0, 1], got {q}")
-    return fsum(chain.from_iterable(repeat(q ** e, count)
-                                    for e, count in energy_histogram(shape).items()))
+    return _z_of_q(shape)(q)

@@ -26,6 +26,7 @@ weights are a valid Kasteleyn weighting here: every internal face is a hexagon
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import exp, log
 
@@ -136,33 +137,52 @@ def kasteleyn_matrix(embedding: HexEmbedding, q: float) -> BandMatrix:
     return BandMatrix(ab, kl, ku)
 
 
-def log_z_kasteleyn(shape: BoxShape, q: float) -> float:
-    """ln Z via |det K|, normalized by the empty-pile matching weight."""
+def _log_z_of_q(shape: BoxShape) -> Callable[[float], float]:
+    """ln Z as a function of q in (0, 1], over one embedding of the sorted box:
+    |det K|, normalized by the empty-pile matching weight."""
     from scipy.linalg.lapack import dgbtrf  # scipy.linalg costs ~0.3 s to import
-    if not (0.0 < q <= 1.0):
-        raise ValueError(f"q must be in (0, 1], got {q}")
     if shape.is_finite and shape.volume // 2 > MAX_DIMENSION:
         raise ValueError(f"Kasteleyn matrix dimension {shape.volume // 2} exceeds {MAX_DIMENSION}")
     # Z is symmetric in the sides; the ascending order keeps GEPP accurate on
     # elongated boxes (60 x 25 x 5 at q = 0.999: 1.5e-1 off in ln Z unsorted)
     box = BoxShape(*sorted((shape.m, shape.n, shape.k)))
     embedding = build_embedding(box)
-    mat = kasteleyn_matrix(embedding, q)
-    # Halve each row's exponent spread before factorization so extreme q
-    # powers cancel in the log-domain correction rather than under/overflow.
-    log_q = log(q) if q < 1.0 else 0.0
     wi, bi, direction = embedding.edges.T
     horizontal = wi[direction == HORIZONTAL]
-    scale_log = np.zeros(embedding.size)
-    scale_log[horizontal] = 0.5 * embedding.white[horizontal, 1] * log_q
-    mat.ab[mat.kl + mat.ku + wi - bi, bi] *= np.exp(scale_log)[wi]
-    lu, _, info = dgbtrf(mat.ab, mat.kl, mat.ku, overwrite_ab=True)
-    pivots = np.abs(lu[mat.kl + mat.ku])
-    if info != 0 or not np.all(np.isfinite(pivots)):
-        raise SingularMatrixError(f"Kasteleyn determinant vanished for {shape}, q={q}; Z > 0 "
-                                  "always, so the embedding or weighting is inconsistent")
+    half_v = 0.5 * embedding.white[horizontal, 1]
     j0 = box.m * box.n * (box.n - 1) // 2
-    return float(np.sum(np.log(pivots))) - float(np.sum(scale_log)) + j0 * log_q
+
+    def log_z(q: float) -> float:
+        # Halve each row's exponent spread before factorization so extreme q
+        # powers cancel in the log-domain correction rather than under/overflow.
+        log_q = log(q) if q < 1.0 else 0.0
+        scale_log = np.zeros(embedding.size)
+        scale_log[horizontal] = half_v * log_q
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            mat = kasteleyn_matrix(embedding, q)
+            entries = (mat.kl + mat.ku + wi - bi, bi)
+            mat.ab[entries] *= np.exp(scale_log)[wi]
+        if not np.all(np.isfinite(mat.ab[entries])):
+            # K holds q^-v and the row scale q^(v/2), over the whites' v
+            v = embedding.white[horizontal, 1]
+            power = max(v.max(), -v.min() / 2)
+            raise ValueError(f"q = {q!r} is too small for the Kasteleyn matrix of {shape}: "
+                             f"q^-{power:g} overflows a float")
+        lu, _, info = dgbtrf(mat.ab, mat.kl, mat.ku, overwrite_ab=True)
+        pivots = np.abs(lu[mat.kl + mat.ku])
+        if info != 0 or not np.all(np.isfinite(pivots)):
+            raise SingularMatrixError(f"Kasteleyn determinant vanished for {shape}, q={q}; Z > 0 "
+                                      "always, so the embedding or weighting is inconsistent")
+        return float(np.sum(np.log(pivots))) - float(np.sum(scale_log)) + j0 * log_q
+
+    return log_z
+
+
+def log_z_kasteleyn(shape: BoxShape, q: float) -> float:
+    """ln Z via |det K|, normalized by the empty-pile matching weight."""
+    if not (0.0 < q <= 1.0):
+        raise ValueError(f"q must be in (0, 1], got {q}")
+    return _log_z_of_q(shape)(q)
 
 
 def kasteleyn_partition(shape: BoxShape, q: float) -> float:

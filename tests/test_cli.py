@@ -1,10 +1,12 @@
+import itertools
 import json
 import math
 import warnings
 
 import pytest
 
-from hexdimer import ConvergenceError, partition, specialfn
+from hexdimer import (BoxShape, ConvergenceError, enumeration, kasteleyn, kasteleyn_partition,
+                      log_z_macmahon, oracle_partition, partition, specialfn)
 from hexdimer.cli import main
 from hexdimer.fitting import BASIS_NAMES
 
@@ -279,6 +281,41 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "pass" in out
+
+
+def test_verify_walks_and_embeds_each_box_once(monkeypatch):
+    # the 27 boxes are evaluated at three q each, over one histogram and one
+    # embedding per box; the rows are those of the public oracles per (box, q)
+    import hexdimer.cli as cli
+
+    calls = {"energy_histogram": 0, "build_embedding": 0}
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(enumeration, "energy_histogram")
+    spy(kasteleyn, "build_embedding")
+    rows = [row for row in cli._verify_suites()
+            if row[0] in ("enumeration-vs-macmahon", "kasteleyn-vs-enumeration")]
+    assert 0 < calls["energy_histogram"] <= 27 and 0 < calls["build_embedding"] <= 27, calls
+    monkeypatch.undo()
+
+    expected = []
+    for m, n, k in itertools.product((1, 2, 3), repeat=3):
+        shape = BoxShape(m, n, k)
+        for q in (0.3, 0.5, 0.9):
+            z_oracle = oracle_partition(shape, q)
+            for suite, z in (("enumeration-vs-macmahon", math.exp(log_z_macmahon(shape, q))),
+                             ("kasteleyn-vs-enumeration", kasteleyn_partition(shape, q))):
+                expected.append((suite, f"{m};{n};{k};q={q}", abs(z - z_oracle) <= 1e-9 * z_oracle,
+                                 f"rel={abs(z - z_oracle) / z_oracle:.2e}"))
+    assert rows == expected
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,20 @@ def test_small_q_on_long_boxes(m, n, k):
     shape = BoxShape(m, n, k)
     for q in (0.05, 0.1):
         assert abs(log_z_kasteleyn(shape, q) - log_z_macmahon(shape, q)) <= 1e-9, q
+
+
+@pytest.mark.parametrize("m,n,k,q,power", [(20, 20, 3, 1e-20, 19), (25, 25, 6, 1e-15, 24),
+                                           (10, 10, 10, 1e-40, 9), (3, 3, 3, 1e-200, 2),
+                                           (2, 2, 2, 5e-324, 1)])
+def test_overflowing_q_power_is_a_value_error(m, n, k, q, power):
+    # q is in the domain, but a power of 1/q in the matrix or its row scale
+    # exceeds the float range: a usage error, without a numpy warning,
+    # not a vanished determinant
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"q = {q!r} is too small .* q\^-{power} overflows"):
+            log_z_kasteleyn(BoxShape(m, n, k), q)
+    assert log_z_macmahon(BoxShape(m, n, k), q) > 0.0
 
 
 def test_import_leaves_scipy_linalg_unloaded():

@@ -64,6 +64,19 @@ def test_macmahon_q1_is_log_of_exact_count():
     assert abs(log_z_macmahon(BoxShape(4, 4, 8), 1.0) - math.log(184225041)) < 1e-14
 
 
+def reference_macmahon(m, n, k, q):
+    """ln Z of the finite box from its grouped terms, the multiplicity of each
+    t = i+j+l by convolving three rows of ones, summed with math.fsum."""
+    mult = np.convolve(np.convolve(np.ones(m), np.ones(n)), np.ones(k))
+    t = np.arange(3, m + n + k + 1, dtype=float)
+    if q == 1.0:
+        terms = np.log1p(1.0 / (t - 2.0))
+    else:
+        q_t2 = np.exp((t - 2.0) * math.log(q))
+        terms = np.log1p(q_t2 * (1.0 - q) / (1.0 - q_t2))
+    return fsum(mult * terms)
+
+
 def test_uniform_products_match_their_fsum_expressions():
     # the grouped terms, formed as in log_z_macmahon and log_z_infinite and
     # summed with math.fsum: exact_sum must give the same bits
@@ -71,20 +84,22 @@ def test_uniform_products_match_their_fsum_expressions():
     for _ in range(300):
         m, n, k = (int(v) for v in rng.integers(1, 601, 3))
         for q in (1.0, float(rng.uniform(0.5, 1.0)), math.exp(-1.0 / int(rng.integers(2, 201)))):
-            mult = np.convolve(np.convolve(np.ones(m), np.ones(n)), np.ones(k))
-            t = np.arange(3, m + n + k + 1, dtype=float)
-            if q == 1.0:
-                terms = np.log1p(1.0 / (t - 2.0))
-            else:
-                q_t2 = np.exp((t - 2.0) * math.log(q))
-                terms = np.log1p(q_t2 * (1.0 - q) / (1.0 - q_t2))
-            assert same_bits(log_z_macmahon(BoxShape(m, n, k), q), fsum(mult * terms))
+            assert same_bits(log_z_macmahon(BoxShape(m, n, k), q), reference_macmahon(m, n, k, q))
             if q == 1.0:
                 continue
             s = np.arange(1, m + n, dtype=float)
             mult = np.minimum.reduce([s, np.full_like(s, m), np.full_like(s, n), m + n - s])
             want = -fsum(mult * np.log1p(-np.exp(s * math.log(q))))
             assert same_bits(log_z_infinite(BoxShape(m, n, INFINITE), q), want)
+
+
+@pytest.mark.parametrize("sides", [*itertools.product((1, 2), repeat=3), (1, 1, 600),
+                                   (600, 1, 1), (1, 600, 1), (2, 1, 599), (1, 3, 1), (5, 1, 5)])
+def test_macmahon_degenerate_boxes_match_convolution(sides):
+    # sides of 1 and 2 put the monomials of the closed-form multiplicity at
+    # coinciding or dropped exponents, which random sides seldom reach
+    for q in (1.0, 0.5, 0.999, math.exp(-1.0 / 200)):
+        assert same_bits(log_z_macmahon(BoxShape(*sides), q), reference_macmahon(*sides, q))
 
 
 def test_infinite_height_values():

@@ -45,10 +45,13 @@ INVOCATIONS = (
     ("table1",),
     ("table1", "--row", "linear:2,0.5:2,3", "--json"),
     ("verify",),
+    ("verify", "--json"),
     ("constant",),
     ("partition", "--M", "3", "--N", "4", "--K", "5", "--q", "0.7"),
     ("partition", "--M", "3", "--N", "4", "--K", "inf", "--q", "0.7", "--json"),
     ("partition", "--M", "4", "--N", "4", "--K", "4", "--q", "1"),
+    ("partition", "--M", "1", "--N", "1", "--K", "1", "--q", "0.5"),
+    ("partition", "--M", "600", "--N", "1", "--K", "2", "--q", "0.999"),
     ("partition", "--a", "1", "--b", "3", "--phi", "cosine", "--inv-eps", "40"),
     ("free-energy", "--M", "3", "--N", "4", "--K", "5", "--q", "0.7"),
     ("free-energy", "--a", "1", "--b", "2", "--c", "3", "--inv-eps", "10"),
