@@ -231,17 +231,24 @@ def _sliced_pieces(a: float, b: float, phi: PhiFunction) -> tuple[float, float, 
     def lam(sgn):
         return (eta, 0.5 * sgn * p1, p2 / 12.0)
 
-    def psi(nn, x, sgn):
+    def lam_jet(nn, x):
+        # jet of e^{-n x lambda} on the a side.  The b side's is (v, -w, z):
+        # lambda's eps term flips sign with s, and IEEE products are
+        # symmetric in sign, so nothing else about it differs
+        nx = -nn * x
+        return _jet_exp(*(nx * c for c in lam(1.0)))
+
+    def psi(nn, x, sgn, lam_a):
         # jet of Psi_n(x), r = s(Phi(d+sx) - Phi(d)) + eps (phi(d+sx) - eta)/2
         # + s eps^2 (phi'(d+sx) - phi'(d))/12, subtracted inside the integrand
-        # so the O(x^2) cancellation near 0 is kept
+        # so the O(x^2) cancellation near 0 is kept; lam_a = lam_jet(nn, x)
         t = d + sgn * x
         e_r = _jet_exp(-nn * sgn * (phi.antiderivative(t) - phi.antiderivative(d)),
                        -nn * 0.5 * (phi(t) - eta), -nn * sgn * (phi.d1(t) - p1) / 12.0)
-        e_lam = _jet_exp(*(-nn * x * c for c in lam(sgn)))
-        return _jet_add(e_r, e_lam, -1.0)
+        v, w, z = lam_a
+        return (e_r[0] - v, e_r[1] - w if sgn > 0 else e_r[1] + w, e_r[2] - z)
 
-    def s_jet(length, sgn):
+    def panels(length):
         # The integrand decays like e^{-n slope x} and is negligible beyond
         # x_cut(n).  All n share one set of dyadic panels on [0, length], so
         # phi is evaluated once per node; panel p adds to the prefix of n
@@ -251,17 +258,36 @@ def _sliced_pieces(a: float, b: float, phi: PhiFunction) -> tuple[float, float, 
         x_min = float(x_cut[-1]) / 16.0
         levels = math.ceil(math.log2(length / x_min))
         edges = [0.0] + [x_min * 2.0**k for k in range(levels)] + [length]
-        out = np.zeros((3, n.size))
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            count = int(np.count_nonzero(x_cut > lo))
-            x = lo + (hi - lo) * gx01
-            for k, c in enumerate(psi(n[:count, None], x, sgn)):
-                out[k, :count] += (hi - lo) * (c @ gw01)
-        end = psi(n, length, sgn)
-        t_end = d + sgn * length
-        r_end = sgn * float(phi.antiderivative(t_end) - phi.antiderivative(d))
-        dpsi_end = n * (eta * np.exp(-n * length * eta) - float(phi(t_end)) * np.exp(-n * r_end))
-        return (out[0], out[1] - 0.5 * end[0], out[2] - 0.5 * end[1] + dpsi_end / 12.0)
+        return [(lo, hi, int(np.count_nonzero(x_cut > lo)))
+                for lo, hi in zip(edges[:-1], edges[1:])]
+
+    def s_jets():
+        # S for both sides in one walk over the union of their panels.  They
+        # share all but the last one or two, and on a shared panel (same
+        # edges and prefix of n) the lambda jet is formed once.  Ascending
+        # panels keep each side's own order of accumulation.
+        sides = ((b, -1.0), (a, +1.0))
+        walk = {}
+        for length, sgn in sides:
+            for panel in panels(length):
+                walk.setdefault(panel, []).append(sgn)
+        out = {sgn: np.zeros((3, n.size)) for _, sgn in sides}
+        for (lo, hi, count), sgns in sorted(walk.items()):
+            nn, x = n[:count, None], lo + (hi - lo) * gx01
+            lam_a = lam_jet(nn, x)
+            for sgn in sgns:
+                for k, c in enumerate(psi(nn, x, sgn, lam_a)):
+                    out[sgn][k, :count] += (hi - lo) * (c @ gw01)
+        jets = []
+        for length, sgn in sides:
+            end = psi(n, length, sgn, lam_jet(n, length))
+            t_end = d + sgn * length
+            r_end = sgn * float(phi.antiderivative(t_end) - phi.antiderivative(d))
+            dpsi_end = n * (eta * np.exp(-n * length * eta)
+                            - float(phi(t_end)) * np.exp(-n * r_end))
+            o = out[sgn]
+            jets.append((o[0], o[1] - 0.5 * end[0], o[2] - 0.5 * end[1] + dpsi_end / 12.0))
+        return jets
 
     def a_jet(length, sgn):
         l0, l1, l2 = lam(sgn)
@@ -272,8 +298,9 @@ def _sliced_pieces(a: float, b: float, phi: PhiFunction) -> tuple[float, float, 
         bern = (np.ones_like(n), n * l0 / 2.0, n * l1 / 2.0 + (n * l0) ** 2 / 12.0)
         return _jet_mul(_jet_mul(one_minus, inv_n_lam), bern)
 
-    side_b = _jet_add(a_jet(b, -1.0), s_jet(b, -1.0))
-    side_a = _jet_add(a_jet(a, +1.0), s_jet(a, +1.0))
+    s_b, s_a = s_jets()
+    side_b = _jet_add(a_jet(b, -1.0), s_b)
+    side_a = _jet_add(a_jet(a, +1.0), s_a)
     h0 = np.expm1(-n * b * eta) * np.expm1(-n * a * eta) / (n * eta) ** 2
     box = (h0, h0 * n * eta, h0 * 5.0 * (n * eta) ** 2 / 12.0)  # H0 B(n eps eta)^2 / (n eta)^2
     pref = (1.0 / n, np.full_like(n, -eta), n * eta * eta / 2.0)

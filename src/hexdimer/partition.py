@@ -28,6 +28,8 @@ _SERIES_TERM_TOL = 1e-16
 _SERIES_N_MAX = 10**7
 # how far a/eps, b/eps and c/eps may sit from an integer
 _LATTICE_TOL = 1e-9
+# most cells m*n of one sliced ln Z: its exponent matrix then takes 256 MiB
+MAX_SLICED_CELLS = 2**25
 # signs of the monomials 1, x^m, x^n, x^k, x^(m+n), x^(n+k), x^(m+k), x^(m+n+k)
 # of (1-x^m)(1-x^n)(1-x^k)
 _MACMAHON_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
@@ -90,46 +92,80 @@ def log_z_infinite(shape: BoxShape, q: float) -> float:
     return -exact_sum(mult * np.log1p(-np.exp(s * log(q))))
 
 
+def _sliced_prefix_sums(m: int, n: int, phi: PhiFunction, eps: float):
+    """Slice weight eta = phi(b-a) and the prefix sums c_minus (n side) and
+    c_plus (m side) of phi, from one vectorised phi call over every slice
+    t = (n-m+j)*eps, j = 1-n..m-1.  np.cumsum accumulates left to right in
+    plain floats, so an index-by-index recomputation (the naive oracle)
+    reproduces every entry bit for bit."""
+    d = n - m
+    values = np.asarray(phi((d + np.arange(1 - n, m)) * eps), dtype=float)
+    c_minus = np.zeros(n)
+    np.cumsum(values[:n - 1][::-1], out=c_minus[1:])
+    c_plus = np.zeros(m)
+    np.cumsum(values[n:], out=c_plus[1:])
+    return values[n - 1], c_minus, c_plus
+
+
+def _negated_exponents(eta: float, c_minus: np.ndarray, c_plus: np.ndarray,
+                       eps: float) -> np.ndarray:
+    """-E as an (n, m) matrix: c_plus tiled over the rows plus c_minus down
+    the columns (fl(c_plus[j] + c_minus[i]), the bits of the outer sum), then
+    + eta, then * -eps, which rounds to exactly -fl(s * eps)."""
+    terms = np.tile(c_plus, (c_minus.size, 1))
+    terms += c_minus[:, None]
+    terms += eta
+    terms *= -eps
+    return terms
+
+
 def sliced_log_weight_exponents(m: int, n: int, phi: PhiFunction, eps: float) -> np.ndarray:
     """Exponent matrix E with Z = prod 1/(1 - e^{-E_ij}).
 
     E_ij = eps * (phi(b-a) + sum_{k=1..i} phi(b-a-k*eps) + sum_{l=1..j} phi(b-a+l*eps)),
     i over the n side, j over the m side; the slice sums are cached prefix sums.
-    One vectorised phi call covers every slice t = (n-m+j)*eps, j = 1-n..m-1,
-    and np.cumsum accumulates each prefix sum left to right in plain floats,
-    so an index-by-index recomputation (the naive oracle) reproduces every
-    entry bit for bit.
+    This is the exact negation of the -E that log_z_sliced forms from the same
+    prefix sums, so an index-by-index recomputation (the naive oracle)
+    reproduces every entry bit for bit.
     """
-    d = n - m
-    values = np.asarray(phi((d + np.arange(1 - n, m)) * eps), dtype=float)
-    eta = values[n - 1]
-    c_minus = np.zeros(n)
-    np.cumsum(values[:n - 1][::-1], out=c_minus[1:])
-    c_plus = np.zeros(m)
-    np.cumsum(values[n:], out=c_plus[1:])
-    exponents = np.add.outer(c_minus, c_plus)
-    exponents += eta
-    exponents *= eps
-    return exponents
+    terms = _negated_exponents(*_sliced_prefix_sums(m, n, phi, eps), eps)
+    np.negative(terms, out=terms)
+    return terms
+
+
+def _check_sliced_cells(m: float, n: float) -> None:
+    """Reject a sliced box of more than MAX_SLICED_CELLS cells m*n before
+    anything is allocated."""
+    if m * n > MAX_SLICED_CELLS:
+        raise ValueError(f"the sliced box is {m:g} x {n:g} = {m * n:.4g} cells, above the "
+                         f"limit of {MAX_SLICED_CELLS} cells")
 
 
 def log_z_sliced(m: int, n: int, phi: PhiFunction, eps: float) -> float:
     """ln Z for the infinite-height box with slice weights q_t = e^{-eps phi(t eps)}.
 
-    The terms ln(1 - e^{-E_ij}) are formed in place in the exponent matrix and
-    summed exactly (exact_sum equals math.fsum bit for bit).  phi is evaluated
-    on the slices [(1-m) eps, (n-1) eps]; a tabulated profile must cover them.
+    A box of more than MAX_SLICED_CELLS cells m*n is rejected before phi is
+    called.  phi is evaluated on the slices [(1-m) eps, (n-1) eps]; a
+    tabulated profile must cover them.  Every E_ij must be positive:
+    fl(fl(fl(c_minus[i] + c_plus[j]) + eta) * eps) is monotone in both prefix
+    sums, so the smallest E_ij sits at (argmin c_minus, argmin c_plus), where
+    argmin also finds a nan, and an inf against a -inf gives -inf or nan
+    there.  That one cell decides the check, before the (n, m) matrix exists.
+    -E is formed directly and turned into the terms ln(1 - e^{-E_ij}) in
+    place, which are summed exactly (exact_sum equals math.fsum bit for bit).
     When e^{-E_ij} rounds to 1 in floating point (E_ij below about 1e-16),
     ln(1 - e^{-E_ij}) cannot be formed and ValueError is raised; Z itself is
     finite for every E_ij > 0.
     """
     if m < 1 or n < 1 or eps <= 0:
         raise ValueError("need m, n >= 1 and eps > 0")
+    _check_sliced_cells(m, n)
     phi.check_range((1 - m) * eps, (n - 1) * eps)
-    terms = sliced_log_weight_exponents(m, n, phi, eps)
-    if not np.all(terms > 0.0):
+    eta, c_minus, c_plus = _sliced_prefix_sums(m, n, phi, eps)
+    smallest = (c_minus[np.argmin(c_minus)] + c_plus[np.argmin(c_plus)] + eta) * eps
+    if not smallest > 0.0:
         raise ValueError("non-positive weight exponent: phi must be strictly positive on [-a, b]")
-    np.negative(terms, out=terms)
+    terms = _negated_exponents(eta, c_minus, c_plus, eps)
     np.exp(terms, out=terms)
     np.negative(terms, out=terms)
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf is reported below
@@ -272,8 +308,14 @@ class Scenario:
 
 def grid_samples(scenario: Scenario, inv_eps_min: int = 2,
                  inv_eps_max: int = 200) -> list[FreeEnergySample]:
-    """Exact free-energy samples over the integer grid 1/eps = min..max."""
+    """Exact free-energy samples over the integer grid 1/eps = min..max.
+
+    A sliced grid is checked against MAX_SLICED_CELLS at its finest mesh
+    before the first sample is computed."""
     if inv_eps_min < 1 or inv_eps_min >= inv_eps_max:
         raise ValueError("need 1 <= inv_eps_min < inv_eps_max")
+    if scenario.kind == "sliced":
+        eps = 1.0 / inv_eps_max
+        _check_sliced_cells(scenario.a / eps, scenario.b / eps)
     return [FreeEnergySample(inv_eps=t, eps=1.0 / t, f=scenario.free_energy(1.0 / t))
             for t in range(inv_eps_min, inv_eps_max + 1)]

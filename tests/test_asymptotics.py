@@ -11,6 +11,7 @@ from hexdimer import (
     ExpansionCoefficients,
     LinearPhi,
     Scenario,
+    TabulatedPhi,
     coeffs_finite,
     coeffs_infinite,
     coeffs_sliced,
@@ -173,6 +174,32 @@ def test_sliced_table1_analytic_pinned(phi, a, b, f0_pin, f3_pin):
     f3 = sliced_f3(a, b, phi)
     assert isinstance(f3, float)
     assert abs(f3 - f3_pin) <= 1e-11
+
+
+# coeffs_sliced(a, b, phi) as float.hex, recorded with numpy 2.4 on x86-64
+# (another libm may move the last bits).  (3, 1) has a > b, and at (2, 2)
+# both sides of the f3 series share every panel.
+COEFFS_SLICED_BITS = [
+    ("cosine", 1.0, 3.0, "0x1.e38a26f2d6399p-2", "-0x1.677d6051d87e4p-5"),
+    ("cosine", 2.0, 3.0, "0x1.e32b5196f13a1p-3", "-0x1.f20a8d8129ac6p-6"),
+    ("linear:1,0.5", 1.0, 3.0, "0x1.8e7e7cc965b85p-4", "-0x1.13f98362d3155p-5"),
+    ("linear:2,0.5", 2.0, 3.0, "0x1.0cbbe9a357038p-5", "-0x1.ee9a110ca4bb5p-7"),
+    ("cosine", 3.0, 1.0, "0x1.e38a26f2d6399p-2", "-0x1.677d6051d8b5fp-5"),
+    ("linear:1,0.3", 2.0, 2.0, "0x1.ef2baaf8a243bp-3", "-0x1.2fd4c362d9d94p-5"),
+    ("tabulated", 1.0, 3.0, "0x1.2c6b6bebc5d64p-2", "-0x1.3a621d700c9d7p-5"),
+]
+
+
+@pytest.mark.parametrize("phi_id,a,b,f0_bits,f3_bits", COEFFS_SLICED_BITS,
+                         ids=[f"{p}-{a:g}-{b:g}" for p, a, b, *_ in COEFFS_SLICED_BITS])
+def test_coeffs_sliced_bits_pinned(phi_id, a, b, f0_bits, f3_bits):
+    if phi_id == "tabulated":
+        t = np.linspace(-1.5, 3.5, 321)
+        phi = TabulatedPhi(t, 1.0 + 0.08 * np.cos(t + 1.0) - 0.05 * np.cos(2.0 * t + 2.0))
+    else:
+        phi = phi_from_id(phi_id)
+    coeffs = coeffs_sliced(a, b, phi)
+    assert (coeffs.f0.hex(), coeffs.f3.hex()) == (f0_bits, f3_bits)
 
 
 @pytest.mark.parametrize("phi_id,a,b", list(SLICED_F3_EXACT_FIT))

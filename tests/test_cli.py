@@ -236,6 +236,18 @@ def test_degenerate_phi_is_an_error(argv, message, capsys):
     assert "phi" in err and message in err and "side" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("free-energy", "--a", "1", "--b", "3e9", "--phi", "cosine",
+     "--inv-eps-min", "2", "--inv-eps-max", "10"),
+    ("partition", "--a", "1", "--b", "3e9", "--phi", "cosine", "--inv-eps", "2"),
+], ids=["grid", "single"])
+def test_sliced_cell_limit_exits_1(argv, capsys):
+    # the first mesh alone is 1.2e10 cells; the check runs before any allocation
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"above the limit of {partition.MAX_SLICED_CELLS} cells" in err
+
+
 def test_sliced_all_zero_sum_prints_zero(capsys):
     code, out, _ = run(capsys, "partition", "--phi", "const:1e300", "--a", "1", "--b", "3",
                        "--inv-eps", "4")

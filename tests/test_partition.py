@@ -1,5 +1,8 @@
 import itertools
 import math
+import re
+import tracemalloc
+import warnings
 from math import fsum
 
 import numpy as np
@@ -11,6 +14,7 @@ from hexdimer import (
     ConvergenceError,
     CosinePhi,
     INFINITE,
+    LinearPhi,
     Scenario,
     free_energy_value,
     grid_samples,
@@ -23,7 +27,7 @@ from hexdimer import (
 from hexdimer.enumeration import config_count
 from hexdimer import partition
 from hexdimer.partition import sliced_log_weight_exponents
-from hexdimer.weights import PhiFunction, TabulatedPhi
+from hexdimer.weights import PhiFunction, TabulatedPhi, phi_from_id
 
 from _reference import same_bits
 
@@ -198,14 +202,17 @@ def reference_sliced_f(a, b, phi, t):
     return -fsum(np.log1p(-np.exp(-exponents)).ravel()) / (m * n)
 
 
-@pytest.mark.parametrize("profile", ["cosine", "tabulated"])
-def test_sliced_grid_bit_identical_to_scalar_reference(profile):
-    a, b = 1.0, 3.0
-    if profile == "cosine":
-        base = CosinePhi()
-    else:
+@pytest.mark.parametrize("profile, a, b", [
+    pytest.param("cosine", 1.0, 3.0, id="cosine"),
+    pytest.param("tabulated", 1.0, 3.0, id="tabulated"),
+    pytest.param("linear:2,0.5", 2.0, 3.0, id="linear-2-3"),  # n != 3m
+])
+def test_sliced_grid_bit_identical_to_scalar_reference(profile, a, b):
+    if profile == "tabulated":
         t = np.linspace(-a - 0.5, b + 0.5, 321)
         base = TabulatedPhi(t, 1.0 + 0.08 * np.cos(t + 1.0) - 0.05 * np.cos(2.0 * t + 2.0))
+    else:
+        base = phi_from_id(profile)
     phi = CountingPhi(base)
     samples = grid_samples(Scenario("sliced", a, b, phi=phi), 2, 200)
     assert phi.calls <= 3 * len(samples)  # a scalar prefix loop makes m + n - 1 per point
@@ -215,10 +222,94 @@ def test_sliced_grid_bit_identical_to_scalar_reference(profile):
 
 
 def test_sliced_rejects_nonpositive_weights():
-    from hexdimer import LinearPhi
-
     with pytest.raises(ValueError):
         log_z_sliced(4, 4, LinearPhi(0.1, -1.0), 0.25)  # phi < 0 inside the domain
+
+
+NONPOSITIVE = "non-positive weight exponent: phi must be strictly positive on [-a, b]"
+# a = 1, b = 3 at 1/eps = 256: log_z_sliced(256, 768, phi, 1/256) evaluates phi
+# on these slices, the n side below t = 2 (eta = phi(2)), the m side above it
+SLICES = np.arange(-255, 768) / 256.0
+
+
+class SpikedPhi(PhiFunction):
+    """CosinePhi with its value replaced at the given slices."""
+
+    id = "spiked"
+
+    def __init__(self, spikes):
+        self.spikes = spikes
+
+    def __call__(self, t):
+        values = np.array(CosinePhi()(t), dtype=float)
+        for t0, v in self.spikes.items():
+            values[t == t0] = v
+        return values
+
+
+def one_slice_table(value):
+    """A spline through the slices, 1 everywhere but value at t = 1."""
+    return TabulatedPhi(SLICES, np.where(SLICES == 1.0, value, 1.0))
+
+
+@pytest.fixture
+def exp_calls(monkeypatch):
+    """The shapes of every np.exp call made while the test runs."""
+    shapes, exp = [], np.exp
+
+    def spy(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("phi", [
+    one_slice_table(-1000.0),  # <= 0 at one interior slice; the smallest E is not E[0, 0]
+    SpikedPhi({1.0: math.nan}),
+    SpikedPhi({2.0: math.nan}),  # eta
+    SpikedPhi({1.0: math.inf, 2.5: -math.inf}),  # inf + -inf cells are nan, the rest -inf
+    SpikedPhi({2.5: math.inf, 1.0: -math.inf}),
+    SpikedPhi({1.0: math.inf, 0.5: -math.inf}),  # one prefix sum turns nan
+    SpikedPhi({2.0: math.inf, 0.5: -math.inf}),
+    LinearPhi(0.1, -1.0),
+], ids=["table", "nan", "nan-eta", "inf-n", "inf-m", "inf-same-side", "inf-eta", "linear"])
+def test_sliced_positivity_is_decided_before_the_matrix(phi, exp_calls):
+    # the 768 x 256 matrix takes 1.5 MiB; the prefix sums take 8 KiB
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf
+            with pytest.raises(ValueError, match=f"^{re.escape(NONPOSITIVE)}$"):
+                log_z_sliced(256, 768, phi, 1.0 / 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exp_calls == []
+    assert peak < 256 * 768 * 8 // 4
+
+
+@pytest.mark.parametrize("phi", [one_slice_table(-0.5), SpikedPhi({2.5: math.inf})],
+                         ids=["table", "inf-m"])
+def test_sliced_positivity_keeps_positive_exponents(phi):
+    # one slice <= 0 or infinite, yet every E_ij > 0: accepted, with the
+    # bits of the naive per-cell sum
+    m, n, eps = 4, 12, 0.25
+    exponents = np.array([[eps * (float(phi(8 * eps)) + (
+        fsum_left(phi((8 - k) * eps) for k in range(1, i + 1))
+        + fsum_left(phi((8 + k) * eps) for k in range(1, j + 1))))
+        for j in range(m)] for i in range(n)])
+    naive = -fsum(np.log1p(-np.exp(-exponents)).ravel())
+    assert same_bits(log_z_sliced(m, n, phi, eps), naive)
+
+
+def fsum_left(values):
+    """Plain left-to-right float sum, as a scalar prefix loop adds."""
+    acc = 0.0
+    for v in values:
+        acc += float(v)
+    return acc
 
 
 def test_sliced_rejects_weights_that_round_to_one():
@@ -232,7 +323,24 @@ def test_sliced_rejects_weights_that_round_to_one():
 
 def test_sliced_all_zero_sum_is_positive_zero():
     # e^{-E} underflows to 0 in every cell: ln Z = +0.0, not -0.0
-    assert math.copysign(1.0, log_z_sliced(4, 12, ConstantPhi(1e300), 0.25)) == 1.0
+    for m, n in ((4, 12), (12, 4), (3, 3)):
+        assert same_bits(log_z_sliced(m, n, ConstantPhi(1e300), 0.25), 0.0)
+
+
+def test_sliced_cell_limit_is_checked_before_phi():
+    phi = CountingPhi(CosinePhi())
+    limit = f"1e+06 x 1e+06 = 1e+12 cells, above the limit of {partition.MAX_SLICED_CELLS} cells"
+    with pytest.raises(ValueError, match=re.escape(limit)):
+        log_z_sliced(10**6, 10**6, phi, 1e-6)
+    assert phi.calls == 0
+
+
+def test_sliced_grid_cell_limit_is_checked_before_the_first_mesh():
+    # b = 3e9 at 1/eps = 10 is 3e11 cells; its first mesh alone would be 1.2e10
+    phi = CountingPhi(CosinePhi())
+    with pytest.raises(ValueError, match=re.escape("10 x 3e+10 = 3e+11 cells")):
+        grid_samples(Scenario("sliced", 1.0, 3e9, phi=phi), 2, 10)
+    assert phi.calls == 0
 
 
 def test_sliced_rejects_range_outside_table():
@@ -358,8 +466,6 @@ def test_scenario_box_rejects_an_infinite_side_over_eps():
 
 
 def test_scenario_checks_phi_on_the_box():
-    from hexdimer import LinearPhi
-
     with pytest.raises(ValueError, match="strictly positive"):
         Scenario("sliced", 1.0, 3.0, phi=LinearPhi(1.0, -0.5))  # phi(3) < 0
     t = np.linspace(0.0, 1.0, 11)

@@ -36,6 +36,7 @@ INVOCATIONS = (
     ("coeffs", *_INFINITE, "--json"),
     ("coeffs", *_SLICED),
     ("coeffs", *_SLICED, "--json"),
+    ("coeffs", "--scenario", "sliced", "--a", "3", "--b", "1", "--phi", "cosine"),
     ("fit", *_FINITE, *_GRID),
     ("fit", *_CUBE, *_GRID, "--json"),
     ("fit", *_INFINITE, *_GRID),
@@ -59,6 +60,7 @@ INVOCATIONS = (
     ("free-energy", "--a", "1", "--b", "1", "--c", "1", *_GRID, "--out", OUT),
     ("free-energy", "--a", "2", "--b", "1", *_SLICED_GRID, "--out", OUT),
     ("free-energy", "--a", "1", "--b", "3", "--phi", "cosine", *_SLICED_GRID, "--out", OUT),
+    ("free-energy", "--a", "2", "--b", "3", "--phi", "linear:2,0.5", *_SLICED_GRID, "--out", OUT),
 )
 
 
