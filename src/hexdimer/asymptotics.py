@@ -219,7 +219,9 @@ def _sliced_pieces(a: float, b: float, phi: PhiFunction) -> tuple[float, float, 
     Psi_n = e^{-n r} - e^{-n x lambda}.  Only f_box carries eps^2 ln eps, so
     every other coefficient is the sum over n of the summands' Taylor
     coefficients at eps = 0; those decay at least like n^-3 and are summed
-    to _N_MAX with a two-term power tail.
+    to _N_MAX with a two-term power tail.  Both sides' int_0^L Psi_n run in
+    one walk over their dyadic panels, and a panel they share forms the jet
+    of e^{-n x lambda} once.
     """
     d = b - a
     eta, p1, p2 = float(phi(d)), float(phi.d1(d)), float(phi.d2(d))

@@ -148,9 +148,9 @@ def log_z_sliced(m: int, n: int, phi: PhiFunction, eps: float) -> float:
     called.  phi is evaluated on the slices [(1-m) eps, (n-1) eps]; a
     tabulated profile must cover them.  Every E_ij must be positive:
     fl(fl(fl(c_minus[i] + c_plus[j]) + eta) * eps) is monotone in both prefix
-    sums, so the smallest E_ij sits at (argmin c_minus, argmin c_plus), where
-    argmin also finds a nan, and an inf against a -inf gives -inf or nan
-    there.  That one cell decides the check, before the (n, m) matrix exists.
+    sums, so the smallest E_ij is the one formed from their minima; min
+    carries a nan through, and an inf against a -inf gives -inf or nan there.
+    That one cell decides the check, before the (n, m) matrix exists.
     -E is formed directly and turned into the terms ln(1 - e^{-E_ij}) in
     place, which are summed exactly (exact_sum equals math.fsum bit for bit).
     When e^{-E_ij} rounds to 1 in floating point (E_ij below about 1e-16),
@@ -162,8 +162,7 @@ def log_z_sliced(m: int, n: int, phi: PhiFunction, eps: float) -> float:
     _check_sliced_cells(m, n)
     phi.check_range((1 - m) * eps, (n - 1) * eps)
     eta, c_minus, c_plus = _sliced_prefix_sums(m, n, phi, eps)
-    smallest = (c_minus[np.argmin(c_minus)] + c_plus[np.argmin(c_plus)] + eta) * eps
-    if not smallest > 0.0:
+    if not (c_minus.min() + c_plus.min() + eta) * eps > 0.0:
         raise ValueError("non-positive weight exponent: phi must be strictly positive on [-a, b]")
     terms = _negated_exponents(eta, c_minus, c_plus, eps)
     np.exp(terms, out=terms)

@@ -185,10 +185,8 @@ class CountingPhi(PhiFunction):
         self.base.check_positive(lo, hi)
 
 
-def reference_sliced_f(a, b, phi, t):
-    """Free energy at 1/eps = t from scalar prefix-sum loops and math.fsum."""
-    eps = 1.0 / t
-    m, n = round(a * t), round(b * t)
+def reference_sliced_log_z(m, n, phi, eps):
+    """ln Z from scalar prefix-sum loops and math.fsum."""
     d = n - m
     c_minus, acc = [0.0] * n, 0.0
     for i in range(1, n):
@@ -199,7 +197,13 @@ def reference_sliced_f(a, b, phi, t):
         acc += float(phi((d + j) * eps))
         c_plus[j] = acc
     exponents = eps * (float(phi(d * eps)) + (np.asarray(c_minus)[:, None] + np.asarray(c_plus)[None, :]))
-    return -fsum(np.log1p(-np.exp(-exponents)).ravel()) / (m * n)
+    return -fsum(np.log1p(-np.exp(-exponents)).ravel())
+
+
+def reference_sliced_f(a, b, phi, t):
+    """Free energy at 1/eps = t from reference_sliced_log_z."""
+    m, n = round(a * t), round(b * t)
+    return reference_sliced_log_z(m, n, phi, 1.0 / t) / (m * n)
 
 
 @pytest.mark.parametrize("profile, a, b", [
@@ -294,22 +298,8 @@ def test_sliced_positivity_is_decided_before_the_matrix(phi, exp_calls):
                          ids=["table", "inf-m"])
 def test_sliced_positivity_keeps_positive_exponents(phi):
     # one slice <= 0 or infinite, yet every E_ij > 0: accepted, with the
-    # bits of the naive per-cell sum
-    m, n, eps = 4, 12, 0.25
-    exponents = np.array([[eps * (float(phi(8 * eps)) + (
-        fsum_left(phi((8 - k) * eps) for k in range(1, i + 1))
-        + fsum_left(phi((8 + k) * eps) for k in range(1, j + 1))))
-        for j in range(m)] for i in range(n)])
-    naive = -fsum(np.log1p(-np.exp(-exponents)).ravel())
-    assert same_bits(log_z_sliced(m, n, phi, eps), naive)
-
-
-def fsum_left(values):
-    """Plain left-to-right float sum, as a scalar prefix loop adds."""
-    acc = 0.0
-    for v in values:
-        acc += float(v)
-    return acc
+    # bits of the scalar reference
+    assert same_bits(log_z_sliced(4, 12, phi, 0.25), reference_sliced_log_z(4, 12, phi, 0.25))
 
 
 def test_sliced_rejects_weights_that_round_to_one():
