@@ -94,13 +94,23 @@ def _poly(coeffs, z: float) -> float:
     return acc
 
 
-def chi(z: float) -> float:
-    """chi(z) = e^{-z} (z/(1-e^{-z}))^2; even, chi(0) = 1."""
-    t = abs(float(z))
-    if t < _CHI_TAYLOR_SWITCH:
-        return _even_series(_CHI_C, t)
-    d = -expm1(-t)
-    return t * t * exp(-t) / (d * d)
+def chi(z):
+    """chi(z) = e^{-z} (z/(1-e^{-z}))^2; even, chi(0) = 1.
+
+    z is a float or an array: a float (or any 0-d input) gives a float, an
+    array gives an array of its shape.  Both run the same numpy code, so an
+    array's values are the scalar calls' values bit for bit.  Below |z| =
+    _CHI_TAYLOR_SWITCH each value is the fsum of the Taylor series, one at a
+    time; the rest take np.expm1 and np.exp together.
+    """
+    t = np.abs(np.asarray(z, dtype=float))
+    with np.errstate(all="ignore"):  # 0/0 at z = 0 is replaced below; inf * 0 gives nan
+        d = -np.expm1(-t)
+        out = np.asarray(t * t * np.exp(-t) / (d * d))
+    small = t < _CHI_TAYLOR_SWITCH
+    if small.any():
+        out[small] = [_even_series(_CHI_C, v) for v in t[small].tolist()]
+    return float(out) if out.ndim == 0 else out
 
 
 def _xi_bracket(z, ez, d):

@@ -4,7 +4,8 @@ exact_sum serves arrays that are all in hand.  Up to _FSUM_MAX values it is
 math.fsum over the values as a list; above that, one error-free extraction
 level per block and a rigorous bound on the rest decide the rounding, and
 sums that lie too near a rounding boundary go to math.fsum.  NeumaierSum
-serves streaming loops with a data-dependent stopping rule.
+serves streaming loops with a data-dependent stopping rule, a term or an
+array of terms at a time.
 """
 import math
 
@@ -112,6 +113,21 @@ class NeumaierSum:
             self._c += (term - t) + self._s
         self._s = t
         self.count += 1
+
+    def add_array(self, terms: np.ndarray) -> None:
+        """add each value of a 1-D array in order, bit for bit as the add loop.
+
+        np.cumsum accumulates sequentially, so seeded with _s it reproduces
+        every running sum t; each step's compensation is add's branch, picked
+        by np.where, and a cumsum seeded with _c adds them in the same order.
+        """
+        with np.errstate(all="ignore"):  # inf and nan propagate as Python floats do
+            sums = np.cumsum(np.concatenate(([self._s], terms)))
+            s, t = sums[:-1], sums[1:]
+            comp = np.where(np.abs(s) >= np.abs(terms), (s - t) + terms, (terms - t) + s)
+            self._c = float(np.cumsum(np.concatenate(([self._c], comp)))[-1])
+        self._s = float(sums[-1])
+        self.count += terms.size
 
     @property
     def value(self) -> float:

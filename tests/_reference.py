@@ -2,10 +2,16 @@
 
 Independently sourced constants, the published reference table for the
 slice-weight experiment (analytic and fitted columns), the slice-weighted
-f3 fitted to exact lattice data, and a bit-for-bit float comparison.
+f3 fitted to exact lattice data, a bit-for-bit float comparison and ulp
+distance, and the resummed free-energy series summed term by term.
 """
+import math
 import struct
 from fractions import Fraction
+
+from hexdimer import partition, specialfn
+from hexdimer.errors import ConvergenceError
+from hexdimer.summation import NeumaierSum
 
 ZETA3 = 1.2020569031595942854  # Apery's constant, standard tables
 
@@ -77,6 +83,55 @@ def boxed_plane_partition_count(m: int, n: int, k: int) -> int:
 def same_bits(x: float, y: float) -> bool:
     """x and y are the same double, bit for bit (so -0.0 differs from 0.0)."""
     return struct.pack("<d", x) == struct.pack("<d", y)
+
+
+def ulps_apart(x: float, y: float) -> int:
+    """How many steps of one ulp lead from x to y (0 when equal, 0.0 == -0.0)."""
+    def ordered(v: float) -> int:
+        u = struct.unpack("<Q", struct.pack("<d", v))[0]
+        return -(u & (2**63 - 1)) if u >> 63 else u
+    return abs(ordered(x) - ordered(y))
+
+
+def reference_chi(z: float) -> float:
+    """chi(z) for one float with math.exp and math.expm1; the Taylor branch
+    below |z| = 1e-3 is the library's."""
+    t = abs(float(z))
+    if t < specialfn._CHI_TAYLOR_SWITCH:
+        return specialfn._even_series(specialfn._CHI_C, t)
+    d = -math.expm1(-t)
+    return t * t * math.exp(-t) / (d * d)
+
+
+def reference_series_free_energy(scenario, eps: float) -> float:
+    """The resummed series sum_n chi(n eps) H_n / n^3 summed one term at a
+    time with math.exp and math.expm1, stopping as partition.series_free_energy
+    does.  It reads partition._SERIES_TERM_TOL and _SERIES_N_MAX at call time;
+    its ConvergenceError pairs term N's chi with (N+1)^2 in `achieved`."""
+    a, b, c = scenario.a, scenario.b, scenario.c
+    finite = scenario.kind == "finite"
+    if finite:
+        prefactor = -1.0 / (2.0 * (a * b + b * c + a * c))
+    else:
+        prefactor = 1.0 / (a * b)
+
+    acc = NeumaierSum()
+    n = 1
+    while True:
+        z = n * eps
+        chi_n = reference_chi(z)
+        h = (-math.expm1(-n * a)) * (-math.expm1(-n * b))
+        if finite:
+            h *= -math.expm1(-n * c)
+        acc.add(chi_n * h / n**3)
+        if chi_n / (2.0 * n * n) < partition._SERIES_TERM_TOL:
+            break
+        n += 1
+        if n > partition._SERIES_N_MAX:
+            raise ConvergenceError(
+                f"series free energy did not converge within {partition._SERIES_N_MAX} terms",
+                partial=prefactor * acc.value, achieved=chi_n / (2.0 * n * n))
+    return prefactor * acc.value
 
 
 if __name__ == "__main__":

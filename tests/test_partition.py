@@ -25,11 +25,11 @@ from hexdimer import (
     series_free_energy,
 )
 from hexdimer.enumeration import config_count
-from hexdimer import partition
+from hexdimer import partition, specialfn
 from hexdimer.partition import sliced_log_weight_exponents
 from hexdimer.weights import PhiFunction, TabulatedPhi, phi_from_id
 
-from _reference import same_bits
+from _reference import reference_series_free_energy, same_bits, ulps_apart
 
 
 def test_macmahon_small_boxes():
@@ -410,6 +410,93 @@ def test_series_cap_raises(monkeypatch):
     with pytest.raises(ConvergenceError) as err:
         series_free_energy(Scenario("finite", 1.0, 1.0, 1.0), 0.01)
     assert err.value.partial is not None
+
+
+# the numpy chunks may move the series by a few ulp from the term-by-term loop
+SERIES_ULPS = 4
+SERIES_BOXES = (Scenario("finite", 1.0, 1.0, 1.0), Scenario("finite", 3.0, 2.0, 1.0),
+                Scenario("finite", 1.0, 1.0, 40.0), Scenario("finite", 0.5, 2.0, 3.0),
+                Scenario("infinite", 1.0, 1.0), Scenario("infinite", 2.0, 1.0))
+
+
+@pytest.mark.parametrize("scenario", SERIES_BOXES, ids=lambda s: f"{s.kind}-{s.a}-{s.b}-{s.c}")
+def test_series_within_ulps_of_term_by_term_reference(scenario):
+    # 1/eps = 1000 puts n = 1 on chi's Taylor switch; 2000 and 5000 go below it
+    for t in (2, 4, 10, 50, 100, 200, 1000, 2000, 5000):
+        want = reference_series_free_energy(scenario, 1.0 / t)
+        assert ulps_apart(series_free_energy(scenario, 1.0 / t), want) <= SERIES_ULPS, t
+
+
+# verify's 8 dual-evaluator series, recorded from the term-by-term loop; on
+# the recording host the chunked series gives each of them bit for bit
+VERIFY_SERIES = {
+    (Scenario("finite", 1.0, 1.0, 1.0), 10): "-0x1.120383466d476p-4",
+    (Scenario("finite", 1.0, 1.0, 1.0), 50): "-0x1.13c73b5fe703bp-4",
+    (Scenario("finite", 3.0, 2.0, 1.0), 10): "-0x1.037d664a3819cp-5",
+    (Scenario("finite", 3.0, 2.0, 1.0), 50): "-0x1.0492f9b161754p-5",
+    (Scenario("infinite", 1.0, 1.0), 10): "0x1.202ee45ed29ebp-1",
+    (Scenario("infinite", 1.0, 1.0), 50): "0x1.21989a6d1f3fap-1",
+    (Scenario("infinite", 2.0, 1.0), 10): "0x1.72db2648d347ep-2",
+    (Scenario("infinite", 2.0, 1.0), 50): "0x1.745bc852513c8p-2",
+}
+
+
+def test_verify_series_pins():
+    for (scenario, t), pin in VERIFY_SERIES.items():
+        got = series_free_energy(scenario, 1.0 / t)
+        assert ulps_apart(got, float.fromhex(pin)) <= SERIES_ULPS, (scenario, t)
+
+
+def first_n_below_tolerance(eps: float) -> int:
+    n = 1
+    while not specialfn.chi(n * eps) / (2.0 * n * n) < partition._SERIES_TERM_TOL:
+        n += 1
+    return n
+
+
+def test_series_chunks_sum_through_the_first_n_below_the_tolerance(monkeypatch):
+    # add_array is the add loop bit for bit, so the chunk size leaves the bits
+    # alone.  The stop term is below an ulp of the sum, so the terms are
+    # counted: the stop falls at a chunk's end, at the next one's start, or
+    # inside one.
+    scenario, eps = Scenario("finite", 3.0, 2.0, 1.0), 0.1
+    want = series_free_energy(scenario, eps)
+    last = first_n_below_tolerance(eps)
+    counts = []
+
+    class CountingSum(partition.NeumaierSum):
+        @property
+        def value(self):
+            counts.append(self.count)
+            return super().value
+
+    monkeypatch.setattr(partition, "NeumaierSum", CountingSum)
+    for chunk in (1, 7, last - 1, last, last + 1, 4096):
+        monkeypatch.setattr(partition, "_SERIES_CHUNK", chunk)
+        assert same_bits(series_free_energy(scenario, eps), want), chunk
+        assert counts.pop() == last, chunk
+
+
+@pytest.mark.parametrize("chunk", [3, 4096])
+def test_series_cap_sums_exactly_the_cap(monkeypatch, chunk):
+    monkeypatch.setattr(partition, "_SERIES_N_MAX", 10)
+    monkeypatch.setattr(partition, "_SERIES_CHUNK", chunk)
+    sizes = []
+
+    def chi_spy(z):
+        sizes.append(z.size)
+        return specialfn.chi(z)
+
+    monkeypatch.setattr(partition, "chi", chi_spy)
+    scenario, eps = Scenario("finite", 1.0, 1.0, 1.0), 0.01
+    with pytest.raises(ConvergenceError) as err:
+        series_free_energy(scenario, eps)
+    with pytest.raises(ConvergenceError) as ref:
+        reference_series_free_energy(scenario, eps)
+    assert sum(sizes) == 10 and max(sizes) <= 10
+    assert ulps_apart(err.value.partial, ref.value.partial) <= SERIES_ULPS
+    # the stop quantity of term 10, the last one summed
+    assert same_bits(err.value.achieved, specialfn.chi(10 * eps) / (2.0 * 10 * 10))
 
 
 def test_free_energy_scaled_sliced_sample():

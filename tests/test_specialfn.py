@@ -19,7 +19,7 @@ from hexdimer import (
 from hexdimer import quadrature, specialfn
 from hexdimer.quadrature import adaptive
 
-from _reference import UNIVERSAL_CONSTANT, UNIVERSAL_CONSTANT_HP, ZETA3
+from _reference import UNIVERSAL_CONSTANT, UNIVERSAL_CONSTANT_HP, ZETA3, reference_chi, same_bits
 
 
 def test_chi_at_zero_and_small_argument():
@@ -51,6 +51,40 @@ def test_chi_taylor_remainder_is_order_z6():
     for z in np.linspace(1e-3, 0.5, 400):
         diff = abs(chi(z) - (1 - z**2 / 12 + z**4 / 240))
         assert diff <= 3e-4 * z**6 + 5e-16
+
+
+# 0, both sides of the Taylor switch 1e-3, the tiniest and largest useful
+# arguments, and negative z
+SWITCH = 1e-3
+CHI_POINTS = [0.0, -0.0, 1e-300, -1e-300, 5e-4, math.nextafter(SWITCH, 0.0), SWITCH,
+              math.nextafter(SWITCH, 1.0), -SWITCH, 2e-3, 0.5, -3.0, 700.0, -700.0]
+
+
+def test_chi_float_in_float_out():
+    assert specialfn._CHI_TAYLOR_SWITCH == SWITCH
+    for z in CHI_POINTS + [0, np.float64(2.0), np.array(2.0)]:
+        assert type(chi(z)) is float
+
+
+def test_chi_array_keeps_shape_and_matches_scalar_calls():
+    z = np.array(CHI_POINTS[:12]).reshape(3, 4)
+    got = chi(z)
+    assert isinstance(got, np.ndarray) and got.shape == (3, 4)
+    assert all(same_bits(g, chi(v)) for g, v in zip(got.ravel().tolist(), z.ravel().tolist()))
+    row = chi(np.array(CHI_POINTS))
+    assert row.shape == (len(CHI_POINTS),)
+    assert all(same_bits(g, chi(v)) for g, v in zip(row.tolist(), CHI_POINTS))
+    assert chi(np.array([])).shape == (0,)
+
+
+def test_chi_taylor_branch_is_the_term_by_term_sum():
+    # below the switch each value is the fsum of the Taylor series, as before
+    # chi took arrays; above it np.exp and np.expm1 may move it by a few ulp
+    small = [p for p in CHI_POINTS if abs(p) < SWITCH]
+    assert all(same_bits(g, reference_chi(v)) for g, v in zip(chi(np.array(small)).tolist(), small))
+    large = [p for p in CHI_POINTS if abs(p) >= SWITCH]
+    assert all(abs(g - reference_chi(v)) <= 4 * math.ulp(reference_chi(v))
+               for g, v in zip(chi(np.array(large)).tolist(), large))
 
 
 def test_chi_dd_at_zero():
