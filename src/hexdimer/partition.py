@@ -29,6 +29,8 @@ _SERIES_N_MAX = 10**7
 _SERIES_CHUNK = 4096  # terms formed per numpy pass
 # how far a/eps, b/eps and c/eps may sit from an integer
 _LATTICE_TOL = 1e-9
+# log_z_sliced hands exact_sum a bound on its terms when E_min lies above this
+_BOUND_E_MIN = math.ldexp(1.0, -30)
 # most cells m*n of one sliced ln Z: its exponent matrix then takes 256 MiB
 MAX_SLICED_CELLS = 2**25
 # signs of the monomials 1, x^m, x^n, x^k, x^(m+n), x^(n+k), x^(m+k), x^(m+n+k)
@@ -110,11 +112,12 @@ def _sliced_prefix_sums(m: int, n: int, phi: PhiFunction, eps: float):
 
 def _negated_exponents(eta: float, c_minus: np.ndarray, c_plus: np.ndarray,
                        eps: float) -> np.ndarray:
-    """-E as an (n, m) matrix: c_plus tiled over the rows plus c_minus down
-    the columns (fl(c_plus[j] + c_minus[i]), the bits of the outer sum), then
-    + eta, then * -eps, which rounds to exactly -fl(s * eps)."""
-    terms = np.tile(c_plus, (c_minus.size, 1))
-    terms += c_minus[:, None]
+    """-E as an (n, m) matrix: each c_minus[i] repeated along row i, plus
+    c_plus along every row (fl(c_minus[i] + c_plus[j]): addition commutes, so
+    these are the bits of the outer sum), then + eta, then * -eps, which
+    rounds to exactly -fl(s * eps)."""
+    terms = np.repeat(c_minus, c_plus.size).reshape(c_minus.size, c_plus.size)
+    terms += c_plus
     terms += eta
     terms *= -eps
     return terms
@@ -154,6 +157,13 @@ def log_z_sliced(m: int, n: int, phi: PhiFunction, eps: float) -> float:
     That one cell decides the check, before the (n, m) matrix exists.
     -E is formed directly and turned into the terms ln(1 - e^{-E_ij}) in
     place, which are summed exactly (exact_sum equals math.fsum bit for bit).
+    The largest |term| is the one at E_min, so when E_min > 2^-30, where
+    e^{-E} is well clear of 1, top = 2 * -ln(1 - e^{-E_min}) bounds every
+    |term| and exact_sum takes its splitting constant from top instead of
+    measuring each block; the factor 2 covers ulp-level differences between
+    math's and numpy's exp and log1p.  At or below 2^-30 exact_sum measures
+    max|term| per block; a top below 2^-900 sends the terms to math.fsum
+    value by value, as a measured max would.
     When e^{-E_ij} rounds to 1 in floating point (E_ij below about 1e-16),
     ln(1 - e^{-E_ij}) cannot be formed and ValueError is raised; Z itself is
     finite for every E_ij > 0.
@@ -163,14 +173,18 @@ def log_z_sliced(m: int, n: int, phi: PhiFunction, eps: float) -> float:
     _check_sliced_cells(m, n)
     phi.check_range((1 - m) * eps, (n - 1) * eps)
     eta, c_minus, c_plus = _sliced_prefix_sums(m, n, phi, eps)
-    if not (c_minus.min() + c_plus.min() + eta) * eps > 0.0:
+    e_min = (c_minus.min() + c_plus.min() + eta) * eps
+    if not e_min > 0.0:
         raise ValueError("non-positive weight exponent: phi must be strictly positive on [-a, b]")
     terms = _negated_exponents(eta, c_minus, c_plus, eps)
     np.exp(terms, out=terms)
     np.negative(terms, out=terms)
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf is reported below
         np.log1p(terms, out=terms)
-    total = exact_sum(terms)
+    top = None
+    if e_min > _BOUND_E_MIN:
+        top = 2.0 * -math.log1p(-math.exp(-e_min))
+    total = exact_sum(terms, top)
     if total == -math.inf:
         raise ValueError(f"eps * phi is too small for {phi.id} at eps = {eps}: e^(-E) rounds "
                          f"to 1 in floating point, so ln(1 - e^(-E)) cannot be formed")

@@ -25,7 +25,8 @@ def _fsum(x: np.ndarray) -> float:
     return math.fsum(x.tolist())
 
 
-def _split_level(x: np.ndarray, p: np.ndarray, q: np.ndarray, parts: list) -> float | None:
+def _split_level(x: np.ndarray, p: np.ndarray, q: np.ndarray, parts: list,
+                 top: float | None = None) -> float | None:
     """Split x at one extraction level, appending the level's exact sum to parts.
 
     Error-free splitting of Rump, Ogita and Oishi ("ExtractVector", Accurate
@@ -35,12 +36,20 @@ def _split_level(x: np.ndarray, p: np.ndarray, q: np.ndarray, parts: list) -> fl
     in any order.  x is only read; q is scratch and the remainders x - q go
     to p.
 
-    Returns sigma, with the remainders in p; 0.0 when nothing remains (x is
-    zero, or below 2^-900 and appended to parts value by value); None on inf,
+    Any upper bound 2^e on max|x| keeps both exact; a larger one only makes
+    sigma, and with it the remainders' bound, looser.  top, when given, is
+    such a bound on every |x| (finite values only), and e is taken from it in
+    place of a max and a min reduction over x; without it max|x| is measured.
+    A top below 2^-900 takes the value-by-value path below, exact whatever
+    the values, as a measured one would.
+
+    Returns sigma, with the remainders in p; 0.0 when nothing remains (top is
+    zero, or below 2^-900 and x appended to parts value by value); None on inf,
     nan or a value near overflow, which are left to math.fsum so that its
     errors carry over.
     """
-    top = max(x.max(), -x.min())
+    if top is None:
+        top = max(x.max(), -x.min())
     if top == 0.0:
         return 0.0
     if not top <= _HUGE:
@@ -56,7 +65,7 @@ def _split_level(x: np.ndarray, p: np.ndarray, q: np.ndarray, parts: list) -> fl
     return sigma
 
 
-def exact_sum(values) -> float:
+def exact_sum(values, top: float | None = None) -> float:
     """The correctly rounded sum of an array: bit for bit what math.fsum returns.
 
     Each block of k values is split at one level (see _split_level): the
@@ -70,6 +79,14 @@ def exact_sum(values) -> float:
     zero) math.fsum sums the values themselves.  The input is never written.
     Arrays of at most _FSUM_MAX values, and arrays holding inf, nan or
     magnitudes above 2^900, go to math.fsum whole.
+
+    top, when given, must bound every |value| from above; each block's sigma
+    is then taken from it (see _split_level), which saves a max and a min
+    reduction per block.  sigma grows with top: a top at most 4 times the
+    largest |value| gives a sigma at most 4 times a measured one, and B
+    grows with it.  Without top each block's max|x| is measured
+    (log_z_sliced passes one; the product formulas do not), and with one
+    below 2^-900 every nonzero value goes to math.fsum as it is.
     """
     x = np.asarray(values, dtype=float).ravel()
     if x.size <= _FSUM_MAX:
@@ -80,7 +97,7 @@ def exact_sum(values) -> float:
     for start in range(0, x.size, _BLOCK):
         block = x[start:start + _BLOCK]
         k = block.size
-        sigma = _split_level(block, p[:k], q[:k], parts)
+        sigma = _split_level(block, p[:k], q[:k], parts, top)
         if sigma is None:
             return _fsum(x)
         if sigma:

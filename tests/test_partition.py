@@ -7,6 +7,8 @@ from math import fsum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexdimer import (
     BoxShape,
@@ -27,6 +29,7 @@ from hexdimer import (
 from hexdimer.enumeration import config_count
 from hexdimer import partition, specialfn
 from hexdimer.partition import sliced_log_weight_exponents
+from hexdimer.summation import exact_sum
 from hexdimer.weights import PhiFunction, TabulatedPhi, phi_from_id
 
 from _reference import reference_series_free_energy, same_bits, ulps_apart
@@ -185,8 +188,8 @@ class CountingPhi(PhiFunction):
         self.base.check_positive(lo, hi)
 
 
-def reference_sliced_log_z(m, n, phi, eps):
-    """ln Z from scalar prefix-sum loops and math.fsum."""
+def reference_sliced_exponents(m, n, phi, eps):
+    """The (n, m) exponents E_ij from scalar prefix-sum loops."""
     d = n - m
     c_minus, acc = [0.0] * n, 0.0
     for i in range(1, n):
@@ -196,8 +199,12 @@ def reference_sliced_log_z(m, n, phi, eps):
     for j in range(1, m):
         acc += float(phi((d + j) * eps))
         c_plus[j] = acc
-    exponents = eps * (float(phi(d * eps)) + (np.asarray(c_minus)[:, None] + np.asarray(c_plus)[None, :]))
-    return -fsum(np.log1p(-np.exp(-exponents)).ravel())
+    return eps * (float(phi(d * eps)) + (np.asarray(c_minus)[:, None] + np.asarray(c_plus)[None, :]))
+
+
+def reference_sliced_log_z(m, n, phi, eps):
+    """ln Z from scalar prefix-sum loops and math.fsum."""
+    return -fsum(np.log1p(-np.exp(-reference_sliced_exponents(m, n, phi, eps))).ravel())
 
 
 def reference_sliced_f(a, b, phi, t):
@@ -223,6 +230,62 @@ def test_sliced_grid_bit_identical_to_scalar_reference(profile, a, b):
     by_t = {s.inv_eps: s.f for s in samples}
     for t in (2, 3, 17, 64, 200):
         assert by_t[t] == reference_sliced_f(a, b, base, t)
+
+
+@st.composite
+def sliced_bound_cases(draw):
+    """A positive profile, box and mesh whose smallest exponent E_min lies on
+    either side of 2^-30, in the normal range, or where e^{-E} is subnormal
+    or 0 (E from 708 to 760).  Boxes include 1 x n and n x 1 rows of up to
+    two extraction blocks."""
+    kind = draw(st.sampled_from(["const", "linear", "cosine"]))
+    shape = draw(st.sampled_from(["box", "row", "column"]))
+    # a long row holds one extraction block of 2^15 values, or two
+    side, long = st.integers(1, 300), st.integers(200, 2_000) | st.integers(32_769, 40_000)
+    m, n = {"box": (draw(side), draw(side)), "row": (1, draw(long)),
+            "column": (draw(long), 1)}[shape]
+    e_min = draw(draw(st.sampled_from([
+        st.floats(-13.0, math.log10(2.0**-30)).map(lambda x: 10.0**x),
+        st.sampled_from([2.0**-30, math.nextafter(2.0**-30, 0.0), math.nextafter(2.0**-30, 1.0)]),
+        st.floats(math.log10(2.0**-30), -6.0).map(lambda x: 10.0**x),
+        st.floats(1e-3, 40.0),
+        st.floats(600.0, 708.0),  # terms down to 2^-1022
+        st.floats(708.0, 760.0),  # e^{-E} subnormal, then 0
+    ])))
+    if kind == "cosine":  # phi in [1/3, 1]: E_min lies in [eps/3, eps]
+        return m, n, CosinePhi(), e_min
+    eps = 10.0 ** draw(st.floats(-3.0, 0.0))
+    scale = e_min / eps
+    if kind == "const":
+        return m, n, ConstantPhi(scale), eps
+    # scale * (1 + r (t - t0) / span), t0 = (n-m) eps = b-a: positive on the
+    # slices [(1-m) eps, (n-1) eps], which lie within span of t0
+    r = draw(st.floats(-0.9, 0.9))
+    t0, span = (n - m) * eps, max(m, n) * eps
+    return m, n, LinearPhi(scale * (1.0 - r * t0 / span), scale * r / span), eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(sliced_bound_cases())
+def test_sliced_bound_keeps_sum_exact(case):
+    m, n, phi, eps = case
+    tops = []
+
+    def exact_sum_spy(values, top=None):
+        tops.append(top)
+        return exact_sum(values, top)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "exact_sum", exact_sum_spy)
+        log_z = log_z_sliced(m, n, phi, eps)
+    exponents = reference_sliced_exponents(m, n, phi, eps)
+    terms = np.log1p(-np.exp(-exponents))
+    assert same_bits(log_z, 0.0 - fsum(terms.ravel()))
+    [top] = tops
+    assert (top is not None) == (exponents.min() > 2.0**-30)
+    if top is not None and top >= 2.0**-900:  # the bound stands in for max|term|
+        largest = float(np.abs(terms).max())
+        assert largest <= top <= 4.0 * largest
 
 
 def test_sliced_rejects_nonpositive_weights():

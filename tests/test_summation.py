@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from hexdimer import summation
 from hexdimer.partition import log_z_sliced, sliced_log_weight_exponents
 from hexdimer.summation import NeumaierSum, exact_sum
-from hexdimer.weights import CosinePhi
+from hexdimer.weights import phi_from_id
 
-from _reference import same_bits
+from _reference import TABLE1, same_bits
 
 
 @contextlib.contextmanager
@@ -39,6 +39,11 @@ def sums_both_ways(xs) -> list[float]:
 def assert_matches_fsum(xs) -> None:
     want = math.fsum(xs)
     assert all(same_bits(got, want) for got in sums_both_ways(xs))
+    # the extraction given max|x|, or four times it, in place of a measured max
+    top = max(map(abs, xs), default=0.0)
+    with fsum_max(0):
+        for bound in (top, 4.0 * top):
+            assert same_bits(exact_sum(np.array(xs, dtype=float), bound), want)
 
 
 # finite floats with binary exponents in [-600, 600]
@@ -178,15 +183,17 @@ def test_fsum_errors_carry_over(xs):
 
 
 def level_spy(monkeypatch):
-    """Record the number of level sums each _split_level call appends, and
-    the size of every array that _fsum sums whole (the fallback)."""
-    calls, fallbacks = [], []
+    """Record the number of level sums each _split_level call appends, the
+    bound on max|x| it was passed (None when it measures its own), and the
+    size of every array that _fsum sums whole (the fallback)."""
+    calls, fallbacks, bounds = [], [], []
     split, fsum_whole = summation._split_level, summation._fsum
 
-    def split_spy(x, p, q, parts):
+    def split_spy(x, p, q, parts, top=None):
         before = len(parts)
-        sigma = split(x, p, q, parts)
+        sigma = split(x, p, q, parts, top)
         calls.append(len(parts) - before)
+        bounds.append(top)
         return sigma
 
     def fsum_spy(x):
@@ -195,20 +202,26 @@ def level_spy(monkeypatch):
 
     monkeypatch.setattr(summation, "_split_level", split_spy)
     monkeypatch.setattr(summation, "_fsum", fsum_spy)
-    return calls, fallbacks
+    return calls, fallbacks, bounds
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(scaled_floats, min_size=1, max_size=200))
-def test_one_level_remainder_error_within_bound(xs):
+@given(st.lists(scaled_floats, min_size=1, max_size=200), st.sampled_from([None, 1.0, 1.5, 4.0]))
+def test_one_level_remainder_error_within_bound(xs, looser):
+    # looser: the split measures max|x| itself (None), or is passed a bound that
+    # many times max|x|
     x = np.array(xs)
     k = x.size
     p, q, parts = np.empty(k), np.empty(k), []
-    sigma = summation._split_level(x, p, q, parts)
+    top = None if looser is None else looser * float(np.abs(x).max())
+    sigma = summation._split_level(x, p, q, parts, top)
     exact = sum(map(Fraction, xs), Fraction(0))
     if not sigma:  # fully split: the parts are the sum
         assert sum(map(Fraction, parts), Fraction(0)) == exact
         return
+    # sigma = 2^(M+e) with 2^e above the given bound, or the measured max|x|
+    bound = float(np.abs(x).max()) if top is None else top
+    assert sigma == math.ldexp(1.0, (k + 1).bit_length() + math.frexp(bound)[1])
     u = Fraction(1, 2**53)
     rests = [Fraction(r) for r in p.tolist()]
     assert all(abs(r) <= u * sigma for r in rests)
@@ -224,21 +237,27 @@ def test_tie_after_one_level_falls_back_and_matches_fsum(monkeypatch):
     # 1 + 2^-53 is a rounding midpoint; the 2^-106 beyond it lies in the
     # float-summed remainders, so one level cannot decide which way it rounds
     monkeypatch.setattr(summation, "_FSUM_MAX", 0)  # 3 values would skip the split
-    calls, fallbacks = level_spy(monkeypatch)
+    calls, fallbacks, bounds = level_spy(monkeypatch)
     xs = [1.0, 2.0**-53, 2.0**-106]
     got = exact_sum(np.array(xs))
     assert same_bits(got, math.fsum(xs)) and got == 1.0 + 2.0**-52
-    assert calls == [1] and fallbacks == [3]
+    assert calls == [1] and fallbacks == [3] and bounds == [None]
 
 
 def test_sliced_terms_decide_after_one_level(monkeypatch):
-    m, n, eps = 200, 600, 1.0 / 200  # cosine (1, 3) at 1/eps = 200
-    calls, fallbacks = level_spy(monkeypatch)
-    log_z = log_z_sliced(m, n, CosinePhi(), eps)
-    blocks = -(-m * n // summation._BLOCK)
-    assert calls == [1] * blocks and fallbacks == []  # one level sum per block
-    terms = np.log1p(-np.exp(-sliced_log_weight_exponents(m, n, CosinePhi(), eps)))
-    assert same_bits(log_z, -math.fsum(terms.ravel()))
+    # every Table 1 row at 1/eps = 200: a fallback to fsum over the terms costs
+    # about 50 ns per cell, far more than the extraction saves
+    calls, fallbacks, bounds = level_spy(monkeypatch)
+    for spec, a, b in TABLE1:
+        m, n, eps, phi = 200 * a, 200 * b, 1.0 / 200, phi_from_id(spec)
+        del calls[:], bounds[:]
+        log_z = log_z_sliced(m, n, phi, eps)
+        blocks = -(-m * n // summation._BLOCK)
+        assert calls == [1] * blocks and fallbacks == []  # one level sum per block
+        # each block takes sigma from the kernel's bound, not from max|x|
+        assert bounds[0] >= summation._TINY and bounds == bounds[:1] * blocks
+        terms = np.log1p(-np.exp(-sliced_log_weight_exponents(m, n, phi, eps)))
+        assert same_bits(log_z, -math.fsum(terms.ravel()))
 
 
 def neumaier_state(acc: NeumaierSum) -> tuple:

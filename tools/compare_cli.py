@@ -54,12 +54,18 @@ INVOCATIONS = (
     ("partition", "--M", "1", "--N", "1", "--K", "1", "--q", "0.5"),
     ("partition", "--M", "600", "--N", "1", "--K", "2", "--q", "0.999"),
     ("partition", "--a", "1", "--b", "3", "--phi", "cosine", "--inv-eps", "40"),
+    ("partition", "--a", "2", "--b", "3", "--phi", "cosine", "--inv-eps", "200"),  # 240,000 cells
+    # E_min = 5e-10 and 1e-9, either side of 2^-30, where the sliced sum starts
+    # taking its splitting constant from a bound
+    ("partition", "--a", "1", "--b", "1", "--phi", "const:1e-7", "--inv-eps", "200"),
+    ("partition", "--a", "1", "--b", "1", "--phi", "const:2e-7", "--inv-eps", "200"),
     ("free-energy", "--M", "3", "--N", "4", "--K", "5", "--q", "0.7"),
     ("free-energy", "--a", "1", "--b", "2", "--c", "3", "--inv-eps", "10"),
     ("free-energy", "--a", "1", "--b", "3", "--phi", "cosine", "--inv-eps", "25"),
     ("free-energy", "--a", "1", "--b", "1", "--c", "1", *_GRID, "--out", OUT),
     ("free-energy", "--a", "2", "--b", "1", *_SLICED_GRID, "--out", OUT),
     ("free-energy", "--a", "1", "--b", "3", "--phi", "cosine", *_SLICED_GRID, "--out", OUT),
+    ("free-energy", "--a", "2", "--b", "3", "--phi", "cosine", *_SLICED_GRID, "--out", OUT),
     ("free-energy", "--a", "2", "--b", "3", "--phi", "linear:2,0.5", *_SLICED_GRID, "--out", OUT),
 )
 
