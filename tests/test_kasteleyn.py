@@ -171,13 +171,52 @@ def test_overflowing_q_power_is_a_value_error(m, n, k, q, power):
     assert log_z_macmahon(BoxShape(m, n, k), q) > 0.0
 
 
+_SCIPY_LOADS = """
+import contextlib, io, sys
+import hexdimer
+from hexdimer import BoxShape, cli, log_z_kasteleyn
+
+def loaded(*names):
+    return sorted(m for m in names if m in sys.modules)
+
+print(loaded('scipy.linalg', 'scipy.sparse'))
+try:
+    log_z_kasteleyn(BoxShape(40, 40, 40), 0.5)
+except ValueError as err:
+    print(err)
+print(loaded('scipy.linalg._flapack'))
+first = log_z_kasteleyn(BoxShape(3, 3, 3), 0.5).hex()
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(['verify'])
+print(status, loaded('scipy.linalg', 'scipy.sparse'))
+used = sys.modules['scipy.linalg._flapack']
+import scipy.linalg.lapack
+print(scipy.linalg.lapack.dgbtrf is used.dgbtrf, scipy.linalg.lapack._flapack is used)
+print(log_z_kasteleyn(BoxShape(3, 3, 3), 0.5).hex() == first)
+"""
+
+
 def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg is imported inside log_z_kasteleyn: at module top it would
-    # add about 0.3 s and 27 MB to every process that imports hexdimer
+    # The oracle loads only scipy's LAPACK wrapper, and only once a box has
+    # passed its checks: importing scipy.linalg for it would add 0.25-0.35 s
+    # and 28 MB to every process that imports hexdimer or runs verify
     src = str(Path(hexdimer.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = ("import sys, hexdimer; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+    out = subprocess.run([sys.executable, "-c", _SCIPY_LOADS],
+                         env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == [
+        "[]",
+        "Kasteleyn matrix dimension 4800 exceeds 2000",
+        "[]",  # rejected before LAPACK was loaded
+        "0 []",
+        "True True",  # a later scipy.linalg shares the wrapper the oracle used
+        "True",
+    ]
+
+
+def test_missing_lapack_wrapper_is_an_import_error(monkeypatch):
+    # one import path: a scipy without the wrapper fails loudly, naming it
+    monkeypatch.setattr(kasteleyn, "_FLAPACK", "scipy.linalg._no_such_wrapper")
+    with pytest.raises(ImportError, match=r"ships no scipy\.linalg\._no_such_wrapper"):
+        kasteleyn._flapack()
