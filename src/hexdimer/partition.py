@@ -33,6 +33,10 @@ _LATTICE_TOL = 1e-9
 _BOUND_E_MIN = math.ldexp(1.0, -30)
 # most cells m*n of one sliced ln Z: its exponent matrix then takes 256 MiB
 MAX_SLICED_CELLS = 2**25
+# most terms m+n+k (m+n at infinite height) of one uniform product formula.
+# log_z_macmahon holds at most six float arrays of about that length at once,
+# log_z_infinite four, so a call peaks near 6 * 8 B * 2^22 = 192 MiB
+MAX_PRODUCT_TERMS = 2**22
 # signs of the monomials 1, x^m, x^n, x^k, x^(m+n), x^(n+k), x^(m+k), x^(m+n+k)
 # of (1-x^m)(1-x^n)(1-x^k)
 _MACMAHON_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
@@ -53,6 +57,14 @@ class FreeEnergySample:
             raise ValueError("free energy must be finite")
 
 
+def _check_product_terms(terms: float) -> None:
+    """Reject a uniform product formula of more than MAX_PRODUCT_TERMS terms
+    before anything is allocated."""
+    if terms > MAX_PRODUCT_TERMS:
+        raise ValueError(f"the product formula has {terms:.4g} terms, above the limit of "
+                         f"{MAX_PRODUCT_TERMS} terms")
+
+
 def log_z_macmahon(shape: BoxShape, q: float) -> float:
     """ln Z for the finite box via the triple product formula, q in (0, 1].
 
@@ -64,13 +76,15 @@ def log_z_macmahon(shape: BoxShape, q: float) -> float:
     without its O(mn + (m+n)k) cost.  Each grouped factor is a single log1p
     of a positive quantity, which is stable at both q^t -> 0 and q^t -> 1.
     At q = 1 the factor is its limit (t-1)/(t-2), so ln Z is the log of the
-    configuration count.
+    configuration count.  A box with m+n+k above MAX_PRODUCT_TERMS is rejected
+    before any array exists.
     """
     if not shape.is_finite:
         raise ValueError("log_z_macmahon requires finite k; use log_z_infinite")
     if not (0.0 < q <= 1.0):
         raise ValueError(f"q must be in (0, 1]; got {q}")
     m, n, k = shape.m, shape.n, shape.k
+    _check_product_terms(m + n + k)
     numerator = np.bincount((0, m, n, k, m + n, n + k, m + k, m + n + k), _MACMAHON_SIGNS)
     mult = numerator[:m + n + k - 2].cumsum().cumsum().cumsum()  # index t-3
     t = np.arange(3, m + n + k + 1, dtype=float)
@@ -84,14 +98,16 @@ def log_z_macmahon(shape: BoxShape, q: float) -> float:
 
 
 def log_z_infinite(shape: BoxShape, q: float) -> float:
-    """ln Z for the infinite-height box: -sum_{i,j} ln(1 - q^{i+j-1})."""
+    """ln Z for the infinite-height box: -sum_{i,j} ln(1 - q^{i+j-1}).  A box
+    with m+n above MAX_PRODUCT_TERMS is rejected before any array exists."""
     if shape.is_finite:
         raise ValueError("log_z_infinite requires k = inf")
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must be in (0, 1) for the infinite-height box; got {q}")
     m, n = shape.m, shape.n
+    _check_product_terms(m + n)
     s = np.arange(1, m + n, dtype=float)
-    mult = np.minimum.reduce([s, np.full_like(s, m), np.full_like(s, n), m + n - s])
+    mult = np.minimum(np.minimum(s, m + n - s), min(m, n))
     return -exact_sum(mult * np.log1p(-np.exp(s * log(q))))
 
 
@@ -160,10 +176,10 @@ def log_z_sliced(m: int, n: int, phi: PhiFunction, eps: float) -> float:
     The largest |term| is the one at E_min, so when E_min > 2^-30, where
     e^{-E} is well clear of 1, top = 2 * -ln(1 - e^{-E_min}) bounds every
     |term| and exact_sum takes its splitting constant from top instead of
-    measuring each block; the factor 2 covers ulp-level differences between
+    measuring max|term|; the factor 2 covers ulp-level differences between
     math's and numpy's exp and log1p.  At or below 2^-30 exact_sum measures
-    max|term| per block; a top below 2^-900 sends the terms to math.fsum
-    value by value, as a measured max would.
+    max|term| once; a top below 2^-900 sends the whole array to math.fsum,
+    as a measured max would.
     When e^{-E_ij} rounds to 1 in floating point (E_ij below about 1e-16),
     ln(1 - e^{-E_ij}) cannot be formed and ValueError is raised; Z itself is
     finite for every E_ij > 0.
@@ -328,12 +344,14 @@ def grid_samples(scenario: Scenario, inv_eps_min: int = 2,
                  inv_eps_max: int = 200) -> list[FreeEnergySample]:
     """Exact free-energy samples over the integer grid 1/eps = min..max.
 
-    A sliced grid is checked against MAX_SLICED_CELLS at its finest mesh
-    before the first sample is computed."""
+    A grid is checked against MAX_SLICED_CELLS or MAX_PRODUCT_TERMS at its
+    finest mesh before the first sample is computed."""
     if inv_eps_min < 1 or inv_eps_min >= inv_eps_max:
         raise ValueError("need 1 <= inv_eps_min < inv_eps_max")
+    a, b, c, eps = scenario.a, scenario.b, scenario.c, 1.0 / inv_eps_max
     if scenario.kind == "sliced":
-        eps = 1.0 / inv_eps_max
-        _check_sliced_cells(scenario.a / eps, scenario.b / eps)
+        _check_sliced_cells(a / eps, b / eps)
+    else:
+        _check_product_terms((a + b + (c if scenario.kind == "finite" else 0.0)) / eps)
     return [FreeEnergySample(inv_eps=t, eps=1.0 / t, f=scenario.free_energy(1.0 / t))
             for t in range(inv_eps_min, inv_eps_max + 1)]

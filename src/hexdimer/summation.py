@@ -1,11 +1,10 @@
 """Exact accumulation: a vectorised correctly rounded sum and a streaming one.
 
-exact_sum serves arrays that are all in hand.  Up to _FSUM_MAX values it is
-math.fsum over the values as a list; above that, one error-free extraction
-level per block and a rigorous bound on the rest decide the rounding, and
-sums that lie too near a rounding boundary go to math.fsum.  NeumaierSum
-serves streaming loops with a data-dependent stopping rule, a term or an
-array of terms at a time.
+exact_sum serves arrays that are all in hand: small ones go to math.fsum,
+larger ones are split at one error-free extraction level with one splitting
+constant per array, and a bound on the rest decides the rounding.
+NeumaierSum serves streaming loops with a data-dependent stopping rule, a
+term or an array of terms at a time.
 """
 import math
 
@@ -25,89 +24,57 @@ def _fsum(x: np.ndarray) -> float:
     return math.fsum(x.tolist())
 
 
-def _split_level(x: np.ndarray, p: np.ndarray, q: np.ndarray, parts: list,
-                 top: float | None = None) -> float | None:
-    """Split x at one extraction level, appending the level's exact sum to parts.
+def _split(x: np.ndarray, sigma: float, p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+    """Split x at sigma; return its level sum and its remainders' float sum.
 
     Error-free splitting of Rump, Ogita and Oishi ("ExtractVector", Accurate
     floating-point summation, Part I, SIAM J. Sci. Comput. 31(1), 2008): with
-    n + 2 <= 2^M, max|x| < 2^e and sigma = 2^(M+e), q = (sigma + x) - sigma
-    and x - q are exact, |x - q| <= u sigma (u = 2^-53), and sum(q) is exact
-    in any order.  x is only read; q is scratch and the remainders x - q go
-    to p.
-
-    Any upper bound 2^e on max|x| keeps both exact; a larger one only makes
-    sigma, and with it the remainders' bound, looser.  top, when given, is
-    such a bound on every |x| (finite values only), and e is taken from it in
-    place of a max and a min reduction over x; without it max|x| is measured.
-    A top below 2^-900 takes the value-by-value path below, exact whatever
-    the values, as a measured one would.
-
-    Returns sigma, with the remainders in p; 0.0 when nothing remains (top is
-    zero, or below 2^-900 and x appended to parts value by value); None on inf,
-    nan or a value near overflow, which are left to math.fsum so that its
-    errors carry over.
+    k + 2 <= 2^M for the k values of x, max|x| < 2^e and sigma = 2^(M+e),
+    q = (sigma + x) - sigma and the remainders x - q (written to p) are exact,
+    each at most u sigma (u = 2^-53), and sum(q) is exact in any order.  The
+    remainders' float sum is off by at most gamma_{k-1} k u sigma <= (k u)^2 sigma.
     """
-    if top is None:
-        top = max(x.max(), -x.min())
-    if top == 0.0:
-        return 0.0
-    if not top <= _HUGE:
-        return None
-    if top < _TINY:
-        parts.extend(x[x != 0.0].tolist())
-        return 0.0
-    sigma = math.ldexp(1.0, (x.size + 1).bit_length() + math.frexp(top)[1])
     np.add(x, sigma, out=q)
     q -= sigma
     np.subtract(x, q, out=p)
-    parts.append(float(q.sum()))
-    return sigma
+    return float(q.sum()), float(p.sum())
 
 
 def exact_sum(values, top: float | None = None) -> float:
     """The correctly rounded sum of an array: bit for bit what math.fsum returns.
 
-    Each block of k values is split at one level (see _split_level): the
-    level sums are exact, and the k remainders, each at most u sigma, are
-    added in plain floats, off by at most gamma_{k-1} k u sigma <= (k u)^2
-    sigma.  With B the sum of those bounds rounded up, the exact total lies
-    within B of T = sum(parts) + sum(rests).  Rounding to nearest is monotone,
-    so when math.fsum rounds T - B and T + B to the same float, that float is
-    the exact total rounded to nearest, as math.fsum over the values would
-    give.  Otherwise (the total lies within B of a rounding boundary, or is
-    zero) math.fsum sums the values themselves.  The input is never written.
-    Arrays of at most _FSUM_MAX values, and arrays holding inf, nan or
-    magnitudes above 2^900, go to math.fsum whole.
-
-    top, when given, must bound every |value| from above; each block's sigma
-    is then taken from it (see _split_level), which saves a max and a min
-    reduction per block.  sigma grows with top: a top at most 4 times the
-    largest |value| gives a sigma at most 4 times a measured one, and B
-    grows with it.  Without top each block's max|x| is measured
-    (log_z_sliced passes one; the product formulas do not), and with one
-    below 2^-900 every nonzero value goes to math.fsum as it is.
+    At most _FSUM_MAX values go to math.fsum.  Above that, top bounds every
+    |value|: given (log_z_sliced passes one, which saves two reductions), or
+    measured once.  A top of 0 gives 0.0; one outside [2^-900, 2^900] (or inf,
+    or nan) sends the array to math.fsum, so that its errors carry over.
+    Otherwise every block of at most size = min(len, _BLOCK) values is split
+    at the sigma that size and top give (see _split), and B, nblocks times
+    (size u)^2 sigma rounded up, bounds the remainder sums' error.  Rounding
+    to nearest is monotone, so when math.fsum rounds the level and remainder
+    sums with -B and with +B appended to the same float, that float is the
+    exact sum rounded to nearest.  Otherwise (a sum within B of a rounding
+    boundary, or zero) math.fsum sums the values.  The input is never written.
     """
     x = np.asarray(values, dtype=float).ravel()
     if x.size <= _FSUM_MAX:
         return _fsum(x)
+    if top is None:
+        top = max(x.max(initial=0.0), -x.min(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    if not _TINY <= top <= _HUGE:
+        return _fsum(x)
     size = min(x.size, _BLOCK)
+    sigma = math.ldexp(1.0, (size + 1).bit_length() + math.frexp(top)[1])
     p, q = np.empty(size), np.empty(size)
-    parts, rests, slack = [], [], []
+    sums = []
     for start in range(0, x.size, _BLOCK):
         block = x[start:start + _BLOCK]
-        k = block.size
-        sigma = _split_level(block, p[:k], q[:k], parts, top)
-        if sigma is None:
-            return _fsum(x)
-        if sigma:
-            rests.append(float(p[:k].sum()))
-            slack.append(k * k * _U * _U * sigma)  # exact: k < 2^16
-    if not slack:
-        return math.fsum(parts)
-    bound = math.nextafter(math.fsum(slack), math.inf)
-    low = math.fsum(parts + rests + [-bound])
-    if low == math.fsum(parts + rests + [bound]):
+        sums += _split(block, sigma, p[:block.size], q[:block.size])
+    # (size u)^2 sigma per block; nextafter covers the int product's rounding to float
+    bound = math.nextafter(len(sums) // 2 * size * size * _U * _U * sigma, math.inf)
+    low = math.fsum(sums + [-bound])
+    if low == math.fsum(sums + [bound]):
         return low
     return _fsum(x)
 

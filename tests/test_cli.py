@@ -381,6 +381,12 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     assert "universal constant" in err
 
 
+def test_table1_bad_row_names_the_form(capsys):
+    code, out, err = run(capsys, "table1", "--row", "cosine:1")
+    assert code == 1 and out == ""
+    assert "bad table1 row 'cosine:1'; expected <phi>:<a>,<b>" in err
+
+
 def test_table1_single_row(capsys):
     code, out, _ = run(capsys, "table1", "--row", "cosine:1,3")
     assert code == 0

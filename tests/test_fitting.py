@@ -69,6 +69,10 @@ def test_fit_guards():
     dup = samples + [samples[0]]
     with pytest.raises(ValueError):
         fit(dup)
+    # enough samples for the basis, so the duplicate, not the count, is named
+    samples = synth_samples((0.1, 0, 1, 0, 0, 0), inv_min=2, inv_max=12)
+    with pytest.raises(ValueError, match="duplicate eps values"):
+        fit(samples + [samples[3]])
 
 
 def test_ill_conditioned_basis_rejected(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -102,6 +103,12 @@ def test_matches_enumeration_oracle(m, n, k, q):
     z_det = kasteleyn_partition(shape, q)
     z_ref = oracle_partition(shape, q)
     assert abs(z_det - z_ref) <= 1e-9 * z_ref
+
+
+def test_q_outside_the_unit_interval_is_rejected():
+    for q in (0.0, 1.5):
+        with pytest.raises(ValueError, match=re.escape(f"q must be in (0, 1], got {q}")):
+            log_z_kasteleyn(BoxShape(1, 1, 1), q)
 
 
 def test_examples_from_oracle():

@@ -15,6 +15,7 @@ from hexdimer import (
     ConstantPhi,
     ConvergenceError,
     CosinePhi,
+    FreeEnergySample,
     INFINITE,
     LinearPhi,
     Scenario,
@@ -28,6 +29,7 @@ from hexdimer import (
 )
 from hexdimer.enumeration import config_count
 from hexdimer import partition, specialfn
+from hexdimer.cli import main
 from hexdimer.partition import sliced_log_weight_exponents
 from hexdimer.summation import exact_sum
 from hexdimer.weights import PhiFunction, TabulatedPhi, phi_from_id
@@ -394,6 +396,54 @@ def test_sliced_grid_cell_limit_is_checked_before_the_first_mesh():
     with pytest.raises(ValueError, match=re.escape("10 x 3e+10 = 3e+11 cells")):
         grid_samples(Scenario("sliced", 1.0, 3e9, phi=phi), 2, 10)
     assert phi.calls == 0
+
+
+PRODUCT_LIMIT = f"above the limit of {partition.MAX_PRODUCT_TERMS} terms"
+
+
+def test_product_term_limit_is_checked_before_any_array(monkeypatch, capsys):
+    # a side of 1e10 steps would ask for about 80 GB per array: any array the
+    # formulas form is an error here, so a missed check cannot allocate
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array was formed before the term limit was checked")
+
+    monkeypatch.setattr(partition.np, "bincount", refuse)
+    monkeypatch.setattr(partition.np, "arange", refuse)
+    side = 10**10
+    with pytest.raises(ValueError, match=re.escape(f"1e+10 terms, {PRODUCT_LIMIT}")):
+        log_z_macmahon(BoxShape(side, 1, 1), 0.5)
+    with pytest.raises(ValueError, match=re.escape(f"1e+10 terms, {PRODUCT_LIMIT}")):
+        log_z_infinite(BoxShape(side, 1, INFINITE), 0.5)
+    for k in ("1", "inf"):
+        code = main(["partition", "--M", str(side), "--N", "1", "--K", k, "--q", "0.5"])
+        err = capsys.readouterr().err
+        assert code == 1 and f"1e+10 terms, {PRODUCT_LIMIT}" in err
+
+
+def test_uniform_grid_term_limit_is_checked_before_the_first_mesh(monkeypatch):
+    # a = 1e5 at 1/eps = 200 is 2e7 terms; its first mesh, 1/eps = 2, only 2e5
+    meshes = []
+    monkeypatch.setattr(Scenario, "free_energy", lambda self, eps: meshes.append(eps))
+    for scenario in (Scenario("finite", 1e5, 1.0, 1.0), Scenario("infinite", 1e5, 1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"2e+07 terms, {PRODUCT_LIMIT}")):
+            grid_samples(scenario, 2, 200)
+    assert meshes == []
+
+
+def test_sliced_rejects_bad_sides_and_mesh():
+    for m, n, eps in ((0, 4, 0.25), (4, 0, 0.25), (4, 4, 0.0), (4, 4, -0.25)):
+        with pytest.raises(ValueError, match="need m, n >= 1 and eps > 0"):
+            log_z_sliced(m, n, ConstantPhi(1.0), eps)
+
+
+def test_free_energy_sample_rejects_inconsistent_mesh_and_nonfinite_f():
+    for inv_eps, eps in ((2, 0.3), (0, 1.0), (4, 0.25 * (1 + 1e-8))):
+        with pytest.raises(ValueError, match="inconsistent sample"):
+            FreeEnergySample(inv_eps, eps, 1.0)
+    for f in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="free energy must be finite"):
+            FreeEnergySample(4, 0.25, f)
+    assert FreeEnergySample(4, 0.25 * (1 + 1e-10), 1.0).inv_eps == 4
 
 
 def test_sliced_rejects_range_outside_table():

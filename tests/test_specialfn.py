@@ -116,6 +116,10 @@ def test_chi_dd_even():
 def test_xi_defining_relation():
     assert xi(0.0) == -1.0 / 6.0
     assert abs(xi(1.0) - math.e * chi_dd(1.0)) < 1e-15
+    # z <= -0.25 takes the reflected closed form e^{2z} xi(-z)
+    for z in (-0.25, -0.5, -1.0, -3.0, -10.0, -30.0):
+        ref = math.exp(z) * chi_dd(z)
+        assert abs(xi(z) - ref) <= 1e-14 * abs(ref)
     # removable singularity: no blowup near zero
     v = xi(1e-8)
     assert math.isfinite(v) and abs(v - (-1 / 6)) < 1e-7

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexdimer import summation
+from hexdimer import partition, summation
 from hexdimer.partition import log_z_sliced, sliced_log_weight_exponents
 from hexdimer.summation import NeumaierSum, exact_sum
 from hexdimer.weights import phi_from_id
@@ -183,79 +183,118 @@ def test_fsum_errors_carry_over(xs):
 
 
 def level_spy(monkeypatch):
-    """Record the number of level sums each _split_level call appends, the
-    bound on max|x| it was passed (None when it measures its own), and the
-    size of every array that _fsum sums whole (the fallback)."""
-    calls, fallbacks, bounds = [], [], []
-    split, fsum_whole = summation._split_level, summation._fsum
+    """Record the sigma of every _split call (one per block) and the size of
+    every array that _fsum sums whole (the fallback)."""
+    sigmas, fallbacks = [], []
+    split, fsum_whole = summation._split, summation._fsum
 
-    def split_spy(x, p, q, parts, top=None):
-        before = len(parts)
-        sigma = split(x, p, q, parts, top)
-        calls.append(len(parts) - before)
-        bounds.append(top)
-        return sigma
+    def split_spy(x, sigma, p, q):
+        sigmas.append(sigma)
+        return split(x, sigma, p, q)
 
     def fsum_spy(x):
         fallbacks.append(x.size)
         return fsum_whole(x)
 
-    monkeypatch.setattr(summation, "_split_level", split_spy)
+    monkeypatch.setattr(summation, "_split", split_spy)
     monkeypatch.setattr(summation, "_fsum", fsum_spy)
-    return calls, fallbacks, bounds
+    return sigmas, fallbacks
+
+
+def splitting_constant(size: int, top: float) -> float:
+    """sigma = 2^(M+e): size + 2 <= 2^M values, each below 2^e >= top."""
+    return math.ldexp(1.0, (size + 1).bit_length() + math.frexp(top)[1])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(scaled_floats, min_size=1, max_size=200), st.sampled_from([None, 1.0, 1.5, 4.0]))
-def test_one_level_remainder_error_within_bound(xs, looser):
-    # looser: the split measures max|x| itself (None), or is passed a bound that
-    # many times max|x|
+@given(st.lists(scaled_floats, min_size=1, max_size=200), st.sampled_from([None, 1.0, 1.5, 4.0]),
+       st.sampled_from([0, 100]))
+def test_one_level_remainder_error_within_bound(xs, looser, pad):
+    # looser: sigma from the measured max|x| (None), or from a bound that many
+    # times max|x|; pad: sigma sized for a block of k + pad values, as a
+    # partial last block gets it
     x = np.array(xs)
     k = x.size
-    p, q, parts = np.empty(k), np.empty(k), []
+    size = k + pad
     top = None if looser is None else looser * float(np.abs(x).max())
-    sigma = summation._split_level(x, p, q, parts, top)
     exact = sum(map(Fraction, xs), Fraction(0))
-    if not sigma:  # fully split: the parts are the sum
-        assert sum(map(Fraction, parts), Fraction(0)) == exact
-        return
-    # sigma = 2^(M+e) with 2^e above the given bound, or the measured max|x|
     bound = float(np.abs(x).max()) if top is None else top
-    assert sigma == math.ldexp(1.0, (k + 1).bit_length() + math.frexp(bound)[1])
+    if not bound >= summation._TINY:  # zero or tiny: summed whole by math.fsum, never split
+        with fsum_max(0):
+            assert same_bits(exact_sum(x, top), math.fsum(xs))
+        return
+    sigma = splitting_constant(size, bound)
+    p, q = np.empty(k), np.empty(k)
+    level, rest = summation._split(x, sigma, p, q)
     u = Fraction(1, 2**53)
     rests = [Fraction(r) for r in p.tolist()]
     assert all(abs(r) <= u * sigma for r in rests)
-    assert sum(map(Fraction, parts), Fraction(0)) + sum(rests, Fraction(0)) == exact
+    assert Fraction(level) + sum(rests, Fraction(0)) == exact
     # any order of summing k values each at most u sigma: off by gamma_{k-1} k u sigma
     gamma = (k - 1) * u / (1 - (k - 1) * u)
-    error = abs(Fraction(float(p.sum())) - sum(rests, Fraction(0)))
+    error = abs(Fraction(rest) - sum(rests, Fraction(0)))
     assert error <= gamma * k * u * sigma
-    assert gamma * k * u * sigma <= Fraction(k * k * summation._U * summation._U * sigma)
+    assert gamma * k * u * sigma <= Fraction(size * size * summation._U * summation._U * sigma)
 
 
 def test_tie_after_one_level_falls_back_and_matches_fsum(monkeypatch):
     # 1 + 2^-53 is a rounding midpoint; the 2^-106 beyond it lies in the
     # float-summed remainders, so one level cannot decide which way it rounds
     monkeypatch.setattr(summation, "_FSUM_MAX", 0)  # 3 values would skip the split
-    calls, fallbacks, bounds = level_spy(monkeypatch)
+    sigmas, fallbacks = level_spy(monkeypatch)
     xs = [1.0, 2.0**-53, 2.0**-106]
     got = exact_sum(np.array(xs))
     assert same_bits(got, math.fsum(xs)) and got == 1.0 + 2.0**-52
-    assert calls == [1] and fallbacks == [3] and bounds == [None]
+    # one split, at the sigma of the measured max|x| = 1, then the fallback
+    assert sigmas == [splitting_constant(3, 1.0)] and fallbacks == [3]
+
+
+def test_small_and_zero_arrays_skip_the_split(monkeypatch):
+    sigmas, fallbacks = level_spy(monkeypatch)
+    x = np.linspace(-1.0, 2.0, summation._FSUM_MAX + 1)
+    exact_sum(x[1:])  # _FSUM_MAX values: summed whole, never split
+    assert sigmas == [] and fallbacks == [summation._FSUM_MAX]
+    del fallbacks[:]
+    exact_sum(x)
+    assert sigmas == [splitting_constant(x.size, 2.0)] and fallbacks == []
+    del sigmas[:]
+    for zeros in (np.zeros(1000), np.full(1000, -0.0)):  # top 0: no split, no fsum
+        assert same_bits(exact_sum(zeros), 0.0) and same_bits(exact_sum(zeros, 0.0), 0.0)
+    assert sigmas == [] and fallbacks == []
+
+
+@pytest.mark.parametrize("scale", [2.0**-950, 2.0**-901, 2.0**901, 2.0**1000],
+                         ids=["2^-950", "2^-901", "2^901", "2^1000"])
+def test_tops_out_of_range_send_the_array_to_fsum_whole(monkeypatch, scale):
+    # a top below 2^-900 or above 2^900, measured or given, skips the split
+    sigmas, fallbacks = level_spy(monkeypatch)
+    xs = np.random.default_rng(5).uniform(-1.0, 1.0, 1000) * scale
+    for top in (None, float(np.abs(xs).max())):
+        assert same_bits(exact_sum(xs, top), math.fsum(xs.tolist()))
+    assert sigmas == [] and fallbacks == [1000, 1000]
 
 
 def test_sliced_terms_decide_after_one_level(monkeypatch):
     # every Table 1 row at 1/eps = 200: a fallback to fsum over the terms costs
     # about 50 ns per cell, far more than the extraction saves
-    calls, fallbacks, bounds = level_spy(monkeypatch)
+    sigmas, fallbacks = level_spy(monkeypatch)
+    tops = []
+
+    def exact_sum_spy(values, top=None):
+        tops.append(top)
+        return exact_sum(values, top)
+
+    monkeypatch.setattr(partition, "exact_sum", exact_sum_spy)
     for spec, a, b in TABLE1:
         m, n, eps, phi = 200 * a, 200 * b, 1.0 / 200, phi_from_id(spec)
-        del calls[:], bounds[:]
+        del sigmas[:], tops[:]
         log_z = log_z_sliced(m, n, phi, eps)
         blocks = -(-m * n // summation._BLOCK)
-        assert calls == [1] * blocks and fallbacks == []  # one level sum per block
-        # each block takes sigma from the kernel's bound, not from max|x|
-        assert bounds[0] >= summation._TINY and bounds == bounds[:1] * blocks
+        assert len(sigmas) == blocks and fallbacks == []  # one split per block
+        # every block takes sigma from the kernel's bound, not from max|x|
+        [top] = tops
+        assert top is not None and top >= summation._TINY
+        assert sigmas == [splitting_constant(min(m * n, summation._BLOCK), top)] * blocks
         terms = np.log1p(-np.exp(-sliced_log_weight_exponents(m, n, phi, eps)))
         assert same_bits(log_z, -math.fsum(terms.ravel()))
 
