@@ -96,16 +96,29 @@ def _parse_k(value: str):
     if value.lower() in ("inf", "infinite"):
         return INFINITE
     try:
-        return _positive_int(value)
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(f"must be a positive integer or 'inf', got {value!r}") from None
+        positive = int(value) >= 1
+    except ValueError:
+        positive = False
+    if not positive:
+        raise argparse.ArgumentTypeError(f"must be a positive integer or 'inf', got {value!r}")
+    return _int(value)
 
 
-def _positive_int(value: str) -> int:
+def _int(value: str) -> int:
+    """An integer flag.  Every command uses its integer flags as floats, so an
+    integer beyond the float range is refused here, with the flag named."""
     try:
         n = int(value)
     except ValueError:  # argparse's own wording for a non-integer
         raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if abs(n) > sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"must be at most {sys.float_info.max:.4g} in magnitude, "
+                                         f"got an integer of {len(str(abs(n)))} digits")
+    return n
+
+
+def _positive_int(value: str) -> int:
+    n = _int(value)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
     return n
@@ -196,7 +209,8 @@ def cmd_free_energy(args) -> int:
         shape = _lattice_box(args, ("a", "b", "c", "phi", "inv_eps", *_GRID))
         # a lattice box is the scenario at eps = 1, here at an arbitrary q;
         # 0.0 - log keeps eps = 0 unsigned at q = 1
-        scenario = Scenario("finite" if shape.is_finite else "infinite", shape.m, shape.n, shape.k)
+        scenario = Scenario("finite" if shape.is_finite else "infinite",
+                            float(shape.m), float(shape.n), float(shape.k))
         f = free_energy_value(shape, args.q)  # first, so that a bad q is named
         rows = [["", 0.0 - math.log(args.q), f, scenario.kind,
                  f"M={shape.m};N={shape.n};K={shape.k};q={args.q}"]]
@@ -342,8 +356,8 @@ def cmd_verify(args) -> int:
 # every flag but --out and --json, which all commands take; build_parser
 # gives each command only the flags it reads
 _FLAGS = {
-    "M": dict(type=int, help="lattice box side"),
-    "N": dict(type=int, help="lattice box side"),
+    "M": dict(type=_int, help="lattice box side"),
+    "N": dict(type=_int, help="lattice box side"),
     "K": dict(type=_parse_k, help="lattice box height: integer or 'inf' (default inf)"),
     "q": dict(type=float, help="weight per cube, in (0, 1]"),
     "scenario": dict(choices=SCENARIO_KINDS),
@@ -352,8 +366,8 @@ _FLAGS = {
     "c": dict(type=float, help="scaled height (finite box)"),
     "phi": dict(help="const:c | linear:alpha,beta | cosine | tabulated:<csv>"),
     "inv_eps": dict(type=_positive_int, help="1/eps"),
-    "inv_eps_min": dict(type=int, help="first 1/eps of the grid"),
-    "inv_eps_max": dict(type=int, help="last 1/eps of the grid"),
+    "inv_eps_min": dict(type=_int, help="first 1/eps of the grid"),
+    "inv_eps_max": dict(type=_int, help="last 1/eps of the grid"),
     "row": dict(help="e.g. cosine:1,3 or linear:2,0.5:2,3"),
 }
 

@@ -9,6 +9,7 @@ The log_z_* functions themselves always return ln Z > 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import log
 
@@ -57,11 +58,19 @@ class FreeEnergySample:
             raise ValueError("free energy must be finite")
 
 
+def _count(x: float) -> str:
+    """x in :.4g form; an int beyond the float range, which :g cannot format,
+    as a bound."""
+    if isinstance(x, int) and x > sys.float_info.max:
+        return f"over {sys.float_info.max:.4g}"
+    return f"{x:.4g}"
+
+
 def _check_product_terms(terms: float) -> None:
     """Reject a uniform product formula of more than MAX_PRODUCT_TERMS terms
     before anything is allocated."""
     if terms > MAX_PRODUCT_TERMS:
-        raise ValueError(f"the product formula has {terms:.4g} terms, above the limit of "
+        raise ValueError(f"the product formula has {_count(terms)} terms, above the limit of "
                          f"{MAX_PRODUCT_TERMS} terms")
 
 
@@ -157,7 +166,7 @@ def _check_sliced_cells(m: float, n: float) -> None:
     """Reject a sliced box of more than MAX_SLICED_CELLS cells m*n before
     anything is allocated."""
     if m * n > MAX_SLICED_CELLS:
-        raise ValueError(f"the sliced box is {m:g} x {n:g} = {m * n:.4g} cells, above the "
+        raise ValueError(f"the sliced box is {m:g} x {n:g} = {_count(m * n)} cells, above the "
                          f"limit of {MAX_SLICED_CELLS} cells")
 
 

@@ -4,7 +4,8 @@ chi(z)   = e^{-z} (z / (1 - e^{-z}))^2   (even; equals ((z/2)/sinh(z/2))^2)
 xi(z)    = e^{z} chi''(z)
 Q(z)     = (xi(z) - xi(0)) / z,  xi(0) = chi''(0) = -1/6
 Li_s(z)  = sum z^n / n^s
-I_Q      = int_0^inf e^{-z} Q(z) dz      (the universal expansion constant)
+I_Q      = int_0^inf e^{-z} Q(z) dz = 1/4 + 2 zeta'(-1)   (the universal
+           expansion constant, in closed form; see universal_constant_detail)
 
 chi is numerically benign everywhere (expm1 removes the 0/0); its Taylor
 branch only covers |z| < 1e-3.  xi's closed form is a fourth-order 0/0: the
@@ -17,12 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, exp, expm1, factorial, fsum, isnan, log
+from math import comb, exp, expm1, factorial, fsum, isnan, log, ulp
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .quadrature import adaptive, gauss_legendre
 from .summation import NeumaierSum
 
 _CHI_TAYLOR_SWITCH = 1e-3
@@ -31,14 +31,9 @@ _LI_N_MAX = 10**7
 _ZETA_DIRECT_TERMS = 10000  # summed directly before the Euler-Maclaurin tail
 _XI_SERIES_FLOOR = 0.25
 _SERIES_TERMS = 13  # even orders through z^24
-
-# the universal constant: quadrature on [0, _Z_CUT] at _QUAD_REL_TOL, plus the
-# tail bound; the total error bound must stay below _CONSTANT_REL_TOL * |I_Q|
-_Z_CUT = 60.0  # >= 6, where the linear tail bound holds
-_QUAD_REL_TOL = 1e-12
-_CONSTANT_REL_TOL = 1e-10
-_UNIT_ROUNDOFF = 2.0**-53
-_EXP_ULPS = 2.0  # exp and expm1 are within one ulp: relative error <= 2u
+# I_Q = 1/4 + 2 zeta'(-1) = 5/12 - 2 ln A to 38 digits; the literal rounds to
+# the double nearest it, -0x1.4b21484854d02p-4
+_UNIVERSAL_CONSTANT = -0.080842287400901858427839320485561285528
 
 
 def _bernoulli(n_max: int) -> list[Fraction]:
@@ -113,17 +108,13 @@ def chi(z):
     return float(out) if out.ndim == 0 else out
 
 
-def _xi_bracket(z, ez, d):
+def _xi_closed(z: float) -> float:
     # xi = P e^{-2z} / (1-e^{-z})^4 with the constant/linear/quadratic-in-z
     # cancellations already absorbed, ez = e^{-z}, d = 1 - e^{-z}:
     #   P e^{-2z} = 6 z^2 e^{-2z} + (e^{-z}-e^{-2z})(6z^2-8z) + (1-e^{-z})^2 (z^2-4z+2)
-    # The arithmetic is generic, so _Tracked values run the same operations.
+    ez, d = exp(-z), -expm1(-z)
     pe2 = 6.0 * z * z * ez * ez + (ez - ez * ez) * (6.0 * z * z - 8.0 * z) + d * d * (z * z - 4.0 * z + 2.0)
     return pe2 / (d * d * d * d)
-
-
-def _xi_closed(z: float) -> float:
-    return _xi_bracket(z, exp(-z), -expm1(-z))
 
 
 def xi(z: float) -> float:
@@ -201,85 +192,21 @@ def zeta3() -> float:
     return li(3, 1.0)
 
 
-class _Tracked:
-    """A float or array with a running roundoff bound mu (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., sec. 3.3): each rounded
-    operation adds |result| to mu and later operations carry mu by their
-    partials, so the value is within u * mu of exact, to first order."""
-
-    def __init__(self, v, mu=0.0):
-        self.v, self.mu = v, mu
-
-    def __add__(self, o):
-        o = o if isinstance(o, _Tracked) else _Tracked(o)
-        return _rounded(self.v + o.v, self.mu + o.mu)
-
-    def __sub__(self, o):
-        return self + _Tracked(-o.v, o.mu)
-
-    def __mul__(self, o):
-        o = o if isinstance(o, _Tracked) else _Tracked(o)
-        return _rounded(self.v * o.v, self.mu * abs(o.v) + o.mu * abs(self.v))
-
-    def __truediv__(self, o):
-        v = self.v / o.v
-        return _rounded(v, (self.mu + o.mu * abs(v)) / abs(o.v))
-
-    __radd__, __rmul__ = __add__, __mul__
-
-
-def _rounded(v, mu):
-    return _Tracked(v, mu + abs(v))
-
-
-def _integrand_roundoff(z: np.ndarray) -> np.ndarray:
-    """First-order bound on the floating-point error of the computed
-    e^{-z} Q(z) at each node z > 0: a running bound over the operations of
-    q_func (coefficients and 1/6 rounded once each), plus e^{-z} and 1 - e^{-z}
-    within one ulp.  Those two feed several operations each, so their error
-    enters through the signed derivatives of xi rather than per use.
-    """
-    t = _Tracked(z)
-    series = _poly([_Tracked(c, abs(c)) for c in _Q_C], t)
-    ez, d = np.exp(-z), -np.expm1(-z)
-    xi_z = _xi_bracket(t, _Tracked(ez), _Tracked(d))
-    closed = (xi_z + _Tracked(1.0 / 6.0, 1.0 / 6.0)) / t
-    dxi_dez = (12.0 * z * z * ez + (1.0 - 2.0 * ez) * (6.0 * z * z - 8.0 * z)) / d**4
-    dxi_dd = 2.0 * (z * z - 4.0 * z + 2.0) / d**3 - 4.0 * xi_z.v / d
-    closed_mu = closed.mu + _EXP_ULPS * (np.abs(ez * dxi_dez) + np.abs(d * dxi_dd)) / z
-    on_series = z < _XI_SERIES_FLOOR
-    q = _Tracked(np.where(on_series, series.v, closed.v), np.where(on_series, series.mu, closed_mu))
-    return _UNIT_ROUNDOFF * (_Tracked(ez, _EXP_ULPS * ez) * q).mu
-
-
-@lru_cache(maxsize=None)
 def universal_constant() -> float:
-    """int_0^inf e^{-z} Q(z) dz, the universal finite-size constant (cached)."""
-    value, _ = universal_constant_detail()
-    return value
+    """I_Q = int_0^inf e^{-z} Q(z) dz = 1/4 + 2 zeta'(-1), the universal
+    finite-size constant: the double nearest it."""
+    return _UNIVERSAL_CONSTANT
 
 
 def universal_constant_detail():
     """As universal_constant, but returns (value, error_bound).
 
-    The error bound sums the adaptive-panel estimate on [0, z_cut], the
-    analytic tail bound |int_{z_cut}^inf e^{-z} Q| <= (z_cut + 1) e^{-z_cut}
-    (using 0 < Q(z) < z for z >= 6), and the integral of the integrand's
-    floating-point roundoff bound (_integrand_roundoff), which dominates.
+    The value is the closed form rounded once, so the bound is half an ulp.
+    Proof, by Mellin transforms (Flajolet, Gourdon and Dumas, Theor. Comput.
+    Sci. 144, 1995): chi(z) = sum_{n>=1} n z^2 e^{-nz}, so M[chi](s) =
+    Gamma(s+2) zeta(s+1) and M[chi''](s) = (s-1)(s-2) Gamma(s) zeta(s-1).
+    e^{-z} Q(z) = (chi''(z) + e^{-z}/6)/z, so I_Q = lim_{s->0} [(s-1)(s-2) Gamma(s)
+    zeta(s-1) + Gamma(s)/6] = 1/4 + 2 zeta'(-1); the 1/s and Euler-gamma terms cancel.
+    zeta'(-1) = 1/12 - ln A = -0.16542114370045092921... (A the Glaisher-Kinkelin constant).
     """
-    def integrand(z):
-        return np.exp(-z) * np.asarray([q_func(t) for t in np.atleast_1d(z)])
-
-    value, err = adaptive(integrand, 0.0, _Z_CUT, rel_tol=_QUAD_REL_TOL)
-    tail_bound = (_Z_CUT + 1.0) * exp(-_Z_CUT)
-    # 15-point Gauss panels split at the series switch, widths doubling after it
-    edges = np.array([0.0, _XI_SERIES_FLOOR, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, _Z_CUT])
-    (gx, gw), half = gauss_legendre(15), 0.5 * np.diff(edges)[:, None]
-    roundoff = fsum((half * gw * _integrand_roundoff(edges[:-1, None] + half * (gx + 1.0))).ravel())
-    total_err = err + tail_bound + roundoff
-    if total_err > _CONSTANT_REL_TOL * abs(value):
-        raise ConvergenceError(
-            f"universal constant quadrature reached {total_err:.3e}, "
-            f"above rel_tol {_CONSTANT_REL_TOL:g}",
-            partial=value, achieved=total_err)
-    return value, total_err
+    return _UNIVERSAL_CONSTANT, ulp(_UNIVERSAL_CONSTANT) / 2.0

@@ -145,6 +145,9 @@ def test_tol_override_is_unrecognised(argv, capsys):
     assert "unrecognized arguments: --tol-override" in err and out == ""
 
 
+BEYOND_FLOAT = str(10**400)
+
+
 @pytest.mark.parametrize("argv, flag", [
     # flags a command does not read are not offered
     (("coeffs", "--scenario", "infinite", "--a", "2", "--b", "1", "--inv-eps", "7"), "--inv-eps"),
@@ -194,12 +197,30 @@ def test_tol_override_is_unrecognised(argv, capsys):
     # a side whose e^(-side) rounds to 1 is named, not a math domain error
     (("coeffs", "--scenario", "infinite", "--a", "1e-17", "--b", "1"), "side a = 1e-17"),
     (("coeffs", "--scenario", "finite", "--a", "1", "--b", "1", "--c", "1e-17"), "side c = 1e-17"),
+    # every integer flag is used as a float, so one beyond the float range is named
+    (("partition", "--M", BEYOND_FLOAT, "--N", "1", "--K", "1", "--q", "0.5"), "--M"),
+    (("partition", "--M", "2", "--N", "2", "--K", BEYOND_FLOAT, "--q", "0.5"), "--K"),
+    (("free-energy", "--M", "3", "--N", "2", "--K", BEYOND_FLOAT, "--q", "0.5"), "--K"),
+    (("partition", "--a", "1", "--b", "3", "--phi", "cosine", "--inv-eps", BEYOND_FLOAT),
+     "--inv-eps"),
+    (("free-energy", "--a", "1", "--b", "1", "--c", "1", "--inv-eps", BEYOND_FLOAT), "--inv-eps"),
+    (("free-energy", "--a", "1", "--b", "1", "--c", "1", "--inv-eps-min", "2",
+      "--inv-eps-max", BEYOND_FLOAT), "--inv-eps-max"),
+    (("fit", "--scenario", "finite", "--a", "1", "--b", "1", "--c", "1", "--inv-eps-min", "2",
+      "--inv-eps-max", BEYOND_FLOAT), "--inv-eps-max"),
+    # integers within the float range whose cell count or area is not
+    (("partition", "--a", "1", "--b", "3", "--phi", "cosine", "--inv-eps", str(10**300)),
+     "over 1.798e+308 cells"),
+    (("free-energy", "--M", str(10**300), "--N", str(10**300), "--K", str(10**300), "--q", "0.5"),
+     "sides too large"),
 ])
 def test_usage_errors_name_the_flag(argv, flag, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert flag in err and out == ""
     assert "NoneType" not in err and "operand" not in err and "_parse_k" not in err
+    # one error line, the last: no second message
+    assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
 
 
 def test_missing_tabulated_file_is_a_usage_error(tmp_path, capsys):
@@ -373,12 +394,11 @@ def test_fit_and_table1_name_the_same_basis(capsys):
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):
-    # an unreachable universal-constant tolerance is a convergence failure: exit 2
-    monkeypatch.setattr(specialfn, "_CONSTANT_REL_TOL", 1e-30)
-    specialfn.universal_constant.cache_clear()
+    # a polylogarithm cut off before it converges is a convergence failure: exit 2
+    monkeypatch.setattr(specialfn, "_LI_N_MAX", 2)
     code, _, err = run(capsys, "coeffs", "--scenario", "infinite", "--a", "1", "--b", "1")
     assert code == 2
-    assert "universal constant" in err
+    assert "did not converge within 2 terms" in err
 
 
 def test_table1_bad_row_names_the_form(capsys):

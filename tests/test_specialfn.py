@@ -182,42 +182,30 @@ def test_universal_constant_reference_value():
     assert abs(value - UNIVERSAL_CONSTANT) < 5e-6
 
 
-def test_universal_constant_stability(monkeypatch):
-    base, err = universal_constant_detail()
-    assert base == universal_constant()
-    assert err < 1e-10
-    # the tail beyond the cut is below 1e-24, so doubling the cut moves nothing
-    monkeypatch.setattr(specialfn, "_Z_CUT", 120.0)
-    wider, _ = universal_constant_detail()
-    assert abs(base - wider) < 1e-12
+def test_universal_constant_is_the_closed_form():
+    # I_Q = 1/4 + 2 zeta'(-1) = 5/12 - 2 ln A, rounded once to the nearest double
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        closed = mpmath.mpf(1) / 4 + 2 * mpmath.zeta(-1, derivative=1)
+        glaisher = mpmath.mpf(5) / 12 - 2 * mpmath.log(mpmath.glaisher)
+        assert abs(closed - glaisher) < mpmath.mpf(10) ** -45
+        assert float(closed) == universal_constant()
+    value, err = universal_constant_detail()
+    assert value == universal_constant() and err == math.ulp(value) / 2
+
+
+def test_quadrature_of_q_matches_the_closed_form():
+    # the defining integral in floats: ties Q itself to the constant
+    value, _ = adaptive(lambda z: np.exp(-z) * np.asarray([q_func(t) for t in z]),
+                        0.0, 60.0, rel_tol=1e-12)
+    assert abs(value - universal_constant()) < 1e-13
 
 
 def test_universal_constant_pinned_to_high_precision():
-    # the reported error bound must cover the true error, not just the
-    # quadrature estimate: the integrand's roundoff near z = 0.25 dominates
+    # the reported error bound must cover the distance to a 30-digit value
     value, err = universal_constant_detail()
     assert abs(value - UNIVERSAL_CONSTANT_HP) <= err
     assert err < 1e-13
-
-
-def test_integrand_roundoff_bounds_observed_error():
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-
-    def exact(z):
-        z = mpmath.mpf(z)
-        ez, d = mpmath.exp(-z), -mpmath.expm1(-z)
-        xi_z = (6 * z * z * ez * ez + (ez - ez * ez) * (6 * z * z - 8 * z)
-                + d * d * (z * z - 4 * z + 2)) / d**4
-        return ez * (xi_z + mpmath.mpf(1) / 6) / z
-
-    rng = np.random.default_rng(3)
-    zs = np.concatenate([rng.uniform(1e-3, 0.25, 100), rng.uniform(0.25, 2.0, 300),
-                         rng.uniform(2.0, 60.0, 200)])
-    computed = np.exp(-zs) * np.asarray([q_func(z) for z in zs])
-    bound = specialfn._integrand_roundoff(zs)
-    observed = np.asarray([abs(float(mpmath.mpf(c) - exact(z))) for c, z in zip(computed, zs)])
-    assert np.all(observed <= bound)
 
 
 def test_quadrature_engine_calibration():

@@ -237,6 +237,28 @@ def test_one_level_remainder_error_within_bound(xs, looser, pad):
     assert gamma * k * u * sigma <= Fraction(size * size * summation._U * summation._U * sigma)
 
 
+def test_bound_covers_every_block_at_its_full_allowance(monkeypatch):
+    # each block's remainder sum comes back off by its whole allowance
+    # delta = (size u)^2 sigma, all four the same way; the exact sum
+    # 1 + 2^-53 - 2^-80 lies 2^-80 below the midpoint of 1 and 1 + 2^-52, within
+    # 3 delta of it, so a bound short of the four blocks' 4 delta rounds it up
+    split = summation._split
+    deltas = []
+
+    def off_by_allowance(x, sigma, p, q):
+        level, _ = split(x, sigma, p, q)
+        delta = (x.size * summation._U) ** 2 * sigma
+        deltas.append(delta)
+        return level, math.fsum(p.tolist()) + delta
+
+    monkeypatch.setattr(summation, "_split", off_by_allowance)
+    x = np.zeros(4 * summation._BLOCK)
+    x[[0, summation._BLOCK, 2 * summation._BLOCK]] = [1.0, 2.0**-53, -(2.0**-80)]
+    got = exact_sum(x)
+    assert same_bits(got, math.fsum(x.tolist())) and got == 1.0
+    assert len(deltas) == 4 and 2.0**-80 < 3 * deltas[0]
+
+
 def test_tie_after_one_level_falls_back_and_matches_fsum(monkeypatch):
     # 1 + 2^-53 is a rounding midpoint; the 2^-106 beyond it lies in the
     # float-summed remainders, so one level cannot decide which way it rounds
