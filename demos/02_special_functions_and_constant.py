@@ -8,18 +8,16 @@ form, 1/4 + 2 zeta'(-1).
 """
 import math
 
-from hexdimer import chi, chi_dd, li, q_func, universal_constant_detail, xi, zeta3
+from hexdimer import chi, li, q_func, universal_constant_detail, zeta3
 
 print("chi is even with chi(0) = 1 and a slow Taylor start:")
 for z in (0.0, 0.1, 1.0, 5.0):
     print(f"  chi({z:>4}) = {chi(z):.12f}   chi(-{z}) - chi({z}) = {chi(-z) - chi(z):.1e}")
-print(f"  chi''(0) = {chi_dd(0.0):+.12f}  (exactly -1/6)")
-print(f"  xi(0)    = {xi(0.0):+.12f}")
-print(f"  Q(0)     = {q_func(0.0):+.12f}")
+print(f"  Q(0)     = {q_func(0.0):+.12f}  (exactly xi'(0) = -1/6)")
 
-print("\npolylogarithms assemble the leading coefficient:")
-print(f"  Li_3(1)    = {li(3, 1.0):.12f}  = zeta(3)")
-print(f"  zeta(3)    = {zeta3():.12f}")
+print("\npolylogarithms assemble the leading coefficient f0 from Li_3(e^{-side}) and zeta(3):")
+print(f"  Li_3(e^-1) = {li(3, math.exp(-1.0)):.12f}")
+print(f"  zeta(3)    = {zeta3():.12f}  = Li_3(1), held as a literal")
 print(f"  Li_1(0.5)  = {li(1, 0.5):.12f}  = ln 2 = {math.log(2):.12f}")
 
 value, err = universal_constant_detail()

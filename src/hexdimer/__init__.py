@@ -47,12 +47,10 @@ from .partition import (
 from .shapes import INFINITE, BoxShape
 from .specialfn import (
     chi,
-    chi_dd,
     li,
     q_func,
     universal_constant,
     universal_constant_detail,
-    xi,
     zeta3,
 )
 from .weights import (

@@ -22,11 +22,13 @@ second-order Taylor coefficients at eps = 0, computed with eps-jets.
 from __future__ import annotations
 
 import math
+import sys
 from math import exp, fsum, log, log1p
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import _shown
 from .quadrature import gauss_legendre, log_graded_edges
 from .specialfn import li, universal_constant, zeta3
 from .weights import PhiFunction
@@ -70,8 +72,9 @@ def _require_sides(a: float, b: float, c: float | None = None) -> None:
     """
     sides = {"a": a, "b": b} if c is None else {"a": a, "b": b, "c": c}
     for name, value in sides.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"side {name} must be finite and positive, got {value}")
+        # compared, not passed to math.isfinite, which overflows on an int beyond the float range
+        if not 0 < value <= sys.float_info.max:
+            raise ValueError(f"side {name} must be finite and positive, got {_shown(value, '')}")
         # the closed forms take ln(1 - e^(-side)), which log1p(-1) cannot give
         if exp(-value) == 1.0:
             raise ValueError(f"side {name} = {value} is too small: e^(-{name}) rounds to 1 "

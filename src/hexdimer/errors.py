@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number form of their
+messages."""
+import sys
 
 
 class HexdimerError(Exception):
@@ -30,3 +32,11 @@ class ConvergenceError(HexdimerError):
 
 class IllConditionedBasisError(HexdimerError):
     """Least-squares design matrix condition estimate exceeded the guard."""
+
+
+def _shown(x: float, spec: str) -> str:
+    """x in spec form; an int beyond the float range, which float() and float
+    formats cannot take, as a bound."""
+    if isinstance(x, int) and x > sys.float_info.max:
+        return f"over {sys.float_info.max:.4g}"
+    return format(x, spec)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .asymptotics import (ExpansionCoefficients, _require_sides, coeffs_finite, coeffs_infinite,
                           coeffs_sliced)
-from .errors import ConvergenceError
+from .errors import ConvergenceError, _shown
 from .shapes import INFINITE, BoxShape
 from .specialfn import chi
 from .summation import NeumaierSum, exact_sum
@@ -58,20 +58,12 @@ class FreeEnergySample:
             raise ValueError("free energy must be finite")
 
 
-def _count(x: float) -> str:
-    """x in :.4g form; an int beyond the float range, which :g cannot format,
-    as a bound."""
-    if isinstance(x, int) and x > sys.float_info.max:
-        return f"over {sys.float_info.max:.4g}"
-    return f"{x:.4g}"
-
-
 def _check_product_terms(terms: float) -> None:
     """Reject a uniform product formula of more than MAX_PRODUCT_TERMS terms
     before anything is allocated."""
     if terms > MAX_PRODUCT_TERMS:
-        raise ValueError(f"the product formula has {_count(terms)} terms, above the limit of "
-                         f"{MAX_PRODUCT_TERMS} terms")
+        raise ValueError(f"the product formula has {_shown(terms, '.4g')} terms, above the limit "
+                         f"of {MAX_PRODUCT_TERMS} terms")
 
 
 def log_z_macmahon(shape: BoxShape, q: float) -> float:
@@ -166,8 +158,9 @@ def _check_sliced_cells(m: float, n: float) -> None:
     """Reject a sliced box of more than MAX_SLICED_CELLS cells m*n before
     anything is allocated."""
     if m * n > MAX_SLICED_CELLS:
-        raise ValueError(f"the sliced box is {m:g} x {n:g} = {_count(m * n)} cells, above the "
-                         f"limit of {MAX_SLICED_CELLS} cells")
+        raise ValueError(f"the sliced box is {_shown(m, 'g')} x {_shown(n, 'g')} = "
+                         f"{_shown(m * n, '.4g')} cells, above the limit of "
+                         f"{MAX_SLICED_CELLS} cells")
 
 
 def log_z_sliced(m: int, n: int, phi: PhiFunction, eps: float) -> float:
@@ -357,6 +350,8 @@ def grid_samples(scenario: Scenario, inv_eps_min: int = 2,
     finest mesh before the first sample is computed."""
     if inv_eps_min < 1 or inv_eps_min >= inv_eps_max:
         raise ValueError("need 1 <= inv_eps_min < inv_eps_max")
+    if inv_eps_max > sys.float_info.max:  # 1.0 / inv_eps_max would overflow
+        raise ValueError(f"inv_eps_max = {_shown(inv_eps_max, '')} is beyond the float range")
     a, b, c, eps = scenario.a, scenario.b, scenario.c, 1.0 / inv_eps_max
     if scenario.kind == "sliced":
         _check_sliced_cells(a / eps, b / eps)

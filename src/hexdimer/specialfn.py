@@ -1,23 +1,22 @@
 """Special functions for the free-energy asymptotics.
 
 chi(z)   = e^{-z} (z / (1 - e^{-z}))^2   (even; equals ((z/2)/sinh(z/2))^2)
-xi(z)    = e^{z} chi''(z)
-Q(z)     = (xi(z) - xi(0)) / z,  xi(0) = chi''(0) = -1/6
-Li_s(z)  = sum z^n / n^s
+Q(z)     = (xi(z) - xi(0)) / z,  xi(z) = e^{z} chi''(z),  xi(0) = -1/6
+Li_s(z)  = sum z^n / n^s,  0 <= z < 1
+zeta(3)  = Li_3(1), which the closed forms take as a literal
 I_Q      = int_0^inf e^{-z} Q(z) dz = 1/4 + 2 zeta'(-1)   (the universal
            expansion constant, in closed form; see universal_constant_detail)
 
 chi is numerically benign everywhere (expm1 removes the 0/0); its Taylor
 branch only covers |z| < 1e-3.  xi's closed form is a fourth-order 0/0: the
 bracket collapses from O(1) terms to -z^4/6, losing ~|4 log10 z| digits, so
-xi, chi'' and Q switch to an exact Bernoulli-generated Taylor series below
+Q switches to an exact Bernoulli-generated Taylor series below
 0.25 (the series converges for |z| < 2*pi; truncation at z^24 is below 1e-16
 up to |z| ~ 0.8).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, exp, expm1, factorial, fsum, isnan, log, ulp
 
 import numpy as np
@@ -28,12 +27,13 @@ from .summation import NeumaierSum
 _CHI_TAYLOR_SWITCH = 1e-3
 _LI_TERM_TOL = 1e-17
 _LI_N_MAX = 10**7
-_ZETA_DIRECT_TERMS = 10000  # summed directly before the Euler-Maclaurin tail
 _XI_SERIES_FLOOR = 0.25
 _SERIES_TERMS = 13  # even orders through z^24
 # I_Q = 1/4 + 2 zeta'(-1) = 5/12 - 2 ln A to 38 digits; the literal rounds to
 # the double nearest it, -0x1.4b21484854d02p-4
 _UNIVERSAL_CONSTANT = -0.080842287400901858427839320485561285528
+# zeta(3) to 40 digits; the literal rounds to the double nearest it, 0x1.33ba004f00621p+0
+_ZETA3 = 1.202056903159594285399738161511449990765
 
 
 def _bernoulli(n_max: int) -> list[Fraction]:
@@ -48,10 +48,11 @@ def _bernoulli(n_max: int) -> list[Fraction]:
 
 
 def _series_coefficients():
-    """Exact Taylor coefficients of chi, chi'' and xi about 0.
+    """Exact Taylor coefficients of chi and Q about 0.
 
-    chi(z) = sum_n (1-2n) B_{2n} / (2n)! z^{2n}; chi'' follows by index shift
-    and xi = e^z chi'' by Cauchy product (done in exact rationals).
+    chi(z) = sum_n (1-2n) B_{2n} / (2n)! z^{2n}; chi'' follows by index shift,
+    xi = e^z chi'' by Cauchy product (done in exact rationals) and
+    Q(z) = sum_m xi_{m+1} z^m, so Q(0) = xi'(0) = -1/6.
     """
     bern = _bernoulli(2 * _SERIES_TERMS)
     chi_c = [Fraction(1 - 2 * n) * bern[2 * n] / factorial(2 * n) for n in range(_SERIES_TERMS)]
@@ -64,12 +65,10 @@ def _series_coefficients():
             if 2 * i <= m:
                 acc += c / factorial(m - 2 * i)
         xi_c.append(acc)
-    return ([float(c) for c in chi_c], [float(c) for c in chidd_c], [float(c) for c in xi_c])
+    return [float(c) for c in chi_c], [float(c) for c in xi_c[1:]]
 
 
-_CHI_C, _CHIDD_C, _XI_C = _series_coefficients()
-# Q(z) = sum_m xi_{m+1} z^m; Q(0) = xi'(0) = -1/6
-_Q_C = _XI_C[1:]
+_CHI_C, _Q_C = _series_coefficients()
 
 
 def _even_series(coeffs, z: float) -> float:
@@ -117,24 +116,6 @@ def _xi_closed(z: float) -> float:
     return pe2 / (d * d * d * d)
 
 
-def xi(z: float) -> float:
-    """xi(z) = e^z chi''(z); xi(0) = -1/6."""
-    z = float(z)
-    if abs(z) < _XI_SERIES_FLOOR:
-        return _poly(_XI_C, z)
-    if z < 0:
-        return exp(2.0 * z) * _xi_closed(-z)
-    return _xi_closed(z)
-
-
-def chi_dd(z: float) -> float:
-    """Second derivative of chi; even, chi''(0) = -1/6."""
-    t = abs(float(z))
-    if t < _XI_SERIES_FLOOR:
-        return _even_series(_CHIDD_C, t)
-    return exp(-t) * _xi_closed(t)
-
-
 def q_func(z: float) -> float:
     """Q(z) = (xi(z) - xi(0))/z for z >= 0, with Q(0) = xi'(0) = -1/6."""
     z = float(z)
@@ -146,23 +127,18 @@ def q_func(z: float) -> float:
 
 
 def li(s: int, z: float) -> float:
-    """Polylogarithm Li_s(z) = sum_{n>=1} z^n / n^s for integer s >= 1, z in [0, 1].
+    """Polylogarithm Li_s(z) = sum_{n>=1} z^n / n^s for integer s >= 1, z in [0, 1).
 
     The series is summed with compensated accumulation until a term drops
     below _LI_TERM_TOL * |partial sum|, or raises ConvergenceError past
-    _LI_N_MAX terms.  At z = 1 (s >= 2 only) the polynomial
-    tail is completed with an Euler-Maclaurin correction.
+    _LI_N_MAX terms.  z = 1 is rejected: the closed forms take Li_3(1) as zeta3().
     """
     if not isinstance(s, int) or s < 1:
         raise ValueError(f"order s must be an integer >= 1, got {s!r}")
-    if not (0.0 <= z <= 1.0):
-        raise ValueError(f"argument z must lie in [0, 1], got {z}")
+    if not (0.0 <= z < 1.0):
+        raise ValueError(f"argument z must lie in [0, 1), got {z}")
     if z == 0.0:
         return 0.0
-    if z == 1.0:
-        if s == 1:
-            raise ValueError("Li_1(1) diverges (harmonic series)")
-        return _zeta_em(s)
     acc = NeumaierSum()
     logz = log(z)
     n = 1
@@ -177,19 +153,9 @@ def li(s: int, z: float) -> float:
                                    partial=acc.value, achieved=term)
 
 
-@lru_cache(maxsize=None)
-def _zeta_em(s: int) -> float:
-    """zeta(s) for integer s >= 2: direct sum to N plus Euler-Maclaurin tail."""
-    head = fsum(1.0 / n**s for n in range(1, _ZETA_DIRECT_TERMS + 1))
-    N = float(_ZETA_DIRECT_TERMS)
-    tail = (N ** (1 - s) / (s - 1) - 0.5 * N ** (-s) + s / 12.0 * N ** (-s - 1)
-            - s * (s + 1) * (s + 2) / 720.0 * N ** (-s - 3))
-    return head + tail
-
-
 def zeta3() -> float:
-    """Apery's constant zeta(3) = Li_3(1)."""
-    return li(3, 1.0)
+    """Apery's constant zeta(3) = Li_3(1): the double nearest it."""
+    return _ZETA3
 
 
 def universal_constant() -> float:

@@ -19,6 +19,7 @@ from hexdimer import (
     INFINITE,
     LinearPhi,
     Scenario,
+    coeffs_infinite,
     free_energy_value,
     grid_samples,
     log_z_infinite,
@@ -430,6 +431,25 @@ def test_uniform_grid_term_limit_is_checked_before_the_first_mesh(monkeypatch):
         with pytest.raises(ValueError, match=re.escape(f"2e+07 terms, {PRODUCT_LIMIT}")):
             grid_samples(scenario, 2, 200)
     assert meshes == []
+
+
+BEYOND_FLOAT = 10**400
+OVER = "over 1.798e+308"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Scenario("finite", BEYOND_FLOAT, 1.0, 1.0),
+     f"side a must be finite and positive, got {OVER}"),
+    (lambda: coeffs_infinite(BEYOND_FLOAT, 1.0), f"side a must be finite and positive, got {OVER}"),
+    (lambda: log_z_sliced(BEYOND_FLOAT, 1, CosinePhi(), 0.5),
+     f"the sliced box is {OVER} x 1 = {OVER} cells"),
+    (lambda: grid_samples(Scenario("infinite", 1.0, 1.0), 2, BEYOND_FLOAT),
+     f"inv_eps_max = {OVER} is beyond the float range"),
+], ids=["scenario-side", "coeffs-side", "sliced-cells", "grid-inv-eps-max"])
+def test_an_int_beyond_the_float_range_is_named_not_an_overflow(call, message):
+    # float() of such an int overflows: each check names it as a bound instead
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_sliced_rejects_bad_sides_and_mesh():

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from hexdimer import (
     ConvergenceError,
     chi,
-    chi_dd,
     li,
     q_func,
     universal_constant,
     universal_constant_detail,
-    xi,
     zeta3,
 )
 from hexdimer import quadrature, specialfn
@@ -87,65 +85,46 @@ def test_chi_taylor_branch_is_the_term_by_term_sum():
                for g, v in zip(chi(np.array(large)).tolist(), large))
 
 
-def test_chi_dd_at_zero():
-    assert chi_dd(0.0) == -1.0 / 6.0
+def _mp_chi(z):
+    """chi at the working precision of mpmath, with chi(0) = 1."""
+    import mpmath
+    return ((z / 2) / mpmath.sinh(z / 2)) ** 2 if z else mpmath.mpf(1)
 
 
-def test_chi_dd_matches_finite_differences():
-    for z in (0.5, 2.0):
-        h = 1e-3
-        coarse = (chi(z + h) - 2 * chi(z) + chi(z - h)) / h**2
-        fine = (chi(z + h / 2) - 2 * chi(z) + chi(z - h / 2)) / (h / 2) ** 2
-        richardson = (4 * fine - coarse) / 3
-        assert abs(chi_dd(z) - richardson) < 1e-7
+def _mp_xi(z):
+    """xi(z) = e^z chi''(z), chi'' by mpmath.diff."""
+    import mpmath
+    return mpmath.exp(z) * mpmath.diff(_mp_chi, z, 2)
 
 
-def test_chi_dd_richardson_grid():
-    for z in np.linspace(0.1, 10, 34):
-        h = 1e-2
-        coarse = (chi(z + h) - 2 * chi(z) + chi(z - h)) / h**2
-        fine = (chi(z + h / 2) - 2 * chi(z) + chi(z - h / 2)) / (h / 2) ** 2
-        richardson = (4 * fine - coarse) / 3
-        assert abs(chi_dd(z) - richardson) < 1e-9
-
-
-def test_chi_dd_even():
-    assert chi_dd(1.0) == chi_dd(-1.0)
-
-
-def test_xi_defining_relation():
-    assert xi(0.0) == -1.0 / 6.0
-    assert abs(xi(1.0) - math.e * chi_dd(1.0)) < 1e-15
-    # z <= -0.25 takes the reflected closed form e^{2z} xi(-z)
-    for z in (-0.25, -0.5, -1.0, -3.0, -10.0, -30.0):
-        ref = math.exp(z) * chi_dd(z)
-        assert abs(xi(z) - ref) <= 1e-14 * abs(ref)
-    # removable singularity: no blowup near zero
-    v = xi(1e-8)
-    assert math.isfinite(v) and abs(v - (-1 / 6)) < 1e-7
+# both sides of the series switch at 0.25, and the closed form's interior
+Q_POINTS = [0.1, 0.2, math.nextafter(0.25, 0.0), 0.25, 0.3, 0.5, 3.0]
 
 
 def test_q_func_values_and_relation():
+    # Q(z) = (xi(z) - xi(0))/z with xi built from chi alone, at 40 digits.  The
+    # series below 0.25 is good to 1e-16; the closed form's fourth-order 0/0
+    # costs up to 1.5e-13 just above the switch (measured on [0.25, 1])
+    mpmath = pytest.importorskip("mpmath")
     assert q_func(0.0) == -1.0 / 6.0
-    for z in (0.5, 3.0):
-        assert abs(q_func(z) * z + (-1 / 6) - xi(z)) < 1e-15
+    with mpmath.workdps(40):
+        for z in Q_POINTS:
+            ref = (_mp_xi(mpmath.mpf(z)) + mpmath.mpf(1) / 6) / z
+            tol = 1e-16 if z < specialfn._XI_SERIES_FLOOR else 2e-13
+            assert abs(q_func(z) - ref) <= tol, z
     with pytest.raises(ValueError):
         q_func(-1.0)
 
 
 def test_q_func_derivative_oracle_at_zero():
-    # Q(0) = xi'(0); symmetric difference of xi
-    h = 1e-4
-    fd = (xi(h) - xi(-h)) / (2 * h)
-    assert abs(q_func(0.0) - fd) < 1e-8
+    # Q(0) = xi'(0), the derivative of the 40-digit xi, rounded once
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        assert q_func(0.0) == float(mpmath.diff(_mp_xi, 0))
 
 
 def test_branch_continuity_at_switch():
-    # effective series/closed-form boundary for xi-family is 0.25
-    for f in (xi, chi_dd):
-        left = f(0.25 - 1e-10)
-        right = f(0.25 + 1e-10)
-        assert abs(left - right) < 1e-10
+    # the Q series/closed-form boundary is 0.25
     assert abs(q_func(0.25 - 1e-10) - q_func(0.25 + 1e-10)) < 1e-10
     # chi's own Taylor switch
     switch = specialfn._CHI_TAYLOR_SWITCH
@@ -154,14 +133,35 @@ def test_branch_continuity_at_switch():
 
 def test_li_basic_values():
     assert li(3, 0.0) == 0.0
-    assert abs(li(3, 1.0) - ZETA3) < 1e-10
     assert abs(li(1, 0.5) - (-math.log(0.5))) < 1e-12
     assert abs(zeta3() - ZETA3) < 1e-10
 
 
+def test_zeta3_is_the_nearest_double():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        assert same_bits(zeta3(), float(mpmath.zeta(3)))
+
+
+def test_li3_matches_mpmath_on_the_closed_forms_arguments():
+    # Li_3(e^-x) for sides and side sums x from 1e-3 to 40.  The series stops
+    # at a term below _LI_TERM_TOL times the sum, so the dropped tail is at most
+    # _LI_TERM_TOL * Li_3 / (e^x - 1): 54 ulp at x = 1e-3 (43 measured), under
+    # 1 ulp above x = 0.1, where the error measured is under 1 ulp
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for x in np.geomspace(1e-3, 40.0, 41).tolist():
+            z = math.exp(-x)
+            ref = mpmath.polylog(3, z)
+            bound = 2 * math.ulp(float(ref)) + specialfn._LI_TERM_TOL * float(ref) / math.expm1(x)
+            assert abs(li(3, z) - ref) <= bound, x
+
+
 def test_li_divergence_and_domain():
-    with pytest.raises(ValueError):
-        li(1, 1.0)
+    # the closed forms take Li_3(1) as zeta3(); z = 1 is outside the series
+    for s in range(1, 6):
+        with pytest.raises(ValueError):
+            li(s, 1.0)
     with pytest.raises(ValueError):
         li(3, 1.5)
     with pytest.raises(ValueError):

@@ -37,6 +37,9 @@ INVOCATIONS = (
     ("coeffs", *_SLICED),
     ("coeffs", *_SLICED, "--json"),
     ("coeffs", "--scenario", "sliced", "--a", "3", "--b", "1", "--phi", "cosine"),
+    # sides below 1, where li(3, .) runs longest and zeta(3) weighs most in f0
+    ("coeffs", "--scenario", "finite", "--a", "0.5", "--b", "1", "--c", "2"),
+    ("coeffs", "--scenario", "infinite", "--a", "0.25", "--b", "3", "--json"),
     ("fit", *_FINITE, *_GRID),
     ("fit", *_CUBE, *_GRID, "--json"),
     ("fit", *_INFINITE, *_GRID),
