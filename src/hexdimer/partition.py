@@ -8,8 +8,12 @@ The log_z_* functions themselves always return ln Z > 0.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import signal
 import sys
+import threading
 from dataclasses import dataclass
 from math import log
 
@@ -41,6 +45,12 @@ MAX_PRODUCT_TERMS = 2**22
 # signs of the monomials 1, x^m, x^n, x^k, x^(m+n), x^(n+k), x^(m+k), x^(m+n+k)
 # of (1-x^m)(1-x^n)(1-x^k)
 _MACMAHON_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
+# grid_samples runs a grid in one process per whole _SPLIT_WORK of its summed
+# work (cells m*n of a sliced mesh, terms m+n+k of a uniform one), at most one
+# per CPU: this one and forked children, and only this one below 2 of them.  On
+# a 2-core Xeon VM a 2-way split of cosine (1, 3) tied with one process at
+# 1.02 M cells (18.3 ms, medians of 15) and won at 2.22 M (31.4 ms against 37.9)
+_SPLIT_WORK = 2**21
 
 
 @dataclass(frozen=True)
@@ -342,20 +352,131 @@ class Scenario:
         return coeffs_sliced(self.a, self.b, self.phi)
 
 
+def _free_energies(scenario: Scenario, inv_eps):
+    """scenario.free_energy at each mesh 1/t of inv_eps, lazily, in order."""
+    return (scenario.free_energy(1.0 / t) for t in inv_eps)
+
+
+def _mesh_work(scenario: Scenario, box: BoxShape) -> int:
+    """The work the caps bound: cells m*n of a sliced box, terms m+n+k (m+n
+    at infinite height) of a uniform one."""
+    if scenario.kind == "sliced":
+        return box.m * box.n
+    return box.m + box.n + (box.k if box.is_finite else 0)
+
+
+def _grid_shares(scenario: Scenario, grid: range, finest_work: float) -> list[list[int]] | None:
+    """The meshes of grid dealt to P processes, or None when P <= 1.
+
+    P = min(CPUs, total work // _SPLIT_WORK).  The grid stays in one process
+    when os.fork or os.sched_getaffinity is missing or another Python thread
+    is alive (a fork copies no other thread), when len(grid) * finest_work
+    (finest_work the cap's figure at the finest mesh) rules P > 1 out, or
+    when a mesh is off the lattice: the loop in one process then raises the
+    error at its first bad mesh.  Meshes go largest first (work grows with
+    1/eps), each to the least-loaded share; shares[0] holds the largest."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return None
+    cpus = len(os.sched_getaffinity(0))
+    if min(cpus, len(grid) * finest_work // _SPLIT_WORK) <= 1:
+        return None
+    try:
+        works = [_mesh_work(scenario, scenario.box(1.0 / t)) for t in reversed(grid)]
+    except ValueError:
+        return None
+    processes = min(cpus, sum(works) // _SPLIT_WORK)
+    if processes <= 1:
+        return None
+    shares, loads = [[] for _ in range(processes)], [0] * processes
+    for t, work in zip(reversed(grid), works):
+        least = loads.index(min(loads))
+        shares[least].append(t)
+        loads[least] += work
+    return shares
+
+
+def _forked_free_energies(scenario: Scenario, shares: list[list[int]]) -> dict | None:
+    """scenario.free_energy at every mesh 1/t of the shares, keyed by t, or
+    None when anything fails.
+
+    shares[0] runs in this process after one forked child per other share
+    has started.  A child sends its values as float64 bytes through a pipe
+    and ends in os._exit, whatever happens: it never returns into the caller
+    and never flushes stdio.  This process then reads exactly 8 bytes per
+    mesh from each pipe and reaps each child.  On an exception in its own
+    share, a failed pipe or fork, a child that exits non-zero or a short
+    read, every child still running is killed with SIGKILL and reaped, and
+    None is returned; any other BaseException (KeyboardInterrupt, say) is
+    re-raised after the same clean-up.  No child outlives the call.
+    """
+    parent = os.getpid()
+    pids, reads = [], []  # the children not yet reaped; this process's pipe ends
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            reads.append(read_fd)
+            code = 1
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    data = np.fromiter(_free_energies(scenario, share), float, len(share)).tobytes()
+                    while data:
+                        data = data[os.write(write_fd, data):]
+                    code = 0
+            finally:
+                if os.getpid() != parent:  # the child, however it got here
+                    os._exit(code)
+                os.close(write_fd)
+            pids.append(pid)
+        values = dict(zip(shares[0], _free_energies(scenario, shares[0])))
+        for share, read_fd in zip(shares[1:], reads):
+            size, chunks = 8 * len(share), []
+            while size and (chunk := os.read(read_fd, size)):
+                chunks.append(chunk)
+                size -= len(chunk)
+            _, status = os.waitpid(pids[0], 0)
+            pids.pop(0)
+            if size or os.waitstatus_to_exitcode(status) != 0:
+                return None
+            values.update(zip(share, np.frombuffer(b"".join(chunks)).tolist()))
+        return values
+    except Exception:
+        return None
+    finally:
+        for pid in pids:
+            # a caller that ignores SIGCHLD has its children reaped for it
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for read_fd in reads:
+            os.close(read_fd)
+
+
 def grid_samples(scenario: Scenario, inv_eps_min: int = 2,
                  inv_eps_max: int = 200) -> list[FreeEnergySample]:
     """Exact free-energy samples over the integer grid 1/eps = min..max.
 
     A grid is checked against MAX_SLICED_CELLS or MAX_PRODUCT_TERMS at its
-    finest mesh before the first sample is computed."""
+    finest mesh before the first sample is computed.  A grid whose meshes'
+    work sums to 2 * _SPLIT_WORK or more is split over forked processes on a
+    machine with two or more CPUs (see _grid_shares); the samples are the
+    same bits as in one process.  When the split fails, the grid runs again
+    in one process, which raises its own error."""
     if inv_eps_min < 1 or inv_eps_min >= inv_eps_max:
         raise ValueError("need 1 <= inv_eps_min < inv_eps_max")
     if inv_eps_max > sys.float_info.max:  # 1.0 / inv_eps_max would overflow
         raise ValueError(f"inv_eps_max = {_shown(inv_eps_max, '')} is beyond the float range")
     a, b, c, eps = scenario.a, scenario.b, scenario.c, 1.0 / inv_eps_max
     if scenario.kind == "sliced":
-        _check_sliced_cells(a / eps, b / eps)
+        m, n = a / eps, b / eps
+        _check_sliced_cells(m, n)
+        finest_work = m * n
     else:
-        _check_product_terms((a + b + (c if scenario.kind == "finite" else 0.0)) / eps)
-    return [FreeEnergySample(inv_eps=t, eps=1.0 / t, f=scenario.free_energy(1.0 / t))
-            for t in range(inv_eps_min, inv_eps_max + 1)]
+        finest_work = (a + b + (c if scenario.kind == "finite" else 0.0)) / eps
+        _check_product_terms(finest_work)
+    grid = range(inv_eps_min, inv_eps_max + 1)
+    shares = _grid_shares(scenario, grid, finest_work)
+    forked = None if shares is None else _forked_free_energies(scenario, shares)
+    values = _free_energies(scenario, grid) if forked is None else [forked[t] for t in grid]
+    return [FreeEnergySample(inv_eps=t, eps=1.0 / t, f=f) for t, f in zip(grid, values)]

@@ -129,9 +129,11 @@ def q_func(z: float) -> float:
 def li(s: int, z: float) -> float:
     """Polylogarithm Li_s(z) = sum_{n>=1} z^n / n^s for integer s >= 1, z in [0, 1).
 
-    The series is summed with compensated accumulation until a term drops
-    below _LI_TERM_TOL * |partial sum|, or raises ConvergenceError past
-    _LI_N_MAX terms.  z = 1 is rejected: the closed forms take Li_3(1) as zeta3().
+    The series is summed with compensated accumulation.  After term n the
+    tail is below term * z / (1 - z), so the sum stops at the first term
+    below _LI_TERM_TOL * (1 - z) / z * |partial sum|, with 1 - z formed as
+    -expm1(ln z); it raises ConvergenceError past _LI_N_MAX terms.  z = 1 is
+    rejected: the closed forms take Li_3(1) as zeta3().
     """
     if not isinstance(s, int) or s < 1:
         raise ValueError(f"order s must be an integer >= 1, got {s!r}")
@@ -141,11 +143,12 @@ def li(s: int, z: float) -> float:
         return 0.0
     acc = NeumaierSum()
     logz = log(z)
+    tol = _LI_TERM_TOL * -expm1(logz) / z
     n = 1
     while True:
         term = exp(n * logz) / n**s
         acc.add(term)
-        if term < _LI_TERM_TOL * abs(acc.value):
+        if term < tol * abs(acc.value):
             return acc.value
         n += 1
         if n > _LI_N_MAX:

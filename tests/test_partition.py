@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import re
+import threading
 import tracemalloc
 import warnings
 from math import fsum
@@ -647,6 +649,133 @@ def test_grid_samples_shape():
     for lo, hi in ((12, 2), (0, 5)):
         with pytest.raises(ValueError):
             grid_samples(scenario, lo, hi)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children os.fork starts in this process."""
+    pids, real_fork = [], os.fork
+
+    def spy():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class RaisingPhi(CosinePhi):
+    """Cosine until armed; then it raises exc in the forked children
+    (in_child) or in the process that made it (not in_child)."""
+
+    def __init__(self, exc, in_child):
+        self.exc, self.in_child, self.owner, self.armed = exc, in_child, os.getpid(), False
+
+    def __call__(self, t):
+        if self.armed and (os.getpid() != self.owner) == self.in_child:
+            raise self.exc
+        return super().__call__(t)
+
+
+# (1, 3) over 1/eps = 2..200 is 8.06 M cells, three times _SPLIT_WORK: two processes
+SPLIT_GRID = (2, 200)
+
+
+def split_scenario(phi):
+    return Scenario("sliced", 1.0, 3.0, phi=phi)
+
+
+def test_split_grid_is_the_one_process_grid_bit_for_bit(monkeypatch, forks):
+    scenario = split_scenario(CosinePhi())
+    set_cpus(monkeypatch, 2)
+    split = grid_samples(scenario, *SPLIT_GRID)
+    assert len(forks) == 1
+    assert_no_child_left()
+    set_cpus(monkeypatch, 1)
+    one = grid_samples(scenario, *SPLIT_GRID)
+    assert len(forks) == 1
+    assert [(s.inv_eps, s.eps.hex(), s.f.hex()) for s in split] == \
+        [(s.inv_eps, s.eps.hex(), s.f.hex()) for s in one]
+
+
+def test_a_failing_mesh_raises_the_one_process_error_under_the_split(monkeypatch, forks):
+    # e^(-E) first rounds to 1 at 1/eps = 67; the split's own share fails at 200
+    scenario = split_scenario(phi_from_id("const:3e-15"))
+    set_cpus(monkeypatch, 1)
+    grid_samples(scenario, 2, 66)
+    with pytest.raises(ValueError) as one:
+        grid_samples(scenario, *SPLIT_GRID)
+    assert "at eps = 0.014925373134328358:" in str(one.value)
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(ValueError) as split:
+        grid_samples(scenario, *SPLIT_GRID)
+    assert len(forks) == 1 and str(split.value) == str(one.value)
+    assert_no_child_left()
+
+
+def test_a_failing_child_leaves_the_grid_to_this_process(monkeypatch, forks):
+    phi = RaisingPhi(RuntimeError("a child's mesh"), in_child=True)
+    scenario = split_scenario(phi)
+    phi.armed = True
+    set_cpus(monkeypatch, 2)
+    samples = grid_samples(scenario, *SPLIT_GRID)
+    assert len(forks) == 1
+    assert_no_child_left()
+    set_cpus(monkeypatch, 1)
+    assert samples == grid_samples(split_scenario(CosinePhi()), *SPLIT_GRID)
+
+
+def test_a_failed_fork_leaves_the_grid_to_this_process(monkeypatch):
+    def refuse():
+        raise BlockingIOError("fork refused")
+
+    scenario = split_scenario(CosinePhi())
+    set_cpus(monkeypatch, 1)
+    one = grid_samples(scenario, *SPLIT_GRID)
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert grid_samples(scenario, *SPLIT_GRID) == one
+
+
+def test_an_interrupt_kills_and_reaps_every_child(monkeypatch, forks):
+    phi = RaisingPhi(KeyboardInterrupt(), in_child=False)
+    scenario = split_scenario(phi)
+    phi.armed = True
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(KeyboardInterrupt):
+        grid_samples(scenario, *SPLIT_GRID)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_small_grids_and_a_second_thread_do_not_fork(monkeypatch, forks):
+    set_cpus(monkeypatch, 2)
+    # the benchmark's uniform grids: the largest is 120,594 terms in all
+    for scenario in (Scenario("finite", 1.0, 1.0, 1.0), Scenario("finite", 3.0, 2.0, 1.0),
+                     Scenario("infinite", 1.0, 1.0), Scenario("infinite", 2.0, 1.0)):
+        grid_samples(scenario, 2, 200)
+    grid_samples(split_scenario(CosinePhi()), 2, 100)  # 1.02 M cells
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        grid_samples(split_scenario(CosinePhi()), *SPLIT_GRID)
+    finally:
+        release.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert forks == []
 
 
 @pytest.mark.parametrize("kind,a,b,c,phi,match", [

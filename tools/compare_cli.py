@@ -70,6 +70,9 @@ INVOCATIONS = (
     ("free-energy", "--a", "1", "--b", "3", "--phi", "cosine", *_SLICED_GRID, "--out", OUT),
     ("free-energy", "--a", "2", "--b", "3", "--phi", "cosine", *_SLICED_GRID, "--out", OUT),
     ("free-energy", "--a", "2", "--b", "3", "--phi", "linear:2,0.5", *_SLICED_GRID, "--out", OUT),
+    # e^(-E) rounds to 1 from 1/eps = 67 on: exit 1 naming eps = 1/67, also
+    # where the grid is split over processes and a later mesh fails first
+    ("free-energy", "--a", "1", "--b", "3", "--phi", "const:3e-15", *_SLICED_GRID),
 )
 
 
