@@ -14,6 +14,7 @@ import os
 import signal
 import sys
 import threading
+import warnings
 from dataclasses import dataclass
 from math import log
 
@@ -47,7 +48,8 @@ MAX_PRODUCT_TERMS = 2**22
 _MACMAHON_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
 # grid_samples runs a grid in one process per whole _SPLIT_WORK of its summed
 # work (cells m*n of a sliced mesh, terms m+n+k of a uniform one), at most one
-# per CPU: this one and forked children, and only this one below 2 of them.  On
+# per CPU and at most as many as its finest mesh fits into MAX_SLICED_CELLS
+# (MAX_PRODUCT_TERMS): this one and forked children, only this one below 2.  On
 # a 2-core Xeon VM a 2-way split of cosine (1, 3) tied with one process at
 # 1.02 M cells (18.3 ms, medians of 15) and won at 2.22 M (31.4 ms against 37.9)
 _SPLIT_WORK = 2**21
@@ -357,35 +359,34 @@ def _free_energies(scenario: Scenario, inv_eps):
     return (scenario.free_energy(1.0 / t) for t in inv_eps)
 
 
-def _mesh_work(scenario: Scenario, box: BoxShape) -> int:
-    """The work the caps bound: cells m*n of a sliced box, terms m+n+k (m+n
-    at infinite height) of a uniform one."""
-    if scenario.kind == "sliced":
-        return box.m * box.n
-    return box.m + box.n + (box.k if box.is_finite else 0)
-
-
-def _grid_shares(scenario: Scenario, grid: range, finest_work: float) -> list[list[int]] | None:
+def _grid_shares(scenario: Scenario, grid: range) -> list[list[int]] | None:
     """The meshes of grid dealt to P processes, or None when P <= 1.
 
-    P = min(CPUs, total work // _SPLIT_WORK).  The grid stays in one process
-    when os.fork or os.sched_getaffinity is missing or another Python thread
-    is alive (a fork copies no other thread), when len(grid) * finest_work
-    (finest_work the cap's figure at the finest mesh) rules P > 1 out, or
-    when a mesh is off the lattice: the loop in one process then raises the
-    error at its first bad mesh.  Meshes go largest first (work grows with
-    1/eps), each to the least-loaded share; shares[0] holds the largest."""
+    Each mesh's work is what the caps bound: cells m*n of a sliced box, terms
+    m+n+k (m+n at infinite height) of a uniform one.  P = min(CPUs, total
+    work // _SPLIT_WORK, cap // finest mesh's work), so the meshes that run
+    at once hold no more than one call at the cap would.  The grid stays in
+    one process when os.fork or os.sched_getaffinity is missing, when another
+    Python thread is alive (a fork copies no other thread), or when either of
+    its first two meshes is off the lattice: the loop in one process then
+    raises the error at its first bad mesh.  Two consecutive meshes on the
+    lattice make every side an integer number u of unit steps, so mesh 1/t
+    has sides u*t.  Meshes go largest first, each to the least-loaded share;
+    shares[0] holds the largest."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
             or threading.active_count() > 1:
         return None
-    cpus = len(os.sched_getaffinity(0))
-    if min(cpus, len(grid) * finest_work // _SPLIT_WORK) <= 1:
-        return None
     try:
-        works = [_mesh_work(scenario, scenario.box(1.0 / t)) for t in reversed(grid)]
+        lo, hi = scenario.box(1.0 / grid[0]), scenario.box(1.0 / grid[1])
     except ValueError:
         return None
-    processes = min(cpus, sum(works) // _SPLIT_WORK)
+    m, n = hi.m - lo.m, hi.n - lo.n
+    if scenario.kind == "sliced":
+        works, cap = [m * n * t * t for t in reversed(grid)], MAX_SLICED_CELLS
+    else:
+        k = hi.k - lo.k if hi.is_finite else 0
+        works, cap = [(m + n + k) * t for t in reversed(grid)], MAX_PRODUCT_TERMS
+    processes = min(len(os.sched_getaffinity(0)), sum(works) // _SPLIT_WORK, cap // works[0])
     if processes <= 1:
         return None
     shares, loads = [[] for _ in range(processes)], [0] * processes
@@ -418,7 +419,13 @@ def _forked_free_energies(scenario: Scenario, shares: list[list[int]]) -> dict |
             reads.append(read_fd)
             code = 1
             try:
-                pid = os.fork()
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns in this process, after the child exists,
+                    # when it forks with threads alive (numpy's BLAS pool among
+                    # them); raised as an error, it would lose the child's pid
+                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                            DeprecationWarning)
+                    pid = os.fork()
                 if pid == 0:
                     data = np.fromiter(_free_energies(scenario, share), float, len(share)).tobytes()
                     while data:
@@ -469,14 +476,11 @@ def grid_samples(scenario: Scenario, inv_eps_min: int = 2,
         raise ValueError(f"inv_eps_max = {_shown(inv_eps_max, '')} is beyond the float range")
     a, b, c, eps = scenario.a, scenario.b, scenario.c, 1.0 / inv_eps_max
     if scenario.kind == "sliced":
-        m, n = a / eps, b / eps
-        _check_sliced_cells(m, n)
-        finest_work = m * n
+        _check_sliced_cells(a / eps, b / eps)
     else:
-        finest_work = (a + b + (c if scenario.kind == "finite" else 0.0)) / eps
-        _check_product_terms(finest_work)
+        _check_product_terms((a + b + (c if scenario.kind == "finite" else 0.0)) / eps)
     grid = range(inv_eps_min, inv_eps_max + 1)
-    shares = _grid_shares(scenario, grid, finest_work)
+    shares = _grid_shares(scenario, grid)
     forked = None if shares is None else _forked_free_energies(scenario, shares)
     values = _free_energies(scenario, grid) if forked is None else [forked[t] for t in grid]
     return [FreeEnergySample(inv_eps=t, eps=1.0 / t, f=f) for t, f in zip(grid, values)]

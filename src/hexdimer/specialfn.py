@@ -2,7 +2,8 @@
 
 chi(z)   = e^{-z} (z / (1 - e^{-z}))^2   (even; equals ((z/2)/sinh(z/2))^2)
 Q(z)     = (xi(z) - xi(0)) / z,  xi(z) = e^{z} chi''(z),  xi(0) = -1/6
-Li_s(z)  = sum z^n / n^s,  0 <= z < 1
+Li_s(z)  = sum z^n / n^s,  0 <= z < 1  (Li_3(e^-x) for small x from its
+           expansion in x)
 zeta(3)  = Li_3(1), which the closed forms take as a literal
 I_Q      = int_0^inf e^{-z} Q(z) dz = 1/4 + 2 zeta'(-1)   (the universal
            expansion constant, in closed form; see universal_constant_detail)
@@ -17,7 +18,7 @@ up to |z| ~ 0.8).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, exp, expm1, factorial, fsum, isnan, log, ulp
+from math import comb, exp, expm1, factorial, fsum, isnan, log, pi, ulp
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .summation import NeumaierSum
 _CHI_TAYLOR_SWITCH = 1e-3
 _LI_TERM_TOL = 1e-17
 _LI_N_MAX = 10**7
+# Li_3(e^-x) below this x comes from its expansion in x
+_LI3_SERIES_SWITCH = 0.25
 _XI_SERIES_FLOOR = 0.25
 _SERIES_TERMS = 13  # even orders through z^24
 # I_Q = 1/4 + 2 zeta'(-1) = 5/12 - 2 ln A to 38 digits; the literal rounds to
@@ -34,6 +37,7 @@ _SERIES_TERMS = 13  # even orders through z^24
 _UNIVERSAL_CONSTANT = -0.080842287400901858427839320485561285528
 # zeta(3) to 40 digits; the literal rounds to the double nearest it, 0x1.33ba004f00621p+0
 _ZETA3 = 1.202056903159594285399738161511449990765
+_ZETA2 = pi * pi / 6.0  # the double nearest zeta(2), 0x1.a51a6625307d3p+0
 
 
 def _bernoulli(n_max: int) -> list[Fraction]:
@@ -69,6 +73,18 @@ def _series_coefficients():
 
 
 _CHI_C, _Q_C = _series_coefficients()
+
+
+def _li3_series_coefficients():
+    """(k, c_k) with Li_3(e^-x) = zeta(3) - zeta(2) x + (3/2 - ln x) x^2/2
+    + sum_k c_k x^k, for x < 2 pi.  c_k = zeta(3-k) (-1)^k / k!
+    = -B_{k-2} / ((k-2) k!), zero for odd k >= 5; kept through x^14: the
+    first term dropped is below 1e-24 at x = _LI3_SERIES_SWITCH."""
+    bern = _bernoulli(12)
+    return [(k, float(-bern[k - 2] / ((k - 2) * factorial(k)))) for k in range(3, 15) if bern[k - 2]]
+
+
+_LI3_C = _li3_series_coefficients()
 
 
 def _even_series(coeffs, z: float) -> float:
@@ -129,11 +145,14 @@ def q_func(z: float) -> float:
 def li(s: int, z: float) -> float:
     """Polylogarithm Li_s(z) = sum_{n>=1} z^n / n^s for integer s >= 1, z in [0, 1).
 
-    The series is summed with compensated accumulation.  After term n the
-    tail is below term * z / (1 - z), so the sum stops at the first term
-    below _LI_TERM_TOL * (1 - z) / z * |partial sum|, with 1 - z formed as
-    -expm1(ln z); it raises ConvergenceError past _LI_N_MAX terms.  z = 1 is
-    rejected: the closed forms take Li_3(1) as zeta3().
+    Li_3 near z = 1 (x = -ln z below _LI3_SERIES_SWITCH) is the expansion in
+    x (see _li3_series_coefficients), where the series in z would need ~1/x
+    terms.  Otherwise the series in z is summed with compensated accumulation.
+    After term n the tail is below term * z / (1 - z), and for s >= 2 below
+    term * z * n / (s - 1); the sum stops at the first term whose bound is
+    below _LI_TERM_TOL * |partial sum|, with 1 - z formed as -expm1(ln z).
+    It raises ConvergenceError past _LI_N_MAX terms.  z = 1 is rejected: the
+    closed forms take Li_3(1) as zeta3().
     """
     if not isinstance(s, int) or s < 1:
         raise ValueError(f"order s must be an integer >= 1, got {s!r}")
@@ -141,14 +160,19 @@ def li(s: int, z: float) -> float:
         raise ValueError(f"argument z must lie in [0, 1), got {z}")
     if z == 0.0:
         return 0.0
-    acc = NeumaierSum()
     logz = log(z)
+    if s == 3 and logz > -_LI3_SERIES_SWITCH:
+        x = -logz
+        return fsum([_ZETA3, -_ZETA2 * x, (1.5 - log(x)) * x * x / 2.0]
+                    + [c * x**k for k, c in _LI3_C])
+    acc = NeumaierSum()
     tol = _LI_TERM_TOL * -expm1(logz) / z
     n = 1
     while True:
         term = exp(n * logz) / n**s
         acc.add(term)
-        if term < tol * abs(acc.value):
+        bound = abs(acc.value)
+        if term < tol * bound or term * z * n < (s - 1) * _LI_TERM_TOL * bound:
             return acc.value
         n += 1
         if n > _LI_N_MAX:

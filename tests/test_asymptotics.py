@@ -25,7 +25,7 @@ from hexdimer import (
     sliced_f3,
     zeta3,
 )
-from hexdimer import asymptotics
+from hexdimer import asymptotics, specialfn
 from hexdimer.asymptotics import _sliced_pieces
 
 from _reference import SLICED_F3_EXACT_FIT, TABLE1, exact_data_f3
@@ -63,6 +63,20 @@ def test_infinite_coefficients():
     assert c.f1 == 0.0
     for (a, b) in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0)):
         assert 12 * a * b * coeffs_infinite(a, b).f2 == pytest.approx(1.0, abs=1e-15)
+
+
+def test_infinite_f0_at_a_side_near_zero(monkeypatch):
+    # f0 = (zeta(3) + Li_3(e^-(a+b)) - Li_3(e^-a) - Li_3(e^-b)) / ab keeps about
+    # 9 digits of its cancellation at a = 1e-7 (5e-10 measured); a Li_3 series
+    # stopped on its last term alone was 2e-5 off, one stopped on its tail
+    # bound never converged
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(specialfn, "_LI_N_MAX", 20000)
+    a, b = 1e-7, 1.0
+    with mpmath.workdps(40):
+        ref = (mpmath.zeta(3) + mpmath.polylog(3, exp(-a - b)) - mpmath.polylog(3, exp(-a))
+               - mpmath.polylog(3, exp(-b))) / (a * b)
+        assert abs(coeffs_infinite(a, b).f0 - ref) <= 1e-8 * ref
 
 
 def test_finite_f2_sign_and_value():

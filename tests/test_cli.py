@@ -401,6 +401,16 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     assert "did not converge within 2 terms" in err
 
 
+def test_coeffs_with_a_side_near_zero_converges(monkeypatch, capsys):
+    # sliced f3 takes coeffs_infinite(a*eta, b*eta), here at sides 1e-7, whose
+    # f0 needs li(3, e^-1e-7): no long series, and the parent's values
+    monkeypatch.setattr(specialfn, "_LI_N_MAX", 20000)
+    code, out, _ = run(capsys, "coeffs", "--scenario", "sliced", "--a", "1", "--b", "1",
+                       "--phi", "const:1e-7")
+    assert code == 0
+    assert "f0,16.231801339838427" in out and "f3,-0.10765887856366696" in out
+
+
 def test_table1_bad_row_names_the_form(capsys):
     code, out, err = run(capsys, "table1", "--row", "cosine:1")
     assert code == 1 and out == ""

@@ -709,6 +709,60 @@ def test_split_grid_is_the_one_process_grid_bit_for_bit(monkeypatch, forks):
         [(s.inv_eps, s.eps.hex(), s.f.hex()) for s in one]
 
 
+def test_the_cap_bounds_the_processes_and_a_three_way_split_keeps_the_bits(monkeypatch, forks):
+    # 8.06 M cells make three whole _SPLIT_WORKs; with the finest mesh's
+    # 120,000 cells fitting into the cap only twice, two processes run
+    scenario = split_scenario(CosinePhi())
+    set_cpus(monkeypatch, 1)
+    one = grid_samples(scenario, *SPLIT_GRID)
+    set_cpus(monkeypatch, 16)
+    assert grid_samples(scenario, *SPLIT_GRID) == one
+    assert len(forks) == 2
+    assert_no_child_left()
+    monkeypatch.setattr(partition, "MAX_SLICED_CELLS", 3 * 120_000 - 1)
+    assert grid_samples(scenario, *SPLIT_GRID) == one
+    assert len(forks) == 3
+    assert_no_child_left()
+
+
+def test_grid_shares_are_dealt_from_the_lattice_sides(monkeypatch):
+    set_cpus(monkeypatch, 16)
+    # terms 2000 t, 40.2 M in all (19 _SPLIT_WORKs); 400,000 at t = 200 fit
+    # into MAX_PRODUCT_TERMS ten times
+    shares = partition._grid_shares(Scenario("infinite", 1000.0, 1000.0), range(2, 201))
+    assert len(shares) == 10 and shares[0][0] == 200
+    assert sorted(itertools.chain(*shares)) == list(range(2, 201))
+    # cells 3 t^2 of (1, 3): three processes, loads within one finest mesh
+    shares = partition._grid_shares(Scenario("sliced", 1.0, 3.0, phi=CosinePhi()), range(2, 201))
+    loads = [sum(3 * t * t for t in share) for share in shares]
+    assert len(shares) == 3 and max(loads) - min(loads) <= 3 * 200 * 200
+    # off the lattice at 1/eps = 3: left to the one-process loop
+    assert partition._grid_shares(Scenario("infinite", 1000.5, 1000.0), range(2, 201)) is None
+
+
+def test_a_fork_warning_raised_as_an_error_loses_no_child(monkeypatch, forks):
+    # Python 3.12+ warns in the parent after forking with threads alive
+    real_fork = os.fork
+
+    def warning_fork():
+        pid = real_fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          f"may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    scenario = split_scenario(CosinePhi())
+    set_cpus(monkeypatch, 1)
+    one = grid_samples(scenario, *SPLIT_GRID)
+    set_cpus(monkeypatch, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert grid_samples(scenario, *SPLIT_GRID) == one
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
 def test_a_failing_mesh_raises_the_one_process_error_under_the_split(monkeypatch, forks):
     # e^(-E) first rounds to 1 at 1/eps = 67; the split's own share fails at 200
     scenario = split_scenario(phi_from_id("const:3e-15"))

@@ -144,17 +144,27 @@ def test_zeta3_is_the_nearest_double():
 
 
 def test_li3_matches_mpmath_on_the_closed_forms_arguments():
-    # Li_3(e^-x) for sides and side sums x from 1e-3 to 40.  The series stops
-    # once the tail bound term * z / (1 - z) is below _LI_TERM_TOL times the
-    # sum, so the dropped tail is below 1e-17 relative at every x; the worst
-    # error measured on these points is 0.56 ulp (43 ulp at x = 1e-3 when the
-    # stop ignored the tail)
+    # Li_3(e^-x) for sides and side sums x from 1e-16 to 40: the expansion in
+    # x below x = 0.25, the series in z, stopped on its tail bound, above.
+    # The worst error measured on these points is 0.72 ulp (43 ulp at x = 1e-3
+    # when the series stopped on its last term alone)
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        for x in np.geomspace(1e-3, 40.0, 41).tolist():
+        for x in np.geomspace(1e-16, 40.0, 101).tolist():
             z = math.exp(-x)
             ref = mpmath.polylog(3, z)
             assert abs(li(3, z) - ref) <= math.ulp(float(ref)), x
+
+
+def test_li_near_one_needs_no_long_series(monkeypatch):
+    # the series in z would need about 1/x terms; Li_3 takes its expansion in
+    # x there, and s >= 4 stops on the bound term * z * n / (s - 1)
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(specialfn, "_LI_N_MAX", 20000)
+    with mpmath.workdps(40):
+        for s, x in ((3, 1e-7), (3, 1e-3), (4, 1e-3), (5, 1e-7)):
+            z = math.exp(-x)
+            assert abs(li(s, z) - mpmath.polylog(s, z)) <= 2 * math.ulp(li(s, z)), (s, x)
 
 
 def test_li_divergence_and_domain():

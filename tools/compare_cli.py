@@ -40,6 +40,8 @@ INVOCATIONS = (
     # sides below 1, where li(3, .) runs longest and zeta(3) weighs most in f0
     ("coeffs", "--scenario", "finite", "--a", "0.5", "--b", "1", "--c", "2"),
     ("coeffs", "--scenario", "infinite", "--a", "0.25", "--b", "3", "--json"),
+    # f3 takes coeffs_infinite(1e-7, 1e-7), whose f0 needs li(3, e^-1e-7)
+    ("coeffs", "--scenario", "sliced", "--a", "1", "--b", "1", "--phi", "const:1e-7"),
     ("fit", *_FINITE, *_GRID),
     ("fit", *_CUBE, *_GRID, "--json"),
     ("fit", *_INFINITE, *_GRID),
