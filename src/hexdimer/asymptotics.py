@@ -63,14 +63,16 @@ def log_ratio_three(a: float, b: float, c: float) -> float:
             - log1p(-exp(-a - b)) - log1p(-exp(-b - c)) - log1p(-exp(-a - c)))
 
 
-def _require_sides(a: float, b: float, c: float | None = None) -> None:
+def _require_sides(a: float, b: float, c: float | None = None, factor_name: str = "") -> None:
     """Check scaled sides for the closed forms; c is None for infinite height.
 
     An infinite side, or an area so large that the closed forms' divisor
     (12 ab, or 24(ab + bc + ca) for the finite box) overflows, would silently
-    give zero or nan coefficients.
+    give zero or nan coefficients.  factor_name names a factor that the
+    infinite-height sides carry, as in "a*phi(b-a)".
     """
     sides = {"a": a, "b": b} if c is None else {"a": a, "b": b, "c": c}
+    sides = {name + factor_name: value for name, value in sides.items()}
     for name, value in sides.items():
         # compared, not passed to math.isfinite, which overflows on an int beyond the float range
         if not 0 < value <= sys.float_info.max:
@@ -80,7 +82,7 @@ def _require_sides(a: float, b: float, c: float | None = None) -> None:
             raise ValueError(f"side {name} = {value} is too small: e^(-{name}) rounds to 1 "
                              f"in floating point, so ln(1 - e^(-{name})) cannot be formed")
     if c is None:
-        area, name, factor = a * b, "ab", 12.0
+        area, name, factor = a * b, f"ab{factor_name}^2" if factor_name else "ab", 12.0
     else:
         area, name, factor = a * b + b * c + a * c, "ab+bc+ca", 24.0
     if not math.isfinite(factor * area):
@@ -325,8 +327,13 @@ def sliced_f3(a: float, b: float, phi: PhiFunction) -> float:
 
 
 def coeffs_sliced(a: float, b: float, phi: PhiFunction) -> ExpansionCoefficients:
-    """Slice-weighted infinite-height box, convention f = +ln Z/V."""
+    """Slice-weighted infinite-height box, convention f = +ln Z/V.  sliced_f3
+    takes the uniform box's closed forms at the sides a*phi(b-a) and
+    b*phi(b-a), so these are checked before sliced_f0 runs."""
     _require_sides(a, b)
+    phi.check_positive(-a, b)
+    eta = float(phi(b - a))
+    _require_sides(a * eta, b * eta, factor_name="*phi(b-a)")
     f0 = sliced_f0(a, b, phi)
     f2 = 1.0 / (12.0 * a * b)
     return ExpansionCoefficients(f0, 0.0, f2, sliced_f3(a, b, phi))

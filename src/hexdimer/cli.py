@@ -242,14 +242,36 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
+def _samples_and_coefficients(scenario: Scenario, inv_eps_min: int, inv_eps_max: int,
+                              held=()):
+    """grid_samples(scenario, inv_eps_min, inv_eps_max) and
+    scenario.coefficients(), which this process computes while forked
+    children start on a split grid.  An exception of a type in held is
+    returned in place of the coefficients, after the grid; any other one
+    propagates at once."""
+    coefficients = []
+
+    def compute():
+        try:
+            coefficients.append(scenario.coefficients())
+        except held as exc:
+            coefficients.append(exc)
+
+    samples = grid_samples(scenario, inv_eps_min, inv_eps_max, beside=compute)
+    return samples, coefficients[0]
+
+
 def cmd_fit(args) -> int:
     scenario = _scenario(args, args.scenario)
-    result = fit(grid_samples(scenario, args.inv_eps_min, args.inv_eps_max))
-    analytic_vals, analytic_error = (), None
-    try:
-        analytic_vals = scenario.coefficients()
-    except HexdimerError as exc:  # the fitted rows stand on their own
-        analytic_error = str(exc)
+    # a grid error comes first, then a coefficient error other than a numerical one
+    samples, analytic_vals = _samples_and_coefficients(scenario, args.inv_eps_min,
+                                                       args.inv_eps_max, Exception)
+    result = fit(samples)
+    analytic_error = None
+    if isinstance(analytic_vals, Exception):
+        if not isinstance(analytic_vals, HexdimerError):
+            raise analytic_vals
+        analytic_vals, analytic_error = (), str(analytic_vals)  # the fitted rows stand on their own
     header = ("basis_term", "fitted", "analytic", "abs_diff")
     rows = []
     for i, (name, fitted) in enumerate(zip(BASIS_NAMES, result.coefficients)):
@@ -287,8 +309,8 @@ def cmd_table1(args) -> int:
     out_rows = []
     for phi_id, a, b in rows_spec:
         scenario = Scenario("sliced", a, b, phi=phi_from_id(phi_id))
-        analytic = scenario.coefficients()
-        fitted = fit(grid_samples(scenario, 2, 200))
+        samples, analytic = _samples_and_coefficients(scenario, 2, 200)
+        fitted = fit(samples)
         f0, f1, f2, f3 = fitted.coefficients[:4]
         out_rows.append([scenario.phi.id, a, b, analytic.f0, f0, f1, 12.0 * a * b * f2,
                          analytic.f3, f3, abs(f3 - analytic.f3)])

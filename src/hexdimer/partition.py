@@ -32,7 +32,10 @@ from .weights import PhiFunction
 # stopping rule for the resummed free-energy series
 _SERIES_TERM_TOL = 1e-16
 _SERIES_N_MAX = 10**7
-_SERIES_CHUNK = 4096  # terms formed per numpy pass
+# terms formed per numpy pass: _SERIES_FIRST_CHUNK, then twice as many each
+# pass up to _SERIES_CHUNK (verify's sums stop after 316 to about 1,400 terms)
+_SERIES_FIRST_CHUNK = 256
+_SERIES_CHUNK = 4096
 # how far a/eps, b/eps and c/eps may sit from an integer
 _LATTICE_TOL = 1e-9
 # log_z_sliced hands exact_sum a bound on its terms when E_min lies above this
@@ -53,6 +56,10 @@ _MACMAHON_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
 # a 2-core Xeon VM a 2-way split of cosine (1, 3) tied with one process at
 # 1.02 M cells (18.3 ms, medians of 15) and won at 2.22 M (31.4 ms against 37.9)
 _SPLIT_WORK = 2**21
+# a mesh number in the queue of a split grid: an int64 in this machine's byte order
+_MESH_BYTES = 8
+# bytes per write into that queue: POSIX's least PIPE_BUF, so that no write is split
+_QUEUE_WRITE = 512
 
 
 @dataclass(frozen=True)
@@ -238,15 +245,17 @@ def series_free_energy(scenario: Scenario, eps: float) -> float:
 
     H_n has three exponential factors for the finite box, two for the
     infinite-height box; the sliced box has no such series.  The terms are
-    formed with numpy over chunks n = start .. start + _SERIES_CHUNK - 1, and
-    added in ascending n with compensated summation (NeumaierSum.add_array,
-    bit for bit the term-by-term loop).  The sum stops at the first n whose
-    remaining tail bound chi(n eps) * max(H) * sum_{m>n} m^-3 <=
-    chi(n eps)/(2 n^2) is below _SERIES_TERM_TOL, that term included, and
-    raises ConvergenceError once _SERIES_N_MAX terms are summed without it;
-    no chunk runs past that cap.  numpy's exp and expm1 may differ from the
-    C library's by an ulp, so the value lies within 4 ulp of a term-by-term
-    loop over math.exp and math.expm1.
+    formed with numpy over chunks of n, the first _SERIES_FIRST_CHUNK long,
+    each next one twice as long up to _SERIES_CHUNK, and added in ascending
+    n with compensated summation (NeumaierSum.add_array, bit for bit the
+    term-by-term loop); numpy's chi, exp and expm1 give each term the same
+    bits in any chunk, so the sum does not depend on the chunking.  The sum
+    stops at the first n whose remaining tail bound chi(n eps) * max(H) *
+    sum_{m>n} m^-3 <= chi(n eps)/(2 n^2) is below _SERIES_TERM_TOL, that
+    term included, and raises ConvergenceError once _SERIES_N_MAX terms are
+    summed without it; no chunk runs past that cap.  numpy's exp and expm1
+    may differ from the C library's by an ulp, so the value lies within 4 ulp
+    of a term-by-term loop over math.exp and math.expm1.
     """
     if scenario.kind == "sliced":
         raise ValueError("the series free energy covers the finite and infinite boxes, not sliced")
@@ -259,8 +268,10 @@ def series_free_energy(scenario: Scenario, eps: float) -> float:
         prefactor = 1.0 / (a * b)
 
     acc = NeumaierSum()
-    for start in range(1, _SERIES_N_MAX + 1, _SERIES_CHUNK):
-        n = np.arange(start, min(start + _SERIES_CHUNK, _SERIES_N_MAX + 1), dtype=float)
+    start, size = 1, min(_SERIES_FIRST_CHUNK, _SERIES_CHUNK)
+    while start <= _SERIES_N_MAX:
+        n = np.arange(start, min(start + size, _SERIES_N_MAX + 1), dtype=float)
+        start, size = start + size, min(2 * size, _SERIES_CHUNK)
         chi_n = chi(n * eps)
         h = (-np.expm1(-n * a)) * (-np.expm1(-n * b))
         if finite:
@@ -354,122 +365,177 @@ class Scenario:
         return coeffs_sliced(self.a, self.b, self.phi)
 
 
-def _free_energies(scenario: Scenario, inv_eps):
-    """scenario.free_energy at each mesh 1/t of inv_eps, lazily, in order."""
-    return (scenario.free_energy(1.0 / t) for t in inv_eps)
-
-
-def _grid_shares(scenario: Scenario, grid: range) -> list[list[int]] | None:
-    """The meshes of grid dealt to P processes, or None when P <= 1.
+def _grid_processes(scenario: Scenario, grid: range) -> int:
+    """How many processes evaluate grid: this one and P-1 forked children.
 
     Each mesh's work is what the caps bound: cells m*n of a sliced box, terms
     m+n+k (m+n at infinite height) of a uniform one.  P = min(CPUs, total
     work // _SPLIT_WORK, cap // finest mesh's work), so the meshes that run
     at once hold no more than one call at the cap would.  The grid stays in
-    one process when os.fork or os.sched_getaffinity is missing, when another
-    Python thread is alive (a fork copies no other thread), or when either of
-    its first two meshes is off the lattice: the loop in one process then
-    raises the error at its first bad mesh.  Two consecutive meshes on the
-    lattice make every side an integer number u of unit steps, so mesh 1/t
-    has sides u*t.  Meshes go largest first, each to the least-loaded share;
-    shares[0] holds the largest."""
+    one process (P = 1) when os.fork or os.sched_getaffinity is missing, when
+    another Python thread is alive (a fork copies no other thread), or when
+    either of its first two meshes is off the lattice: the loop in one
+    process then raises the error at its first bad mesh.  Two consecutive
+    meshes on the lattice make every side an integer number u of unit steps,
+    so mesh 1/t has sides u*t."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
             or threading.active_count() > 1:
-        return None
+        return 1
     try:
         lo, hi = scenario.box(1.0 / grid[0]), scenario.box(1.0 / grid[1])
     except ValueError:
-        return None
+        return 1
     m, n = hi.m - lo.m, hi.n - lo.n
     if scenario.kind == "sliced":
-        works, cap = [m * n * t * t for t in reversed(grid)], MAX_SLICED_CELLS
+        works, cap = [m * n * t * t for t in grid], MAX_SLICED_CELLS
     else:
         k = hi.k - lo.k if hi.is_finite else 0
-        works, cap = [(m + n + k) * t for t in reversed(grid)], MAX_PRODUCT_TERMS
-    processes = min(len(os.sched_getaffinity(0)), sum(works) // _SPLIT_WORK, cap // works[0])
-    if processes <= 1:
-        return None
-    shares, loads = [[] for _ in range(processes)], [0] * processes
-    for t, work in zip(reversed(grid), works):
-        least = loads.index(min(loads))
-        shares[least].append(t)
-        loads[least] += work
-    return shares
+        works, cap = [(m + n + k) * t for t in grid], MAX_PRODUCT_TERMS
+    return max(1, min(len(os.sched_getaffinity(0)), sum(works) // _SPLIT_WORK, cap // works[-1]))
 
 
-def _forked_free_energies(scenario: Scenario, shares: list[list[int]]) -> dict | None:
-    """scenario.free_energy at every mesh 1/t of the shares, keyed by t, or
-    None when anything fails.
+def _feed(feed: int, pending: memoryview) -> memoryview:
+    """Write pending mesh numbers into the queue's non-blocking write end
+    while the pipe takes them, _QUEUE_WRITE bytes at a time, and return the
+    rest.  A write of at most PIPE_BUF bytes is whole or refused, so no mesh
+    number is ever split between two writes."""
+    while pending:
+        try:
+            pending = pending[os.write(feed, pending[:_QUEUE_WRITE]):]
+        except BlockingIOError:  # the pipe is full
+            break
+    return pending
 
-    shares[0] runs in this process after one forked child per other share
-    has started.  A child sends its values as float64 bytes through a pipe
-    and ends in os._exit, whatever happens: it never returns into the caller
-    and never flushes stdio.  This process then reads exactly 8 bytes per
-    mesh from each pipe and reaps each child.  On an exception in its own
-    share, a failed pipe or fork, a child that exits non-zero or a short
-    read, every child still running is killed with SIGKILL and reaped, and
-    None is returned; any other BaseException (KeyboardInterrupt, say) is
-    re-raised after the same clean-up.  No child outlives the call.
+
+def _next_mesh(queue: int) -> int | None:
+    """The next mesh number from the queue, or None once it is empty and
+    closed.  Linux reads a pipe under its lock, so a read takes a whole mesh
+    number even while other processes read the same pipe."""
+    record = os.read(queue, _MESH_BYTES)
+    return int.from_bytes(record, sys.byteorder, signed=True) if record else None
+
+
+def _serve(scenario: Scenario, queue: int, out: int) -> None:
+    """A forked child's work: scenario.free_energy at each mesh 1/t it takes
+    from the queue, then every (t, value) pair as float64 bytes into out."""
+    pairs = []
+    while (t := _next_mesh(queue)) is not None:
+        pairs += (t, scenario.free_energy(1.0 / t))
+    data = np.array(pairs, dtype=float).tobytes()
+    while data:
+        data = data[os.write(out, data):]
+
+
+def _pulled_free_energies(scenario: Scenario, grid: range, processes: int, beside) -> dict:
+    """scenario.free_energy at the meshes 1/t of grid that processes pull from
+    one queue, keyed by t; the caller evaluates any t that is missing.
+
+    The mesh numbers, largest first, go into a pipe before processes - 1
+    children are forked (fewer when a pipe or fork fails).  This process then
+    calls beside, if given, and joins the queue.  Every process reads the
+    next mesh number until the queue is empty.  This one writes what did not
+    fit into the pipe as it drains, and closes the write end when nothing is
+    left; until then it takes its own meshes from what did not fit, so it
+    never waits on the queue while it holds the write end.  A child sends its
+    (t, value) pairs as float64 bytes through its own pipe once, when the
+    queue is empty, and ends in os._exit, whatever happens: it never returns
+    into the caller and never flushes stdio.  This process reads each child's
+    pairs to the end of its pipe and reaps it; a child that exits non-zero
+    contributes nothing.  On an exception in one of this process's meshes or
+    while reading the pipes, every child still running is killed with
+    SIGKILL and reaped, and what was received so far is returned; an
+    exception from beside, or any other BaseException (KeyboardInterrupt,
+    say), is re-raised after the same clean-up.  No child outlives the call.
     """
-    parent = os.getpid()
-    pids, reads = [], []  # the children not yet reaped; this process's pipe ends
+    parent, received = os.getpid(), {}
+    children, ends = {}, []  # pid -> read end, for the children not yet reaped; open pipe ends
+    queue = feed = None
+    pending = memoryview(np.arange(grid[-1], grid[0] - 1, -1, dtype=np.int64).tobytes())
     try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            reads.append(read_fd)
-            code = 1
-            try:
-                with warnings.catch_warnings():
-                    # Python 3.12+ warns in this process, after the child exists,
-                    # when it forks with threads alive (numpy's BLAS pool among
-                    # them); raised as an error, it would lose the child's pid
-                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                            DeprecationWarning)
-                    pid = os.fork()
-                if pid == 0:
-                    data = np.fromiter(_free_energies(scenario, share), float, len(share)).tobytes()
-                    while data:
-                        data = data[os.write(write_fd, data):]
-                    code = 0
-            finally:
-                if os.getpid() != parent:  # the child, however it got here
-                    os._exit(code)
-                os.close(write_fd)
-            pids.append(pid)
-        values = dict(zip(shares[0], _free_energies(scenario, shares[0])))
-        for share, read_fd in zip(shares[1:], reads):
-            size, chunks = 8 * len(share), []
-            while size and (chunk := os.read(read_fd, size)):
-                chunks.append(chunk)
-                size -= len(chunk)
-            _, status = os.waitpid(pids[0], 0)
-            pids.pop(0)
-            if size or os.waitstatus_to_exitcode(status) != 0:
-                return None
-            values.update(zip(share, np.frombuffer(b"".join(chunks)).tolist()))
-        return values
-    except Exception:
-        return None
+        with contextlib.suppress(OSError):  # a failed pipe or fork leaves fewer children
+            queue, feed = os.pipe()
+            ends += [queue, feed]
+            os.set_blocking(feed, False)
+            pending = _feed(feed, pending)
+            for _ in range(processes - 1):
+                read_fd, write_fd = os.pipe()
+                ends += [read_fd, write_fd]
+                code = 1
+                try:
+                    with warnings.catch_warnings():
+                        # Python 3.12+ warns in this process, after the child exists,
+                        # when it forks with threads alive (numpy's BLAS pool among
+                        # them); raised as an error, it would lose the child's pid
+                        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                                DeprecationWarning)
+                        pid = os.fork()
+                    if pid == 0:
+                        os.close(feed)  # the queue ends when this process closes its end
+                        _serve(scenario, queue, write_fd)
+                        code = 0
+                finally:
+                    if os.getpid() != parent:  # the child, however it got here
+                        os._exit(code)
+                    ends.remove(write_fd)
+                    os.close(write_fd)
+                children[pid] = read_fd
+        if beside is not None:
+            beside()
+        if queue is None:
+            return received
+        try:
+            while True:
+                if feed is not None:
+                    pending = _feed(feed, pending)
+                    if not pending:
+                        ends.remove(feed)
+                        os.close(feed)
+                        feed = None
+                if pending:  # the pipe is full: take a mesh that did not fit, never wait
+                    t = int.from_bytes(pending[:_MESH_BYTES], sys.byteorder, signed=True)
+                    pending = pending[_MESH_BYTES:]
+                elif (t := _next_mesh(queue)) is None:
+                    break
+                received[t] = scenario.free_energy(1.0 / t)
+            for pid, read_fd in list(children.items()):
+                chunks = []
+                while chunk := os.read(read_fd, 1 << 16):
+                    chunks.append(chunk)
+                _, status = os.waitpid(pid, 0)
+                del children[pid]
+                if os.waitstatus_to_exitcode(status) == 0:
+                    meshes, values = np.frombuffer(b"".join(chunks)).reshape(-1, 2).T
+                    received.update(zip(meshes.astype(np.int64).tolist(), values.tolist()))
+        except Exception:
+            pass  # the caller evaluates what is missing, in grid order, and raises its error
+        return received
     finally:
-        for pid in pids:
+        for pid in children:
             # a caller that ignores SIGCHLD has its children reaped for it
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-        for read_fd in reads:
-            os.close(read_fd)
+        for fd in ends:
+            os.close(fd)
 
 
-def grid_samples(scenario: Scenario, inv_eps_min: int = 2,
-                 inv_eps_max: int = 200) -> list[FreeEnergySample]:
+def grid_samples(scenario: Scenario, inv_eps_min: int = 2, inv_eps_max: int = 200,
+                 beside=None) -> list[FreeEnergySample]:
     """Exact free-energy samples over the integer grid 1/eps = min..max.
 
     A grid is checked against MAX_SLICED_CELLS or MAX_PRODUCT_TERMS at its
     finest mesh before the first sample is computed.  A grid whose meshes'
     work sums to 2 * _SPLIT_WORK or more is split over forked processes on a
-    machine with two or more CPUs (see _grid_shares); the samples are the
-    same bits as in one process.  When the split fails, the grid runs again
-    in one process, which raises its own error."""
+    machine with two or more CPUs (see _grid_processes), which pull its
+    meshes from one queue (see _pulled_free_energies); the samples are the
+    same bits as in one process.  Any mesh the split did not deliver is
+    evaluated here, in grid order, so a failing grid raises the error of its
+    first bad mesh, as in one process.
+
+    beside, if given, is called once with no arguments in this process
+    before it evaluates its first mesh: under a split, once the children
+    have started on the grid.  Its exception propagates, with every child
+    killed and reaped."""
     if inv_eps_min < 1 or inv_eps_min >= inv_eps_max:
         raise ValueError("need 1 <= inv_eps_min < inv_eps_max")
     if inv_eps_max > sys.float_info.max:  # 1.0 / inv_eps_max would overflow
@@ -480,7 +546,11 @@ def grid_samples(scenario: Scenario, inv_eps_min: int = 2,
     else:
         _check_product_terms((a + b + (c if scenario.kind == "finite" else 0.0)) / eps)
     grid = range(inv_eps_min, inv_eps_max + 1)
-    shares = _grid_shares(scenario, grid)
-    forked = None if shares is None else _forked_free_energies(scenario, shares)
-    values = _free_energies(scenario, grid) if forked is None else [forked[t] for t in grid]
-    return [FreeEnergySample(inv_eps=t, eps=1.0 / t, f=f) for t, f in zip(grid, values)]
+    processes, received = _grid_processes(scenario, grid), {}
+    if processes > 1:
+        received = _pulled_free_energies(scenario, grid, processes, beside)
+    elif beside is not None:
+        beside()
+    return [FreeEnergySample(inv_eps=t, eps=1.0 / t,
+                             f=received[t] if t in received else scenario.free_energy(1.0 / t))
+            for t in grid]

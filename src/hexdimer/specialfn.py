@@ -2,8 +2,8 @@
 
 chi(z)   = e^{-z} (z / (1 - e^{-z}))^2   (even; equals ((z/2)/sinh(z/2))^2)
 Q(z)     = (xi(z) - xi(0)) / z,  xi(z) = e^{z} chi''(z),  xi(0) = -1/6
-Li_s(z)  = sum z^n / n^s,  0 <= z < 1  (Li_3(e^-x) for small x from its
-           expansion in x)
+Li_s(z)  = sum z^n / n^s,  0 <= z < 1  (Li_1 = -log1p(-z); Li_2(e^-x) and
+           Li_3(e^-x) for small x from their expansions in x)
 zeta(3)  = Li_3(1), which the closed forms take as a literal
 I_Q      = int_0^inf e^{-z} Q(z) dz = 1/4 + 2 zeta'(-1)   (the universal
            expansion constant, in closed form; see universal_constant_detail)
@@ -18,7 +18,7 @@ up to |z| ~ 0.8).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, exp, expm1, factorial, fsum, isnan, log, pi, ulp
+from math import comb, exp, expm1, factorial, fsum, isnan, log, log1p, pi, ulp
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .summation import NeumaierSum
 _CHI_TAYLOR_SWITCH = 1e-3
 _LI_TERM_TOL = 1e-17
 _LI_N_MAX = 10**7
-# Li_3(e^-x) below this x comes from its expansion in x
+# Li_2(e^-x) and Li_3(e^-x) below this x come from their expansions in x
 _LI3_SERIES_SWITCH = 0.25
 _XI_SERIES_FLOOR = 0.25
 _SERIES_TERMS = 13  # even orders through z^24
@@ -75,16 +75,19 @@ def _series_coefficients():
 _CHI_C, _Q_C = _series_coefficients()
 
 
-def _li3_series_coefficients():
-    """(k, c_k) with Li_3(e^-x) = zeta(3) - zeta(2) x + (3/2 - ln x) x^2/2
-    + sum_k c_k x^k, for x < 2 pi.  c_k = zeta(3-k) (-1)^k / k!
-    = -B_{k-2} / ((k-2) k!), zero for odd k >= 5; kept through x^14: the
-    first term dropped is below 1e-24 at x = _LI3_SERIES_SWITCH."""
-    bern = _bernoulli(12)
-    return [(k, float(-bern[k - 2] / ((k - 2) * factorial(k)))) for k in range(3, 15) if bern[k - 2]]
+def _li_series_coefficients():
+    """For s = 2 and 3, (k, c_k) with, for x < 2 pi,
+        Li_2(e^-x) = zeta(2) - (1 - ln x) x + sum_k c_k x^k,
+        Li_3(e^-x) = zeta(3) - zeta(2) x + (3/2 - ln x) x^2/2 + sum_k c_k x^k.
+    c_k = zeta(s-k) (-1)^k / k! = (-1)^s B_{k-s+1} / ((k-s+1) k!) for k >= s,
+    zero for even k-s >= 2; kept through x^14: the first term dropped is
+    below 1e-22 at x = _LI3_SERIES_SWITCH."""
+    bern = _bernoulli(13)
+    return [[(k, float((-1) ** s * bern[k - s + 1] / ((k - s + 1) * factorial(k))))
+             for k in range(s, 15) if bern[k - s + 1]] for s in (2, 3)]
 
 
-_LI3_C = _li3_series_coefficients()
+_LI2_C, _LI3_C = _li_series_coefficients()
 
 
 def _even_series(coeffs, z: float) -> float:
@@ -145,9 +148,10 @@ def q_func(z: float) -> float:
 def li(s: int, z: float) -> float:
     """Polylogarithm Li_s(z) = sum_{n>=1} z^n / n^s for integer s >= 1, z in [0, 1).
 
-    Li_3 near z = 1 (x = -ln z below _LI3_SERIES_SWITCH) is the expansion in
-    x (see _li3_series_coefficients), where the series in z would need ~1/x
-    terms.  Otherwise the series in z is summed with compensated accumulation.
+    Li_1(z) is -log1p(-z).  Li_2 and Li_3 near z = 1 (x = -ln z below
+    _LI3_SERIES_SWITCH) are their expansions in x (see
+    _li_series_coefficients), where the series in z would need ~1/x terms.
+    Otherwise the series in z is summed with compensated accumulation.
     After term n the tail is below term * z / (1 - z), and for s >= 2 below
     term * z * n / (s - 1); the sum stops at the first term whose bound is
     below _LI_TERM_TOL * |partial sum|, with 1 - z formed as -expm1(ln z).
@@ -160,7 +164,12 @@ def li(s: int, z: float) -> float:
         raise ValueError(f"argument z must lie in [0, 1), got {z}")
     if z == 0.0:
         return 0.0
+    if s == 1:
+        return -log1p(-z)
     logz = log(z)
+    if s == 2 and logz > -_LI3_SERIES_SWITCH:
+        x = -logz
+        return fsum([_ZETA2, (log(x) - 1.0) * x] + [c * x**k for k, c in _LI2_C])
     if s == 3 and logz > -_LI3_SERIES_SWITCH:
         x = -logz
         return fsum([_ZETA3, -_ZETA2 * x, (1.5 - log(x)) * x * x / 2.0]

@@ -1,12 +1,13 @@
 import itertools
 import json
 import math
+import os
 import warnings
 
 import pytest
 
-from hexdimer import (BoxShape, ConvergenceError, enumeration, kasteleyn, kasteleyn_partition,
-                      log_z_macmahon, oracle_partition, partition, specialfn)
+from hexdimer import (BoxShape, ConvergenceError, asymptotics, enumeration, kasteleyn,
+                      kasteleyn_partition, log_z_macmahon, oracle_partition, partition, specialfn)
 from hexdimer.cli import main
 from hexdimer.fitting import BASIS_NAMES
 
@@ -474,3 +475,122 @@ def test_out_rewrites_an_existing_file_to_the_new_length(tmp_path, capsys):
         out.write_text(before)
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_text() == want
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children os.fork starts in this process."""
+    pids, real_fork = [], os.fork
+
+    def spy():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# cosine (1, 3) over 1/eps = 2..200 is 8.06 M cells: split in two on two CPUs
+SPLIT_FIT = ("fit", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "cosine",
+             "--inv-eps-min", "2", "--inv-eps-max", "200")
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (ValueError("the coefficients failed"), 1, "error: "),
+    (ConvergenceError("the coefficients failed"), 2, "numerical failure: "),
+])
+def test_table1_coefficient_error_under_the_split_kills_every_child(monkeypatch, capsys, forks,
+                                                                     exc, code, prefix):
+    def fail(self):
+        raise exc
+
+    monkeypatch.setattr(partition.Scenario, "coefficients", fail)
+    set_cpus(monkeypatch, 1)
+    one = run(capsys, "table1", "--row", "cosine:1,3")
+    assert one == (code, "", prefix + "the coefficients failed\n") and forks == []
+    set_cpus(monkeypatch, 2)
+    assert run(capsys, "table1", "--row", "cosine:1,3") == one
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_table1_names_the_coefficient_error_before_the_grids(monkeypatch, capsys, forks, cpus):
+    # const:1e-300 fails both: e^(-a*phi(b-a)) and e^(-E) at eps = 1/2 round to 1
+    set_cpus(monkeypatch, cpus)
+    code, out, err = run(capsys, "table1", "--row", "const:1e-300:1,3")
+    assert code == 1 and out == ""
+    assert err == ("error: side a*phi(b-a) = 1e-300 is too small: e^(-a*phi(b-a)) rounds to 1 "
+                   "in floating point, so ln(1 - e^(-a*phi(b-a))) cannot be formed\n")
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
+
+
+def test_fit_under_the_split_keeps_its_rows_and_names_the_analytic_error(monkeypatch, capsys,
+                                                                          forks):
+    set_cpus(monkeypatch, 1)
+    code, plain, _ = run(capsys, *SPLIT_FIT)
+    assert code == 0 and "analytic_error" not in plain
+    set_cpus(monkeypatch, 2)
+    assert run(capsys, *SPLIT_FIT) == (0, plain, "")
+
+    def fail(self):
+        raise ConvergenceError("series did not converge")
+
+    monkeypatch.setattr(partition.Scenario, "coefficients", fail)
+    set_cpus(monkeypatch, 1)
+    one = run(capsys, *SPLIT_FIT)
+    assert one[0] == 0 and "# analytic_error: series did not converge" in one[1].splitlines()
+    set_cpus(monkeypatch, 2)
+    assert run(capsys, *SPLIT_FIT) == one
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("phi, eps", [("const:3e-15", "0.014925373134328358"),
+                                      ("const:1e-300", "0.5")])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_fit_names_a_grid_error_before_a_coefficient_error(monkeypatch, capsys, forks, phi, eps,
+                                                           cpus):
+    def fail(self):
+        raise ValueError("the coefficients failed")
+
+    monkeypatch.setattr(partition.Scenario, "coefficients", fail)
+    set_cpus(monkeypatch, cpus)
+    argv = ("fit", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", phi,
+            "--inv-eps-min", "2", "--inv-eps-max", "200")
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: eps * phi is too small for {phi} at eps = {eps}:")
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
+
+
+def test_coeffs_rejects_a_tiny_phi_before_sliced_f0(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("sliced_f0 ran")
+
+    monkeypatch.setattr(asymptotics, "sliced_f0", never)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "coeffs", "--scenario", "sliced", "--a", "1", "--b", "3",
+                             "--phi", "const:1e-300")
+    assert code == 1 and out == ""
+    assert err == ("error: side a*phi(b-a) = 1e-300 is too small: e^(-a*phi(b-a)) rounds to 1 "
+                   "in floating point, so ln(1 - e^(-a*phi(b-a))) cannot be formed\n")
+    code, out, err = run(capsys, "coeffs", "--scenario", "sliced", "--a", "1", "--b", "3",
+                         "--phi", "const:1e200")
+    assert code == 1 and out == ""
+    assert err == ("error: sides too large: ab*phi(b-a)^2 = inf, and the closed forms divide by "
+                   "12(ab*phi(b-a)^2), which overflows\n")

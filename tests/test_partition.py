@@ -2,7 +2,9 @@ import itertools
 import math
 import os
 import re
+import signal
 import threading
+import time
 import tracemalloc
 import warnings
 from math import fsum
@@ -614,6 +616,26 @@ def test_series_chunks_sum_through_the_first_n_below_the_tolerance(monkeypatch):
         assert counts.pop() == last, chunk
 
 
+def test_series_chunks_grow_from_256_with_the_fixed_chunks_bits(monkeypatch):
+    # verify's sums stop after 316 to about 1,400 terms; each chunk's terms
+    # are the same bits at any chunk length, so the sum is that of the fixed
+    # 4096-term chunks
+    sizes = []
+
+    def chi_spy(z):
+        sizes.append(z.size)
+        return specialfn.chi(z)
+
+    monkeypatch.setattr(partition, "chi", chi_spy)
+    cases = [*VERIFY_SERIES, (Scenario("infinite", 0.25, 3.0), 400),
+             (Scenario("finite", 0.5, 1.0, 2.0), 2)]
+    grown = [series_free_energy(scenario, 1.0 / t) for scenario, t in cases]
+    assert sizes[:2] == [256, 512] and {1024, 2048, 4096} <= set(sizes) and max(sizes) == 4096
+    monkeypatch.setattr(partition, "_SERIES_FIRST_CHUNK", 4096)
+    fixed = [series_free_energy(scenario, 1.0 / t) for scenario, t in cases]
+    assert [f.hex() for f in grown] == [f.hex() for f in fixed]
+
+
 @pytest.mark.parametrize("chunk", [3, 4096])
 def test_series_cap_sums_exactly_the_cap(monkeypatch, chunk):
     monkeypatch.setattr(partition, "_SERIES_N_MAX", 10)
@@ -725,19 +747,118 @@ def test_the_cap_bounds_the_processes_and_a_three_way_split_keeps_the_bits(monke
     assert_no_child_left()
 
 
-def test_grid_shares_are_dealt_from_the_lattice_sides(monkeypatch):
+def test_grid_processes_and_queue_order_come_from_the_lattice_sides(monkeypatch):
     set_cpus(monkeypatch, 16)
     # terms 2000 t, 40.2 M in all (19 _SPLIT_WORKs); 400,000 at t = 200 fit
     # into MAX_PRODUCT_TERMS ten times
-    shares = partition._grid_shares(Scenario("infinite", 1000.0, 1000.0), range(2, 201))
-    assert len(shares) == 10 and shares[0][0] == 200
-    assert sorted(itertools.chain(*shares)) == list(range(2, 201))
-    # cells 3 t^2 of (1, 3): three processes, loads within one finest mesh
-    shares = partition._grid_shares(Scenario("sliced", 1.0, 3.0, phi=CosinePhi()), range(2, 201))
-    loads = [sum(3 * t * t for t in share) for share in shares]
-    assert len(shares) == 3 and max(loads) - min(loads) <= 3 * 200 * 200
+    assert partition._grid_processes(Scenario("infinite", 1000.0, 1000.0), range(2, 201)) == 10
+    # cells 3 t^2 of (1, 3), 8.06 M in all: three processes
+    scenario = split_scenario(CosinePhi())
+    assert partition._grid_processes(scenario, range(2, 201)) == 3
     # off the lattice at 1/eps = 3: left to the one-process loop
-    assert partition._grid_shares(Scenario("infinite", 1000.5, 1000.0), range(2, 201)) is None
+    assert partition._grid_processes(Scenario("infinite", 1000.5, 1000.0), range(2, 201)) == 1
+    set_cpus(monkeypatch, 2)
+    assert partition._grid_processes(scenario, range(2, 201)) == 2
+    # the whole grid goes into the queue before the fork, largest mesh first
+    queued, real_feed = [], partition._feed
+
+    def spy(feed, pending):
+        queued.append(np.frombuffer(pending, dtype=np.int64).tolist())
+        return real_feed(feed, pending)
+
+    monkeypatch.setattr(partition, "_feed", spy)
+    grid_samples(scenario, *SPLIT_GRID)
+    assert queued[0] == list(range(200, 1, -1))
+
+
+@pytest.mark.parametrize("cpus, children", [(1, 0), (2, 1), (3, 2), (16, 2)])
+def test_the_grid_and_the_coefficients_beside_it_keep_the_bits(monkeypatch, forks, cpus,
+                                                                 children):
+    scenario = split_scenario(CosinePhi())
+    set_cpus(monkeypatch, 1)
+    one = [(s.inv_eps, s.eps.hex(), s.f.hex()) for s in grid_samples(scenario, *SPLIT_GRID)]
+    alone = [f.hex() for f in scenario.coefficients()]
+    set_cpus(monkeypatch, cpus)
+    beside = []
+
+    def coefficients():
+        beside.append(len(forks))  # every child has been forked by now
+        beside.append(scenario.coefficients())
+
+    split = grid_samples(scenario, *SPLIT_GRID, beside=coefficients)
+    assert beside[0] == len(forks) == children
+    assert [f.hex() for f in beside[1]] == alone
+    assert [(s.inv_eps, s.eps.hex(), s.f.hex()) for s in split] == one
+    assert_no_child_left()
+
+
+def test_an_error_beside_the_grid_kills_and_reaps_every_child(monkeypatch, forks):
+    set_cpus(monkeypatch, 3)
+
+    def fail():
+        raise ValueError("beside the grid")
+
+    with pytest.raises(ValueError, match="beside the grid"):
+        grid_samples(split_scenario(CosinePhi()), *SPLIT_GRID, beside=fail)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+class Hung(BaseException):
+    """Raised by the alarm that ends a test that would otherwise hang."""
+
+
+@pytest.mark.parametrize("children_die", [False, True])
+def test_a_grid_larger_than_the_queue_pipe_neither_blocks_nor_hangs(monkeypatch, forks,
+                                                                    children_die):
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs Linux's F_SETPIPE_SZ")
+    # 699 meshes against a queue pipe cut to one page, 512 mesh numbers: the
+    # pipe takes the rest as it drains.  Every uniform grid of (1, 1) with
+    # _SPLIT_WORK = 1024 splits three ways on three CPUs
+    scenario, grid = Scenario("infinite", 1.0, 1.0), (2, 700)
+    set_cpus(monkeypatch, 1)
+    one = grid_samples(scenario, *grid)
+    monkeypatch.setattr(partition, "_SPLIT_WORK", 1024)
+    set_cpus(monkeypatch, 3)
+    left, real_feed = [], partition._feed
+
+    def small_pipe(feed, pending):
+        if not left:
+            fcntl.fcntl(feed, fcntl.F_SETPIPE_SZ, 4096)
+        rest = real_feed(feed, pending)
+        left.append(len(rest) // 8)
+        if len(left) == 2 and rest:
+            # the children drain the pipe meanwhile: a process that then read it
+            # while it held the write end would wait for ever
+            time.sleep(0.2)
+        return rest
+
+    monkeypatch.setattr(partition, "_feed", small_pipe)
+    if children_die:
+        owner, real_value = os.getpid(), partition.free_energy_value
+
+        def value(shape, q):
+            if os.getpid() != owner:
+                raise RuntimeError("a child's mesh")
+            return real_value(shape, q)
+
+        monkeypatch.setattr(partition, "free_energy_value", value)
+
+    def hung(signum, frame):
+        raise Hung()
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        assert grid_samples(scenario, *grid) == one
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert left[0] == 699 - 512 and left[-1] == 0
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 def test_a_fork_warning_raised_as_an_error_loses_no_child(monkeypatch, forks):

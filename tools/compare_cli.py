@@ -42,6 +42,8 @@ INVOCATIONS = (
     ("coeffs", "--scenario", "infinite", "--a", "0.25", "--b", "3", "--json"),
     # f3 takes coeffs_infinite(1e-7, 1e-7), whose f0 needs li(3, e^-1e-7)
     ("coeffs", "--scenario", "sliced", "--a", "1", "--b", "1", "--phi", "const:1e-7"),
+    # e^(-a*phi(b-a)) rounds to 1: exit 1 before sliced_f0 runs, naming phi(b-a)
+    ("coeffs", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "const:1e-300"),
     ("fit", *_FINITE, *_GRID),
     ("fit", *_CUBE, *_GRID, "--json"),
     ("fit", *_INFINITE, *_GRID),
@@ -75,6 +77,9 @@ INVOCATIONS = (
     # e^(-E) rounds to 1 from 1/eps = 67 on: exit 1 naming eps = 1/67, also
     # where the grid is split over processes and a later mesh fails first
     ("free-energy", "--a", "1", "--b", "3", "--phi", "const:3e-15", *_SLICED_GRID),
+    # the same failing grid with its coefficients computed beside it
+    ("table1", "--row", "const:3e-15:1,3"),
+    ("fit", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "const:3e-15", *_SLICED_GRID),
 )
 
 
