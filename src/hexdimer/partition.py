@@ -56,10 +56,9 @@ _MACMAHON_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
 # a 2-core Xeon VM a 2-way split of cosine (1, 3) tied with one process at
 # 1.02 M cells (18.3 ms, medians of 15) and won at 2.22 M (31.4 ms against 37.9)
 _SPLIT_WORK = 2**21
-# a mesh number in the queue of a split grid: an int64 in this machine's byte order
-_MESH_BYTES = 8
-# bytes per write into that queue: POSIX's least PIPE_BUF, so that no write is split
-_QUEUE_WRITE = 512
+# a value slot or a mesh number in the queue file of a split grid: a float64 or
+# an int64 in this machine's byte order
+_SLOT_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -372,13 +371,13 @@ def _grid_processes(scenario: Scenario, grid: range) -> int:
     m+n+k (m+n at infinite height) of a uniform one.  P = min(CPUs, total
     work // _SPLIT_WORK, cap // finest mesh's work), so the meshes that run
     at once hold no more than one call at the cap would.  The grid stays in
-    one process (P = 1) when os.fork or os.sched_getaffinity is missing, when
-    another Python thread is alive (a fork copies no other thread), or when
-    either of its first two meshes is off the lattice: the loop in one
-    process then raises the error at its first bad mesh.  Two consecutive
-    meshes on the lattice make every side an integer number u of unit steps,
-    so mesh 1/t has sides u*t."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+    one process (P = 1) when os.fork, os.sched_getaffinity or os.memfd_create
+    is missing, when another Python thread is alive (a fork copies no other
+    thread), or when either of its first two meshes is off the lattice: the
+    loop in one process then raises the error at its first bad mesh.  Two
+    consecutive meshes on the lattice make every side an integer number u of
+    unit steps, so mesh 1/t has sides u*t."""
+    if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "memfd_create")) \
             or threading.active_count() > 1:
         return 1
     try:
@@ -394,128 +393,73 @@ def _grid_processes(scenario: Scenario, grid: range) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), sum(works) // _SPLIT_WORK, cap // works[-1]))
 
 
-def _feed(feed: int, pending: memoryview) -> memoryview:
-    """Write pending mesh numbers into the queue's non-blocking write end
-    while the pipe takes them, _QUEUE_WRITE bytes at a time, and return the
-    rest.  A write of at most PIPE_BUF bytes is whole or refused, so no mesh
-    number is ever split between two writes."""
-    while pending:
-        try:
-            pending = pending[os.write(feed, pending[:_QUEUE_WRITE]):]
-        except BlockingIOError:  # the pipe is full
-            break
-    return pending
+def _pull(scenario: Scenario, grid: range, fd: int) -> None:
+    """Take the next mesh number t from the queue file fd until it ends, and
+    write scenario.free_energy(1/t) as float64 bytes into t's slot."""
+    while record := os.read(fd, _SLOT_BYTES):
+        t = int.from_bytes(record, sys.byteorder, signed=True)
+        os.pwrite(fd, np.float64(scenario.free_energy(1.0 / t)).tobytes(),
+                  (t - grid[0]) * _SLOT_BYTES)
 
 
-def _next_mesh(queue: int) -> int | None:
-    """The next mesh number from the queue, or None once it is empty and
-    closed.  Linux reads a pipe under its lock, so a read takes a whole mesh
-    number even while other processes read the same pipe."""
-    record = os.read(queue, _MESH_BYTES)
-    return int.from_bytes(record, sys.byteorder, signed=True) if record else None
+def _pulled_free_energies(scenario: Scenario, grid: range, processes: int,
+                          beside) -> list[float]:
+    """scenario.free_energy at the meshes 1/t of grid, in grid order, as
+    processes pull them from one queue; NaN where a mesh was not evaluated.
 
-
-def _serve(scenario: Scenario, queue: int, out: int) -> None:
-    """A forked child's work: scenario.free_energy at each mesh 1/t it takes
-    from the queue, then every (t, value) pair as float64 bytes into out."""
-    pairs = []
-    while (t := _next_mesh(queue)) is not None:
-        pairs += (t, scenario.free_energy(1.0 / t))
-    data = np.array(pairs, dtype=float).tobytes()
-    while data:
-        data = data[os.write(out, data):]
-
-
-def _pulled_free_energies(scenario: Scenario, grid: range, processes: int, beside) -> dict:
-    """scenario.free_energy at the meshes 1/t of grid that processes pull from
-    one queue, keyed by t; the caller evaluates any t that is missing.
-
-    The mesh numbers, largest first, go into a pipe before processes - 1
-    children are forked (fewer when a pipe or fork fails).  This process then
-    calls beside, if given, and joins the queue.  Every process reads the
-    next mesh number until the queue is empty.  This one writes what did not
-    fit into the pipe as it drains, and closes the write end when nothing is
-    left; until then it takes its own meshes from what did not fit, so it
-    never waits on the queue while it holds the write end.  A child sends its
-    (t, value) pairs as float64 bytes through its own pipe once, when the
-    queue is empty, and ends in os._exit, whatever happens: it never returns
-    into the caller and never flushes stdio.  This process reads each child's
-    pairs to the end of its pipe and reaps it; a child that exits non-zero
-    contributes nothing.  On an exception in one of this process's meshes or
-    while reading the pipes, every child still running is killed with
-    SIGKILL and reaped, and what was received so far is returned; an
-    exception from beside, or any other BaseException (KeyboardInterrupt,
-    say), is re-raised after the same clean-up.  No child outlives the call.
+    The queue is an in-memory file: a float64 slot per mesh, NaN at first,
+    then the mesh numbers, largest first.  It is opened by its /proc/self/fd
+    path, where Linux 3.14+ moves the offset under a lock (read(2)), as it
+    does not for the memfd itself: no two processes read the same number.
+    From there processes - 1 children are forked (none if the memfd or /proc
+    fails, fewer if a fork fails), this process calls beside, if given, and
+    every process runs _pull.  A child then ends in os._exit, whatever
+    happens: it never returns into the caller and never flushes stdio.  This
+    process stops pulling on an exception in its own mesh, reaps each child
+    and reads the slots back.  An exception from beside, or any other
+    BaseException, propagates after every child still running is killed
+    with SIGKILL and reaped.
     """
-    parent, received = os.getpid(), {}
-    children, ends = {}, []  # pid -> read end, for the children not yet reaped; open pipe ends
-    queue = feed = None
-    pending = memoryview(np.arange(grid[-1], grid[0] - 1, -1, dtype=np.int64).tobytes())
+    n, parent, children, fd = len(grid), os.getpid(), [], None
     try:
-        with contextlib.suppress(OSError):  # a failed pipe or fork leaves fewer children
-            queue, feed = os.pipe()
-            ends += [queue, feed]
-            os.set_blocking(feed, False)
-            pending = _feed(feed, pending)
+        with contextlib.suppress(OSError):
+            with open(os.memfd_create("hexdimer-grid"), "wb") as memfd:
+                memfd.write(np.full(n, math.nan).tobytes()
+                            + np.arange(grid[-1], grid[0] - 1, -1, dtype=np.int64).tobytes())
+                memfd.flush()
+                fd = os.open(f"/proc/self/fd/{memfd.fileno()}", os.O_RDWR)
+            os.lseek(fd, n * _SLOT_BYTES, os.SEEK_SET)
             for _ in range(processes - 1):
-                read_fd, write_fd = os.pipe()
-                ends += [read_fd, write_fd]
-                code = 1
                 try:
                     with warnings.catch_warnings():
-                        # Python 3.12+ warns in this process, after the child exists,
-                        # when it forks with threads alive (numpy's BLAS pool among
-                        # them); raised as an error, it would lose the child's pid
+                        # Python 3.12+ warns here, after the fork, with threads alive
+                        # (numpy's BLAS pool); raised as an error, it would lose the pid
                         warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                                 DeprecationWarning)
                         pid = os.fork()
                     if pid == 0:
-                        os.close(feed)  # the queue ends when this process closes its end
-                        _serve(scenario, queue, write_fd)
-                        code = 0
+                        _pull(scenario, grid, fd)
                 finally:
                     if os.getpid() != parent:  # the child, however it got here
-                        os._exit(code)
-                    ends.remove(write_fd)
-                    os.close(write_fd)
-                children[pid] = read_fd
+                        os._exit(0)
+                children.append(pid)
         if beside is not None:
             beside()
-        if queue is None:
-            return received
-        try:
-            while True:
-                if feed is not None:
-                    pending = _feed(feed, pending)
-                    if not pending:
-                        ends.remove(feed)
-                        os.close(feed)
-                        feed = None
-                if pending:  # the pipe is full: take a mesh that did not fit, never wait
-                    t = int.from_bytes(pending[:_MESH_BYTES], sys.byteorder, signed=True)
-                    pending = pending[_MESH_BYTES:]
-                elif (t := _next_mesh(queue)) is None:
-                    break
-                received[t] = scenario.free_energy(1.0 / t)
-            for pid, read_fd in list(children.items()):
-                chunks = []
-                while chunk := os.read(read_fd, 1 << 16):
-                    chunks.append(chunk)
-                _, status = os.waitpid(pid, 0)
-                del children[pid]
-                if os.waitstatus_to_exitcode(status) == 0:
-                    meshes, values = np.frombuffer(b"".join(chunks)).reshape(-1, 2).T
-                    received.update(zip(meshes.astype(np.int64).tolist(), values.tolist()))
-        except Exception:
-            pass  # the caller evaluates what is missing, in grid order, and raises its error
-        return received
+        if fd is None:
+            return [math.nan] * n
+        with contextlib.suppress(Exception):  # the caller evaluates this mesh and raises its error
+            _pull(scenario, grid, fd)
+        while children:
+            with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored: it has exited
+                os.waitpid(children[-1], 0)
+            children.pop()
+        return np.frombuffer(os.pread(fd, n * _SLOT_BYTES, 0)).tolist()
     finally:
         for pid in children:
-            # a caller that ignores SIGCHLD has its children reaped for it
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-        for fd in ends:
+        if fd is not None:
             os.close(fd)
 
 
@@ -526,11 +470,11 @@ def grid_samples(scenario: Scenario, inv_eps_min: int = 2, inv_eps_max: int = 20
     A grid is checked against MAX_SLICED_CELLS or MAX_PRODUCT_TERMS at its
     finest mesh before the first sample is computed.  A grid whose meshes'
     work sums to 2 * _SPLIT_WORK or more is split over forked processes on a
-    machine with two or more CPUs (see _grid_processes), which pull its
-    meshes from one queue (see _pulled_free_energies); the samples are the
-    same bits as in one process.  Any mesh the split did not deliver is
-    evaluated here, in grid order, so a failing grid raises the error of its
-    first bad mesh, as in one process.
+    machine with two or more CPUs (see _grid_processes).  They pull its
+    meshes from one in-memory file and write each value into it as the mesh
+    finishes, the same bits as in one process (see _pulled_free_energies).
+    Any mesh they did not evaluate is evaluated here, in grid order, so a
+    failing grid raises the error of its first bad mesh, as in one process.
 
     beside, if given, is called once with no arguments in this process
     before it evaluates its first mesh: under a split, once the children
@@ -546,11 +490,11 @@ def grid_samples(scenario: Scenario, inv_eps_min: int = 2, inv_eps_max: int = 20
     else:
         _check_product_terms((a + b + (c if scenario.kind == "finite" else 0.0)) / eps)
     grid = range(inv_eps_min, inv_eps_max + 1)
-    processes, received = _grid_processes(scenario, grid), {}
+    processes, values = _grid_processes(scenario, grid), [math.nan] * len(grid)
     if processes > 1:
-        received = _pulled_free_energies(scenario, grid, processes, beside)
+        values = _pulled_free_energies(scenario, grid, processes, beside)
     elif beside is not None:
         beside()
     return [FreeEnergySample(inv_eps=t, eps=1.0 / t,
-                             f=received[t] if t in received else scenario.free_energy(1.0 / t))
-            for t in grid]
+                             f=scenario.free_energy(1.0 / t) if math.isnan(f) else f)
+            for t, f in zip(grid, values)]

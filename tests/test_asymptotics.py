@@ -67,15 +67,16 @@ def test_infinite_coefficients():
 
 def test_infinite_f0_at_a_side_near_zero(monkeypatch):
     # f0 = (zeta(3) + Li_3(e^-(a+b)) - Li_3(e^-a) - Li_3(e^-b)) / ab keeps about
-    # 9 digits of its cancellation at a = 1e-7 (5e-10 measured); a Li_3 series
-    # stopped on its last term alone was 2e-5 off, one stopped on its tail
-    # bound never converged
+    # 9 digits of its cancellation at a = 1e-7 (1.4e-9 measured against the
+    # exact e^-a); a Li_3 series stopped on its last term alone was 2e-5 off,
+    # one stopped on its tail bound never converged
     mpmath = pytest.importorskip("mpmath")
     monkeypatch.setattr(specialfn, "_LI_N_MAX", 20000)
     a, b = 1e-7, 1.0
     with mpmath.workdps(40):
-        ref = (mpmath.zeta(3) + mpmath.polylog(3, exp(-a - b)) - mpmath.polylog(3, exp(-a))
-               - mpmath.polylog(3, exp(-b))) / (a * b)
+        x, y = mpmath.mpf(a), mpmath.mpf(b)
+        ref = (mpmath.zeta(3) + mpmath.polylog(3, mpmath.exp(-x - y))
+               - mpmath.polylog(3, mpmath.exp(-x)) - mpmath.polylog(3, mpmath.exp(-y))) / (x * y)
         assert abs(coeffs_infinite(a, b).f0 - ref) <= 1e-8 * ref
 
 

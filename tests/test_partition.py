@@ -4,7 +4,6 @@ import os
 import re
 import signal
 import threading
-import time
 import tracemalloc
 import warnings
 from math import fsum
@@ -759,16 +758,27 @@ def test_grid_processes_and_queue_order_come_from_the_lattice_sides(monkeypatch)
     assert partition._grid_processes(Scenario("infinite", 1000.5, 1000.0), range(2, 201)) == 1
     set_cpus(monkeypatch, 2)
     assert partition._grid_processes(scenario, range(2, 201)) == 2
-    # the whole grid goes into the queue before the fork, largest mesh first
-    queued, real_feed = [], partition._feed
+    # the whole grid goes into the queue before the fork, largest mesh first,
+    # after a NaN slot per mesh, with the file's offset at the first mesh number
+    seeks, queued, real_lseek, real_fork = [], [], os.lseek, os.fork
 
-    def spy(feed, pending):
-        queued.append(np.frombuffer(pending, dtype=np.int64).tolist())
-        return real_feed(feed, pending)
+    def lseek(fd, pos, how):
+        seeks.append(fd)
+        return real_lseek(fd, pos, how)
 
-    monkeypatch.setattr(partition, "_feed", spy)
+    def fork():
+        data = os.pread(seeks[-1], 2 * 199 * 8, 0)
+        queued.append((np.frombuffer(data[:199 * 8]).tolist(),
+                       np.frombuffer(data[199 * 8:], dtype=np.int64).tolist(),
+                       real_lseek(seeks[-1], 0, os.SEEK_CUR)))
+        return real_fork()
+
+    monkeypatch.setattr(os, "lseek", lseek)
+    monkeypatch.setattr(os, "fork", fork)
     grid_samples(scenario, *SPLIT_GRID)
-    assert queued[0] == list(range(200, 1, -1))
+    slots, meshes, offset = queued[0]
+    assert all(math.isnan(f) for f in slots) and len(slots) == 199
+    assert meshes == list(range(200, 1, -1)) and offset == 199 * 8
 
 
 @pytest.mark.parametrize("cpus, children", [(1, 0), (2, 1), (3, 2), (16, 2)])
@@ -809,42 +819,27 @@ class Hung(BaseException):
 
 
 @pytest.mark.parametrize("children_die", [False, True])
-def test_a_grid_larger_than_the_queue_pipe_neither_blocks_nor_hangs(monkeypatch, forks,
-                                                                    children_die):
-    fcntl = pytest.importorskip("fcntl")
-    if not hasattr(fcntl, "F_SETPIPE_SZ"):
-        pytest.skip("needs Linux's F_SETPIPE_SZ")
-    # 699 meshes against a queue pipe cut to one page, 512 mesh numbers: the
-    # pipe takes the rest as it drains.  Every uniform grid of (1, 1) with
-    # _SPLIT_WORK = 1024 splits three ways on three CPUs
+def test_a_long_grid_over_three_processes_neither_blocks_nor_hangs(monkeypatch, forks,
+                                                                   children_die):
+    # 699 cheap meshes pulled by three processes on at most two cores: every
+    # uniform grid of (1, 1) with _SPLIT_WORK = 1024 splits three ways on three
+    # CPUs.  Every process logs each mesh it takes into one pipe, so a mesh
+    # number read twice from the shared queue shows
     scenario, grid = Scenario("infinite", 1.0, 1.0), (2, 700)
     set_cpus(monkeypatch, 1)
     one = grid_samples(scenario, *grid)
     monkeypatch.setattr(partition, "_SPLIT_WORK", 1024)
     set_cpus(monkeypatch, 3)
-    left, real_feed = [], partition._feed
+    owner, real_value = os.getpid(), partition.free_energy_value
+    log, log_end = os.pipe()
 
-    def small_pipe(feed, pending):
-        if not left:
-            fcntl.fcntl(feed, fcntl.F_SETPIPE_SZ, 4096)
-        rest = real_feed(feed, pending)
-        left.append(len(rest) // 8)
-        if len(left) == 2 and rest:
-            # the children drain the pipe meanwhile: a process that then read it
-            # while it held the write end would wait for ever
-            time.sleep(0.2)
-        return rest
+    def value(shape, q):
+        os.write(log_end, np.float64(q).tobytes())
+        if children_die and os.getpid() != owner:
+            raise RuntimeError("a child's mesh")
+        return real_value(shape, q)
 
-    monkeypatch.setattr(partition, "_feed", small_pipe)
-    if children_die:
-        owner, real_value = os.getpid(), partition.free_energy_value
-
-        def value(shape, q):
-            if os.getpid() != owner:
-                raise RuntimeError("a child's mesh")
-            return real_value(shape, q)
-
-        monkeypatch.setattr(partition, "free_energy_value", value)
+    monkeypatch.setattr(partition, "free_energy_value", value)
 
     def hung(signum, frame):
         raise Hung()
@@ -856,9 +851,13 @@ def test_a_grid_larger_than_the_queue_pipe_neither_blocks_nor_hangs(monkeypatch,
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert left[0] == 699 - 512 and left[-1] == 0
+        os.close(log_end)
+        with os.fdopen(log, "rb") as taken:
+            qs = np.frombuffer(taken.read()).tolist()
     assert len(forks) == 2
     assert_no_child_left()
+    if not children_die:
+        assert sorted(qs) == sorted(math.exp(-1.0 / t) for t in range(2, 701))
 
 
 def test_a_fork_warning_raised_as_an_error_loses_no_child(monkeypatch, forks):
@@ -911,16 +910,46 @@ def test_a_failing_child_leaves_the_grid_to_this_process(monkeypatch, forks):
     assert samples == grid_samples(split_scenario(CosinePhi()), *SPLIT_GRID)
 
 
-def test_a_failed_fork_leaves_the_grid_to_this_process(monkeypatch):
-    def refuse():
-        raise BlockingIOError("fork refused")
+def test_a_failed_fork_leaves_the_grid_to_this_process(monkeypatch, forks):
+    def refuse(*args):
+        raise BlockingIOError("refused")
 
     scenario = split_scenario(CosinePhi())
     set_cpus(monkeypatch, 1)
     one = grid_samples(scenario, *SPLIT_GRID)
     set_cpus(monkeypatch, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "memfd_create", refuse)
+        assert grid_samples(scenario, *SPLIT_GRID) == one
+        patch.delattr(os, "memfd_create")
+        assert grid_samples(scenario, *SPLIT_GRID) == one
+    assert forks == []
     monkeypatch.setattr(os, "fork", refuse)
     assert grid_samples(scenario, *SPLIT_GRID) == one
+
+
+def test_a_caller_that_ignores_sigchld_keeps_the_split(monkeypatch, forks):
+    # its children are reaped for it, and os.waitpid then fails with ECHILD
+    scenario = split_scenario(CosinePhi())
+    set_cpus(monkeypatch, 1)
+    one = [(s.inv_eps, s.f.hex()) for s in grid_samples(scenario, *SPLIT_GRID)]
+    set_cpus(monkeypatch, 2)
+    owner, here, real_log_z = os.getpid(), [], partition.log_z_sliced
+
+    def log_z(*args):
+        if os.getpid() == owner:
+            here.append(args)
+        return real_log_z(*args)
+
+    monkeypatch.setattr(partition, "log_z_sliced", log_z)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        split = [(s.inv_eps, s.f.hex()) for s in grid_samples(scenario, *SPLIT_GRID)]
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert split == one
+    assert len(forks) == 1 and len(here) < 199
+    assert_no_child_left()
 
 
 def test_an_interrupt_kills_and_reaps_every_child(monkeypatch, forks):
