@@ -19,9 +19,9 @@ from .enumeration import _z_of_q
 from .errors import HexdimerError
 from .fitting import BASIS_NAMES, fit
 from .kasteleyn import _log_z_of_q
-from .partition import (CONVENTION_POSITIVE, SCENARIO_KINDS, Scenario, free_energy_value,
-                        grid_samples, log_z_infinite, log_z_macmahon, log_z_sliced,
-                        series_free_energy)
+from .partition import (CONVENTION_FINITE, CONVENTION_POSITIVE, SCENARIO_KINDS, Scenario,
+                        free_energy_value, grid_samples, log_z_infinite, log_z_macmahon,
+                        log_z_sliced, series_free_energy)
 from .shapes import INFINITE, BoxShape
 from .specialfn import universal_constant_detail
 from .weights import ConstantPhi, phi_from_id
@@ -207,27 +207,30 @@ def cmd_partition(args) -> int:
 def cmd_free_energy(args) -> int:
     if _given(args, _LATTICE):
         shape = _lattice_box(args, ("a", "b", "c", "phi", "inv_eps", *_GRID))
+        f = free_energy_value(shape, args.q)  # first, so that a bad q is named
+        kind = "finite" if shape.is_finite else "infinite"
+        convention = CONVENTION_FINITE if shape.is_finite else CONVENTION_POSITIVE
         # a lattice box is the scenario at eps = 1, here at an arbitrary q;
         # 0.0 - log keeps eps = 0 unsigned at q = 1
-        scenario = Scenario("finite" if shape.is_finite else "infinite",
-                            float(shape.m), float(shape.n), float(shape.k))
-        f = free_energy_value(shape, args.q)  # first, so that a bad q is named
-        rows = [["", 0.0 - math.log(args.q), f, scenario.kind,
+        rows = [["", 0.0 - math.log(args.q), f, kind,
                  f"M={shape.m};N={shape.n};K={shape.k};q={args.q}"]]
-    elif args.inv_eps is not None:
-        _exclude(args, _GRID, "--inv-eps")
-        scenario = _scenario(args)
-        eps = 1.0 / args.inv_eps
-        rows = [[args.inv_eps, eps, scenario.free_energy(eps), scenario.kind, _params(scenario)]]
     else:
-        if not _given(args, _GRID):
-            raise ValueError("missing --inv-eps, or --inv-eps-min and --inv-eps-max")
-        _require(args, *_GRID)
-        scenario = _scenario(args)
-        samples = grid_samples(scenario, args.inv_eps_min, args.inv_eps_max)
-        rows = [[s.inv_eps, s.eps, s.f, scenario.kind, _params(scenario)] for s in samples]
+        if args.inv_eps is not None:
+            _exclude(args, _GRID, "--inv-eps")
+            scenario = _scenario(args)
+            eps = 1.0 / args.inv_eps
+            rows = [[args.inv_eps, eps, scenario.free_energy(eps), scenario.kind,
+                     _params(scenario)]]
+        else:
+            if not _given(args, _GRID):
+                raise ValueError("missing --inv-eps, or --inv-eps-min and --inv-eps-max")
+            _require(args, *_GRID)
+            scenario = _scenario(args)
+            samples = grid_samples(scenario, args.inv_eps_min, args.inv_eps_max)
+            rows = [[s.inv_eps, s.eps, s.f, scenario.kind, _params(scenario)] for s in samples]
+        kind, convention = scenario.kind, scenario.convention
     header = ("inv_eps", "eps", "f", "variant", "params")
-    meta = {"command": "free-energy", "convention": scenario.convention, "scenario": scenario.kind}
+    meta = {"command": "free-energy", "convention": convention, "scenario": kind}
     _emit(args, header, rows, meta)
     return 0
 

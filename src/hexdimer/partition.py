@@ -9,6 +9,7 @@ The log_z_* functions themselves always return ln Z > 0.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import signal
@@ -32,10 +33,7 @@ from .weights import PhiFunction
 # stopping rule for the resummed free-energy series
 _SERIES_TERM_TOL = 1e-16
 _SERIES_N_MAX = 10**7
-# terms formed per numpy pass: _SERIES_FIRST_CHUNK, then twice as many each
-# pass up to _SERIES_CHUNK (verify's sums stop after 316 to about 1,400 terms)
-_SERIES_FIRST_CHUNK = 256
-_SERIES_CHUNK = 4096
+_SERIES_CHUNK = 4096  # terms formed per numpy pass
 # how far a/eps, b/eps and c/eps may sit from an integer
 _LATTICE_TOL = 1e-9
 # log_z_sliced hands exact_sum a bound on its terms when E_min lies above this
@@ -244,11 +242,10 @@ def series_free_energy(scenario: Scenario, eps: float) -> float:
 
     H_n has three exponential factors for the finite box, two for the
     infinite-height box; the sliced box has no such series.  The terms are
-    formed with numpy over chunks of n, the first _SERIES_FIRST_CHUNK long,
-    each next one twice as long up to _SERIES_CHUNK, and added in ascending
-    n with compensated summation (NeumaierSum.add_array, bit for bit the
-    term-by-term loop); numpy's chi, exp and expm1 give each term the same
-    bits in any chunk, so the sum does not depend on the chunking.  The sum
+    formed with numpy, _SERIES_CHUNK consecutive n per pass, and added in
+    ascending n with compensated summation (NeumaierSum.add_array, bit for
+    bit the term-by-term loop); numpy's chi, exp and expm1 give each term the
+    same bits in any chunk, so the sum does not depend on the chunking.  The sum
     stops at the first n whose remaining tail bound chi(n eps) * max(H) *
     sum_{m>n} m^-3 <= chi(n eps)/(2 n^2) is below _SERIES_TERM_TOL, that
     term included, and raises ConvergenceError once _SERIES_N_MAX terms are
@@ -267,10 +264,8 @@ def series_free_energy(scenario: Scenario, eps: float) -> float:
         prefactor = 1.0 / (a * b)
 
     acc = NeumaierSum()
-    start, size = 1, min(_SERIES_FIRST_CHUNK, _SERIES_CHUNK)
-    while start <= _SERIES_N_MAX:
-        n = np.arange(start, min(start + size, _SERIES_N_MAX + 1), dtype=float)
-        start, size = start + size, min(2 * size, _SERIES_CHUNK)
+    for start in range(1, _SERIES_N_MAX + 1, _SERIES_CHUNK):
+        n = np.arange(start, min(start + _SERIES_CHUNK, _SERIES_N_MAX + 1), dtype=float)
         chi_n = chi(n * eps)
         h = (-np.expm1(-n * a)) * (-np.expm1(-n * b))
         if finite:
@@ -468,13 +463,14 @@ def grid_samples(scenario: Scenario, inv_eps_min: int = 2, inv_eps_max: int = 20
     """Exact free-energy samples over the integer grid 1/eps = min..max.
 
     A grid is checked against MAX_SLICED_CELLS or MAX_PRODUCT_TERMS at its
-    finest mesh before the first sample is computed.  A grid whose meshes'
-    work sums to 2 * _SPLIT_WORK or more is split over forked processes on a
-    machine with two or more CPUs (see _grid_processes).  They pull its
-    meshes from one in-memory file and write each value into it as the mesh
-    finishes, the same bits as in one process (see _pulled_free_energies).
-    Any mesh they did not evaluate is evaluated here, in grid order, so a
-    failing grid raises the error of its first bad mesh, as in one process.
+    finest mesh before the first sample is computed.  In one process each
+    mesh is evaluated as its sample is built, with no per-mesh list before.
+    A grid whose meshes' work sums to 2 * _SPLIT_WORK or more is split over
+    forked processes on a machine with two or more CPUs (see _grid_processes).
+    They pull its meshes from one in-memory file and write each value into it
+    as the mesh finishes, the same bits as in one process (see
+    _pulled_free_energies).  Any mesh they did not evaluate is evaluated here,
+    in grid order, so a failing grid raises its first bad mesh's error.
 
     beside, if given, is called once with no arguments in this process
     before it evaluates its first mesh: under a split, once the children
@@ -490,7 +486,7 @@ def grid_samples(scenario: Scenario, inv_eps_min: int = 2, inv_eps_max: int = 20
     else:
         _check_product_terms((a + b + (c if scenario.kind == "finite" else 0.0)) / eps)
     grid = range(inv_eps_min, inv_eps_max + 1)
-    processes, values = _grid_processes(scenario, grid), [math.nan] * len(grid)
+    processes, values = _grid_processes(scenario, grid), itertools.repeat(math.nan)
     if processes > 1:
         values = _pulled_free_energies(scenario, grid, processes, beside)
     elif beside is not None:

@@ -219,8 +219,11 @@ def test_coeffs_sliced_bits_pinned(phi_id, a, b, f0_bits, f3_bits):
 
 @pytest.mark.parametrize("phi_id,a,b", list(SLICED_F3_EXACT_FIT))
 def test_sliced_f3_matches_exact_data(phi_id, a, b):
+    # measured |sliced_f3 - pin|: cosine (1,3) 1.7e-11, cosine (2,3) 8.7e-12,
+    # linear:1,0.5 (1,3) 2.0e-11, linear:2,0.5 (2,3) 8.8e-13, linear:1,0.3
+    # (1,3) 2.1e-11; the gate leaves a factor of about 10
     f3 = sliced_f3(float(a), float(b), phi_from_id(phi_id))
-    assert abs(f3 - SLICED_F3_EXACT_FIT[(phi_id, a, b)]) <= 1e-8
+    assert abs(f3 - SLICED_F3_EXACT_FIT[(phi_id, a, b)]) <= 2e-10
 
 
 def test_exact_data_fit_reproduces_its_pin():
@@ -228,7 +231,8 @@ def test_exact_data_fit_reproduces_its_pin():
     scenario = Scenario("sliced", 1.0, 3.0, phi=CosinePhi())
     fitted = exact_data_f3(scenario)
     assert abs(fitted - SLICED_F3_EXACT_FIT[("cosine", 1, 3)]) <= 1e-11
-    assert abs(sliced_f3(1.0, 3.0, scenario.phi) - fitted) <= 1e-8
+    # measured 1.7e-11, as in test_sliced_f3_matches_exact_data
+    assert abs(sliced_f3(1.0, 3.0, scenario.phi) - fitted) <= 2e-10
 
 
 @pytest.mark.parametrize("phi,a,b", [(phi, a, b) for phi, a, b, *_ in TABLE1_ANALYTIC_PINNED])

@@ -212,8 +212,12 @@ BEYOND_FLOAT = str(10**400)
     # integers within the float range whose cell count or area is not
     (("partition", "--a", "1", "--b", "3", "--phi", "cosine", "--inv-eps", str(10**300)),
      "over 1.798e+308 cells"),
+    # a lattice box is named by its product terms, as partition names it, and
+    # a bad q before its size
     (("free-energy", "--M", str(10**300), "--N", str(10**300), "--K", str(10**300), "--q", "0.5"),
-     "sides too large"),
+     "the product formula has 3e+300 terms, above the limit of 4194304 terms"),
+    (("free-energy", "--M", str(10**300), "--N", str(10**300), "--K", str(10**300), "--q", "0"),
+     "q must be in (0, 1]"),
 ])
 def test_usage_errors_name_the_flag(argv, flag, capsys):
     code, out, err = run(capsys, *argv)

@@ -28,6 +28,7 @@ _INFINITE = ("--scenario", "infinite", "--a", "2", "--b", "1")
 _SLICED = ("--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "cosine")
 _GRID = ("--inv-eps-min", "2", "--inv-eps-max", "100")
 _SLICED_GRID = ("--inv-eps-min", "2", "--inv-eps-max", "200")
+_HUGE = str(10**300)
 
 INVOCATIONS = (
     ("coeffs", *_FINITE),
@@ -76,6 +77,10 @@ INVOCATIONS = (
     ("free-energy", "--a", "2", "--b", "3", "--phi", "linear:2,0.5", *_SLICED_GRID, "--out", OUT),
     # 12.06 M product terms in all: a uniform grid split over up to five processes
     ("free-energy", "--a", "300", "--b", "200", "--c", "100", *_SLICED_GRID, "--out", OUT),
+    # a lattice box past the product-term cap: exit 1 naming its 3e+300 terms.
+    # Trees that still named it "sides too large" print a DIFF (stderr) here,
+    # by design
+    ("free-energy", "--M", _HUGE, "--N", _HUGE, "--K", _HUGE, "--q", "0.5"),
     # e^(-E) rounds to 1 from 1/eps = 67 on: exit 1 naming eps = 1/67, also
     # where the grid is split over processes and a later mesh fails first
     ("free-energy", "--a", "1", "--b", "3", "--phi", "const:3e-15", *_SLICED_GRID),
