@@ -14,6 +14,7 @@ import math
 import os
 import signal
 import sys
+import tempfile
 import threading
 import warnings
 from dataclasses import dataclass
@@ -47,12 +48,10 @@ MAX_PRODUCT_TERMS = 2**22
 # signs of the monomials 1, x^m, x^n, x^k, x^(m+n), x^(n+k), x^(m+k), x^(m+n+k)
 # of (1-x^m)(1-x^n)(1-x^k)
 _MACMAHON_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
-# grid_samples runs a grid in one process per whole _SPLIT_WORK of its summed
-# work (cells m*n of a sliced mesh, terms m+n+k of a uniform one), at most one
-# per CPU and at most as many as its finest mesh fits into MAX_SLICED_CELLS
-# (MAX_PRODUCT_TERMS): this one and forked children, only this one below 2.  On
-# a 2-core Xeon VM a 2-way split of cosine (1, 3) tied with one process at
-# 1.02 M cells (18.3 ms, medians of 15) and won at 2.22 M (31.4 ms against 37.9)
+# a grid runs in one process per whole _SPLIT_WORK of its work (see
+# _grid_processes).  On a 2-core Xeon VM a 2-way split of cosine (1, 3) tied
+# with one process at 1.02 M cells (18.3 ms, medians of 15) and won at 2.22 M
+# (31.4 ms against 37.9)
 _SPLIT_WORK = 2**21
 # a value slot or a mesh number in the queue file of a split grid: a float64 or
 # an int64 in this machine's byte order
@@ -362,30 +361,35 @@ class Scenario:
 def _grid_processes(scenario: Scenario, grid: range) -> int:
     """How many processes evaluate grid: this one and P-1 forked children.
 
-    Each mesh's work is what the caps bound: cells m*n of a sliced box, terms
-    m+n+k (m+n at infinite height) of a uniform one.  P = min(CPUs, total
-    work // _SPLIT_WORK, cap // finest mesh's work), so the meshes that run
-    at once hold no more than one call at the cap would.  The grid stays in
-    one process (P = 1) when os.fork, os.sched_getaffinity or os.memfd_create
-    is missing, when another Python thread is alive (a fork copies no other
-    thread), or when either of its first two meshes is off the lattice: the
-    loop in one process then raises the error at its first bad mesh.  Two
-    consecutive meshes on the lattice make every side an integer number u of
-    unit steps, so mesh 1/t has sides u*t."""
-    if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "memfd_create")) \
+    A mesh's work is what its cap bounds: cells (a/eps)(b/eps) of a sliced
+    box, terms (a+b+c)/eps ((a+b)/eps at infinite height) of a uniform one.
+    The finest mesh is checked against its cap first, so a grid beyond it
+    fails before any mesh runs.  With the grid's work a*b*sum(t^2) or
+    (a+b+c)*sum(t), in closed form, P = min(CPUs, work // _SPLIT_WORK,
+    cap // finest mesh's work): the meshes that run at once hold no more
+    than one call at the cap.  P = 1 without os.fork or os.sched_getaffinity,
+    with another Python thread alive (a fork copies no other thread), or
+    with either of the first two meshes off the lattice, so the loop in one
+    process raises the error at its first bad mesh."""
+    a, b, c, lo, hi = scenario.a, scenario.b, scenario.c, grid[0], grid[-1]
+    eps = 1.0 / hi
+    if scenario.kind == "sliced":
+        _check_sliced_cells(a / eps, b / eps)
+        cap, finest = MAX_SLICED_CELLS, (a / eps) * (b / eps)
+        work = a * b * ((hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6)
+    else:
+        sides = a + b + (c if scenario.kind == "finite" else 0.0)
+        _check_product_terms(sides / eps)
+        cap, finest, work = MAX_PRODUCT_TERMS, sides / eps, sides * ((lo + hi) * len(grid) // 2)
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
             or threading.active_count() > 1:
         return 1
     try:
-        lo, hi = scenario.box(1.0 / grid[0]), scenario.box(1.0 / grid[1])
+        for t in grid[:2]:
+            scenario.box(1.0 / t)
     except ValueError:
         return 1
-    m, n = hi.m - lo.m, hi.n - lo.n
-    if scenario.kind == "sliced":
-        works, cap = [m * n * t * t for t in grid], MAX_SLICED_CELLS
-    else:
-        k = hi.k - lo.k if hi.is_finite else 0
-        works, cap = [(m + n + k) * t for t in grid], MAX_PRODUCT_TERMS
-    return max(1, min(len(os.sched_getaffinity(0)), sum(works) // _SPLIT_WORK, cap // works[-1]))
+    return max(1, int(min(len(os.sched_getaffinity(0)), work // _SPLIT_WORK, cap // finest)))
 
 
 def _pull(scenario: Scenario, grid: range, fd: int) -> None:
@@ -402,28 +406,27 @@ def _pulled_free_energies(scenario: Scenario, grid: range, processes: int,
     """scenario.free_energy at the meshes 1/t of grid, in grid order, as
     processes pull them from one queue; NaN where a mesh was not evaluated.
 
-    The queue is an in-memory file: a float64 slot per mesh, NaN at first,
-    then the mesh numbers, largest first.  It is opened by its /proc/self/fd
-    path, where Linux 3.14+ moves the offset under a lock (read(2)), as it
-    does not for the memfd itself: no two processes read the same number.
-    From there processes - 1 children are forked (none if the memfd or /proc
-    fails, fewer if a fork fails), this process calls beside, if given, and
-    every process runs _pull.  A child then ends in os._exit, whatever
-    happens: it never returns into the caller and never flushes stdio.  This
-    process stops pulling on an exception in its own mesh, reaps each child
-    and reads the slots back.  An exception from beside, or any other
-    BaseException, propagates after every child still running is killed
-    with SIGKILL and reaped.
+    The queue is a temporary file: a float64 slot per mesh, NaN at first,
+    then the mesh numbers, largest first.  Once it is flushed, processes - 1
+    children are forked (none if the file cannot be made, fewer if a fork
+    fails), this process calls beside, if given, and every process runs
+    _pull on the shared descriptor, whose offset read(2) moves under a lock:
+    no two processes read the same number.  A child ends in os._exit,
+    whatever happens: it never returns into the caller and never flushes
+    stdio.  This process stops pulling on an exception in its own mesh,
+    reaps each child and reads the slots back.  An exception from beside, or
+    any other BaseException, propagates after every child still running is
+    killed with SIGKILL and reaped.
     """
-    n, parent, children, fd = len(grid), os.getpid(), [], None
+    n, parent, children, queue, fd = len(grid), os.getpid(), [], None, None
     try:
         with contextlib.suppress(OSError):
-            with open(os.memfd_create("hexdimer-grid"), "wb") as memfd:
-                memfd.write(np.full(n, math.nan).tobytes()
-                            + np.arange(grid[-1], grid[0] - 1, -1, dtype=np.int64).tobytes())
-                memfd.flush()
-                fd = os.open(f"/proc/self/fd/{memfd.fileno()}", os.O_RDWR)
-            os.lseek(fd, n * _SLOT_BYTES, os.SEEK_SET)
+            queue = tempfile.TemporaryFile()
+            queue.write(np.full(n, math.nan).tobytes()
+                        + np.arange(grid[-1], grid[0] - 1, -1, dtype=np.int64).tobytes())
+            queue.flush()  # from here on only the descriptor touches the file
+            os.lseek(queue.fileno(), n * _SLOT_BYTES, os.SEEK_SET)
+            fd = queue.fileno()
             for _ in range(processes - 1):
                 try:
                     with warnings.catch_warnings():
@@ -454,23 +457,24 @@ def _pulled_free_energies(scenario: Scenario, grid: range, processes: int,
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-        if fd is not None:
-            os.close(fd)
+        if queue is not None:
+            with contextlib.suppress(OSError):  # a flush that failed fails again
+                queue.close()
 
 
 def grid_samples(scenario: Scenario, inv_eps_min: int = 2, inv_eps_max: int = 200,
                  beside=None) -> list[FreeEnergySample]:
     """Exact free-energy samples over the integer grid 1/eps = min..max.
 
-    A grid is checked against MAX_SLICED_CELLS or MAX_PRODUCT_TERMS at its
-    finest mesh before the first sample is computed.  In one process each
-    mesh is evaluated as its sample is built, with no per-mesh list before.
-    A grid whose meshes' work sums to 2 * _SPLIT_WORK or more is split over
-    forked processes on a machine with two or more CPUs (see _grid_processes).
-    They pull its meshes from one in-memory file and write each value into it
-    as the mesh finishes, the same bits as in one process (see
-    _pulled_free_energies).  Any mesh they did not evaluate is evaluated here,
-    in grid order, so a failing grid raises its first bad mesh's error.
+    The grid's plan (_grid_processes) checks its finest mesh against
+    MAX_SLICED_CELLS or MAX_PRODUCT_TERMS before the first sample is
+    computed.  In one process each mesh is evaluated as its sample is built,
+    with no per-mesh list before.  A grid whose meshes' work sums to
+    2 * _SPLIT_WORK or more is split over forked processes on a machine with
+    two or more CPUs.  They pull its meshes from one temporary file and write
+    each value into it as the mesh finishes, the same bits as in one process
+    (see _pulled_free_energies).  Any mesh they did not evaluate is evaluated
+    here, in grid order, so a failing grid raises its first bad mesh's error.
 
     beside, if given, is called once with no arguments in this process
     before it evaluates its first mesh: under a split, once the children
@@ -480,11 +484,6 @@ def grid_samples(scenario: Scenario, inv_eps_min: int = 2, inv_eps_max: int = 20
         raise ValueError("need 1 <= inv_eps_min < inv_eps_max")
     if inv_eps_max > sys.float_info.max:  # 1.0 / inv_eps_max would overflow
         raise ValueError(f"inv_eps_max = {_shown(inv_eps_max, '')} is beyond the float range")
-    a, b, c, eps = scenario.a, scenario.b, scenario.c, 1.0 / inv_eps_max
-    if scenario.kind == "sliced":
-        _check_sliced_cells(a / eps, b / eps)
-    else:
-        _check_product_terms((a + b + (c if scenario.kind == "finite" else 0.0)) / eps)
     grid = range(inv_eps_min, inv_eps_max + 1)
     processes, values = _grid_processes(scenario, grid), itertools.repeat(math.nan)
     if processes > 1:

@@ -138,14 +138,32 @@ def test_predictor_residual_ratio_bounded():
     assert max(ratios) / min(ratios) < 3.0
 
 
+# (a, b, phi = c): relative gates on f0 and f3 at about 10x the measured gap
+# (f0: 2.1e-16, 4.1e-16, 9.1e-16, 2.5e-15, 2.6e-16, 2.8e-9; f3: 7.9e-15,
+# 3.4e-13, 1.8e-15, 9.7e-13, 1.9e-12, 4.5e-12).  The f0 of (1, 300) is the
+# elongated box of ROADMAP item 10, where one of the two routes loses digits
+CONSTANT_PHI_GAPS = [
+    (1.0, 3.0, 1.0, 2e-15, 8e-14),
+    (2.0, 3.0, 1.7, 4e-15, 3.5e-12),
+    (1.0, 1.0, 0.3, 1e-14, 2e-14),
+    (0.1, 1.0, 1.0, 2.5e-14, 1e-11),
+    (1.0, 30.0, 1.0, 3e-15, 2e-11),
+    (1.0, 300.0, 1.0, 3e-8, 5e-11),
+]
+
+
 def test_constant_phi_reduction():
-    for (a, b) in ((1.0, 3.0), (2.0, 3.0)):
-        sliced = coeffs_sliced(a, b, ConstantPhi(1.0))
-        infinite = coeffs_infinite(a, b)
-        assert abs(sliced.f0 - infinite.f0) < 1e-10
+    # phi = c is the uniform box at sides (ac, bc), two independent routes:
+    # f0 = f0_inf(ac, bc), f2 = c^2 f2_inf(ac, bc) = 1/(12ab) and
+    # f3 = c^2 f3_inf(ac, bc) + ln c/(12ab)
+    for a, b, c, f0_gate, f3_gate in CONSTANT_PHI_GAPS:
+        sliced = coeffs_sliced(a, b, ConstantPhi(c))
+        infinite = coeffs_infinite(a * c, b * c)
+        f3 = c * c * infinite.f3 + log(c) / (12.0 * a * b)
+        assert abs(sliced.f0 - infinite.f0) <= f0_gate * abs(infinite.f0), (a, b, c)
         assert sliced.f1 == infinite.f1 == 0.0
-        assert abs(sliced.f2 - infinite.f2) < 1e-12
-        assert abs(sliced.f3 - infinite.f3) < 1e-12
+        assert sliced.f2 == pytest.approx(c * c * infinite.f2, rel=5e-16), (a, b, c)
+        assert abs(sliced.f3 - f3) <= f3_gate * abs(f3), (a, b, c)
 
 
 def test_sliced_scaled_constant_reduction():

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import signal
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -797,6 +798,19 @@ def test_grid_processes_and_queue_order_come_from_the_lattice_sides(monkeypatch)
     assert meshes == list(range(200, 1, -1)) and offset == 199 * 8
 
 
+def test_the_plan_holds_no_per_mesh_list(monkeypatch):
+    # 2^21 - 1 meshes of (1, 1): the finest, 2^22 - 2 terms, fits the cap, and
+    # a work figure kept per mesh would take about 80 MB
+    set_cpus(monkeypatch, 16)
+    tracemalloc.start()
+    try:
+        assert partition._grid_processes(Scenario("infinite", 1.0, 1.0), range(1, 2**21)) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
 @pytest.mark.parametrize("cpus, children", [(1, 0), (2, 1), (3, 2), (16, 2)])
 def test_the_grid_and_the_coefficients_beside_it_keep_the_bits(monkeypatch, forks, cpus,
                                                                  children):
@@ -935,9 +949,7 @@ def test_a_failed_fork_leaves_the_grid_to_this_process(monkeypatch, forks):
     one = grid_samples(scenario, *SPLIT_GRID)
     set_cpus(monkeypatch, 2)
     with monkeypatch.context() as patch:
-        patch.setattr(os, "memfd_create", refuse)
-        assert grid_samples(scenario, *SPLIT_GRID) == one
-        patch.delattr(os, "memfd_create")
+        patch.setattr(tempfile, "TemporaryFile", refuse)  # no writable temporary directory
         assert grid_samples(scenario, *SPLIT_GRID) == one
     assert forks == []
     monkeypatch.setattr(os, "fork", refuse)

@@ -81,6 +81,12 @@ INVOCATIONS = (
     # Trees that still named it "sides too large" print a DIFF (stderr) here,
     # by design
     ("free-energy", "--M", _HUGE, "--N", _HUGE, "--K", _HUGE, "--q", "0.5"),
+    # off the lattice at 1/eps = 3: the grid stays in one process and fails there
+    ("free-energy", "--a", "1000.5", "--b", "1000", *_SLICED_GRID),
+    # 1e+07 product terms at 1/eps = 10 are named before any mesh runs, though
+    # 1/eps = 3 is off the lattice
+    ("free-energy", "--a", "0.5", "--b", "1", "--c", "1e6", "--inv-eps-min", "2",
+     "--inv-eps-max", "10"),
     # e^(-E) rounds to 1 from 1/eps = 67 on: exit 1 naming eps = 1/67, also
     # where the grid is split over processes and a later mesh fails first
     ("free-energy", "--a", "1", "--b", "3", "--phi", "const:3e-15", *_SLICED_GRID),
