@@ -6,8 +6,6 @@ from .asymptotics import (
     coeffs_finite,
     coeffs_infinite,
     coeffs_sliced,
-    log_ratio_three,
-    log_ratio_two,
     predict_free_energy,
     sliced_f0,
     sliced_f3,

@@ -15,8 +15,8 @@ decomposition f = f_geo + f_plus + f_minus + f_cross (geometric-slope part
 and the three Psi-correction parts), written as the uniform infinite box at
 rescaled sides plus harmonic sums over n.  By the Mellin analysis of harmonic
 sums (Flajolet, Gourdon and Dumas, Theor. Comput. Sci. 144, 1995) only the
-box carries eps^2 ln eps; it is taken from coeffs_infinite, and every other
-eps^2 coefficient is the absolutely convergent sum of the summands'
+box carries eps^2 ln eps; its f3 is the uniform box's closed form, and every
+other eps^2 coefficient is the absolutely convergent sum of the summands'
 second-order Taylor coefficients at eps = 0, computed with eps-jets.
 """
 from __future__ import annotations
@@ -103,15 +103,17 @@ def coeffs_finite(a: float, b: float, c: float) -> ExpansionCoefficients:
     return ExpansionCoefficients(f0, 0.0, f2, f3)
 
 
+def _f3_infinite(a: float, b: float) -> float:
+    """f3 of the infinite-height box at checked sides."""
+    return (universal_constant() - log_ratio_two(a, b) / 6.0 - 0.25) / (2.0 * (a * b))
+
+
 def coeffs_infinite(a: float, b: float) -> ExpansionCoefficients:
     """Infinite-height box, convention f = +ln Z/V."""
     _require_sides(a, b)
     ab = a * b
     f0 = (zeta3() + li(3, exp(-a - b)) - li(3, exp(-a)) - li(3, exp(-b))) / ab
-    iq = universal_constant()
-    f2 = 1.0 / (12.0 * ab)
-    f3 = (iq - log_ratio_two(a, b) / 6.0 - 0.25) / (2.0 * ab)
-    return ExpansionCoefficients(f0, 0.0, f2, f3)
+    return ExpansionCoefficients(f0, 0.0, 1.0 / (12.0 * ab), _f3_infinite(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +319,20 @@ def _sliced_pieces(a: float, b: float, phi: PhiFunction) -> tuple[float, float, 
 
 
 def sliced_f3(a: float, b: float, phi: PhiFunction) -> float:
-    """The eps^2 coefficient for slice weights: that of the rescaled uniform
-    box, eta^2 f3_inf(a eta, b eta) + ln(eta)/(12ab), plus the eps^2 order of
-    _sliced_pieces."""
-    phi.check_positive(-a, b)
-    eta = float(phi(b - a))
-    box = coeffs_infinite(a * eta, b * eta)
-    return eta * eta * box.f3 + log(eta) / (12.0 * a * b) + _sliced_pieces(a, b, phi)[2]
-
-
-def coeffs_sliced(a: float, b: float, phi: PhiFunction) -> ExpansionCoefficients:
-    """Slice-weighted infinite-height box, convention f = +ln Z/V.  sliced_f3
-    takes the uniform box's closed forms at the sides a*phi(b-a) and
-    b*phi(b-a), so these are checked before sliced_f0 runs."""
-    _require_sides(a, b)
+    """The eps^2 coefficient for slice weights: eta^2 f3_inf(a eta, b eta) +
+    ln(eta)/(12ab), the uniform infinite box's at the rescaled sides a*phi(b-a)
+    and b*phi(b-a) (checked here), plus the eps^2 order of _sliced_pieces."""
     phi.check_positive(-a, b)
     eta = float(phi(b - a))
     _require_sides(a * eta, b * eta, factor_name="*phi(b-a)")
-    f0 = sliced_f0(a, b, phi)
-    f2 = 1.0 / (12.0 * a * b)
-    return ExpansionCoefficients(f0, 0.0, f2, sliced_f3(a, b, phi))
+    return (eta * eta * _f3_infinite(a * eta, b * eta) + log(eta) / (12.0 * a * b)
+            + _sliced_pieces(a, b, phi)[2])
+
+
+def coeffs_sliced(a: float, b: float, phi: PhiFunction) -> ExpansionCoefficients:
+    """Slice-weighted infinite-height box, convention f = +ln Z/V.  f3 comes
+    first, so a rescaled side that sliced_f3 rejects is named before
+    sliced_f0 runs."""
+    _require_sides(a, b)
+    f3 = sliced_f3(a, b, phi)
+    return ExpansionCoefficients(sliced_f0(a, b, phi), 0.0, 1.0 / (12.0 * a * b), f3)

@@ -82,9 +82,9 @@ def _write_file(path: str, text: str) -> None:
 
     The file is opened without O_TRUNC and cut to the written length after
     the write.  Truncating a file that holds data to zero length makes ext4
-    (with its default auto_da_alloc) start writing it back on close, which
-    costs tens of milliseconds per file; an in-place rewrite of the same
-    length stays in the page cache like a new file.
+    (with its default auto_da_alloc) start writing it back on close.  On a
+    2-core Xeon VM, rewriting a 14.8 KB file took 0.5-0.7 ms through
+    open(path, "w") and 0.2-0.4 ms in place.
     """
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
         fh.write(text)

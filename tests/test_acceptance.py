@@ -20,7 +20,6 @@ from hexdimer import (
     free_energy_value,
     grid_samples,
     kasteleyn_partition,
-    log_ratio_three,
     log_z_infinite,
     log_z_macmahon,
     log_z_sliced,
@@ -34,6 +33,7 @@ from hexdimer import (
     zeta3,
     Scenario,
 )
+from hexdimer.asymptotics import log_ratio_three
 
 from _reference import TABLE1, UNIVERSAL_CONSTANT, UNIVERSAL_CONSTANT_HP, ZETA3
 

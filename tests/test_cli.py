@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-import os
 import warnings
 
 import pytest
@@ -11,6 +10,7 @@ from hexdimer import (BoxShape, ConvergenceError, asymptotics, enumeration, kast
 from hexdimer.cli import main
 from hexdimer.fitting import BASIS_NAMES
 
+from _forks import assert_no_child_left, set_cpus
 from _reference import TABLE1, UNIVERSAL_CONSTANT
 
 
@@ -406,10 +406,9 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     assert "did not converge within 2 terms" in err
 
 
-def test_coeffs_with_a_side_near_zero_converges(monkeypatch, capsys):
-    # sliced f3 takes coeffs_infinite(a*eta, b*eta), here at sides 1e-7, whose
-    # f0 needs li(3, e^-1e-7): no long series, and the parent's values
-    monkeypatch.setattr(specialfn, "_LI_N_MAX", 20000)
+def test_coeffs_with_a_side_near_zero_converges(capsys):
+    # the rescaled sides are 1e-7: sliced f3 takes only the uniform box's f3
+    # there, and f0 comes from sliced_f0, not from the uniform f0's li sum
     code, out, _ = run(capsys, "coeffs", "--scenario", "sliced", "--a", "1", "--b", "1",
                        "--phi", "const:1e-7")
     assert code == 0
@@ -479,30 +478,6 @@ def test_out_rewrites_an_existing_file_to_the_new_length(tmp_path, capsys):
         out.write_text(before)
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_text() == want
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children os.fork starts in this process."""
-    pids, real_fork = [], os.fork
-
-    def spy():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", spy)
-    return pids
-
-
-def set_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 # cosine (1, 3) over 1/eps = 2..200 is 8.06 M cells: split in two on two CPUs

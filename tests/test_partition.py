@@ -39,6 +39,7 @@ from hexdimer.partition import sliced_log_weight_exponents
 from hexdimer.summation import exact_sum
 from hexdimer.weights import PhiFunction, TabulatedPhi, phi_from_id
 
+from _forks import assert_no_child_left, set_cpus
 from _reference import reference_series_free_energy, same_bits, ulps_apart
 
 
@@ -687,30 +688,6 @@ def test_grid_samples_shape():
     for lo, hi in ((12, 2), (0, 5)):
         with pytest.raises(ValueError):
             grid_samples(scenario, lo, hi)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children os.fork starts in this process."""
-    pids, real_fork = [], os.fork
-
-    def spy():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", spy)
-    return pids
-
-
-def set_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class RaisingPhi(CosinePhi):

@@ -41,10 +41,13 @@ INVOCATIONS = (
     # sides below 1, where li(3, .) runs longest and zeta(3) weighs most in f0
     ("coeffs", "--scenario", "finite", "--a", "0.5", "--b", "1", "--c", "2"),
     ("coeffs", "--scenario", "infinite", "--a", "0.25", "--b", "3", "--json"),
-    # f3 takes coeffs_infinite(1e-7, 1e-7), whose f0 needs li(3, e^-1e-7)
+    # f3 takes the uniform box's f3 at the rescaled sides 1e-7, where the
+    # uniform f0 would cancel catastrophically
     ("coeffs", "--scenario", "sliced", "--a", "1", "--b", "1", "--phi", "const:1e-7"),
     # e^(-a*phi(b-a)) rounds to 1: exit 1 before sliced_f0 runs, naming phi(b-a)
     ("coeffs", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "const:1e-300"),
+    # rescaled sides 80 and 40, with a > b
+    ("coeffs", "--scenario", "sliced", "--a", "2", "--b", "1", "--phi", "const:40", "--json"),
     ("fit", *_FINITE, *_GRID),
     ("fit", *_CUBE, *_GRID, "--json"),
     ("fit", *_INFINITE, *_GRID),
@@ -92,6 +95,8 @@ INVOCATIONS = (
     ("free-energy", "--a", "1", "--b", "3", "--phi", "const:3e-15", *_SLICED_GRID),
     # the same failing grid with its coefficients computed beside it
     ("table1", "--row", "const:3e-15:1,3"),
+    # e^(-a*phi(b-a)) rounds to 1: the coefficients name phi(b-a) before any grid runs
+    ("table1", "--row", "const:1e-300:1,3"),
     ("fit", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "const:3e-15", *_SLICED_GRID),
 )
 
