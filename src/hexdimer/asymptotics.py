@@ -129,6 +129,10 @@ _N_MAX = 2000
 _INVERSE_TABLE = 257
 _INVERSE_TOL = 2.0 ** -26
 _INVERSE_STEPS = 12
+# sliced_f0's s panels past the graded start: equal panels per stretch where
+# they are narrow enough, and where graded ones stop (_s_panel_edges)
+_S_PANELS = 12
+_S_END = 64.0
 
 
 def _row_dots(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -138,13 +142,34 @@ def _row_dots(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(w, rows[:, :, None])[:, 0]
 
 
+def _s_panel_edges(lo: float, hi: float) -> list[float]:
+    """Upper edges of sliced_f0's s panels on [lo, hi], lo > 0.
+
+    These are 12 equal panels when each is at most 1 wide and no wider than
+    lo.  Otherwise the panels double in width from lo up to 1 wide, and stop
+    at s = _S_END.  A panel wider than 1 loses digits to the poles of 1/phi
+    near the real axis, and one wider than lo to the log singularity at
+    s = 0.  Beyond _S_END, K(s) < e^-64 (1.6e-28), far below roundoff
+    against the part of the integral near s = 0.  The stop bounds the work:
+    without it, sides (1, 1e5) took 1e5 panels.
+    """
+    width = (hi - lo) / _S_PANELS
+    if width <= min(1.0, lo):
+        return list(np.linspace(lo, hi, _S_PANELS + 1))[1:]
+    edges = [lo]
+    while edges[-1] < min(hi, _S_END):
+        edges.append(min(edges[-1] + min(edges[-1], 1.0), hi, _S_END))
+    return edges[1:]
+
+
 def sliced_f0(a: float, b: float, phi: PhiFunction) -> float:
     """Leading coefficient: (1/ab) int_0^b dy int_0^a dz -ln(1 - e^{-W(y,z)}).
 
     W(y, z) = int_{-y}^{z} phi(b-a+x) dx separates as v(y) + u(z), so after
     substituting to (u, v) the double integral collapses to a 1-D integral of
     K(s) = -ln(1-e^{-s}) against the convolution C(s) of the two inverse
-    Jacobians.  The s -> 0 log singularity is handled by dyadic panel grading.
+    Jacobians.  The s -> 0 log singularity is handled by dyadic panel grading
+    up to min(u(a), v(b)); _s_panel_edges places the panels beyond it.
 
     The inverse Jacobians need u -> z and v -> y at every node.  Newton's
     method starts from a monotone table of int phi at 257 points and stops
@@ -157,6 +182,9 @@ def sliced_f0(a: float, b: float, phi: PhiFunction) -> float:
     phi.check_positive(-a, b)
     cap_u = float(phi.integral(d, b))        # u(a)
     cap_v = float(phi.integral(-a, d))       # v(b)
+    if not min(cap_u, cap_v) > 0.0:
+        raise ValueError(f"sliced_f0: int phi over a side rounds to {min(cap_u, cap_v)!r} "
+                         f"at b - a = {d!r}; the sides are too far apart")
 
     def inverse(w, length, sign):
         # x in [0, length] with sign * int_d^{d + sign x} phi = w: z(u) on the
@@ -189,8 +217,8 @@ def sliced_f0(a: float, b: float, phi: PhiFunction) -> float:
     m1, m2, end = min(cap_u, cap_v), max(cap_u, cap_v), cap_u + cap_v
     edges = list(log_graded_edges(0.0, m1))
     if m2 > m1 + 1e-15:
-        edges += list(np.linspace(m1, m2, 13))[1:]
-    edges += list(np.linspace(m2, end, 13))[1:]
+        edges += _s_panel_edges(m1, m2)
+    edges += _s_panel_edges(m2, end)
     lo, hi = np.asarray(edges[:-1]), np.asarray(edges[1:])
     lo, hi = lo[hi > lo], hi[hi > lo]
     px, pw = gauss_legendre(24)

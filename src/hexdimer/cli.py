@@ -8,6 +8,7 @@ command, adopted sign convention), or JSON with --json.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -397,7 +398,11 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and returned by every
+    later one, so callers must not change it.  parse_args keeps nothing
+    between calls: each returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="hexdimer",
         description="Hexagonal-lattice dimer model: exact partition functions and "

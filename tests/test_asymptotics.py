@@ -96,7 +96,7 @@ def _mp_uniform_f0(a, b, c=None):
         return float(total / (2 * (a * b + b * c + a * c)))
 
 
-# f0 on thin or elongated sides prints wrong digits today; the fix removes these marks
+# the uniform f0 on thin sides prints wrong digits today; the fix removes these marks
 ITEM_10 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 10")
 
 
@@ -114,18 +114,39 @@ def test_finite_f0_on_three_thin_sides():
     assert abs(coeffs_finite(1e-6, 1e-6, 1e-6).f0 - ref) <= 1e-13 * abs(ref)
 
 
-@ITEM_10
 def test_sliced_f0_on_an_elongated_box():
-    # 2.2e-8 off: at constant phi = 1 this is the infinite box (1e-3, 1)
+    # at constant phi = 1 this is the infinite box (1e-3, 1).  5.4e-16 off;
+    # 12 equal s panels, the first 83 times wider than its lower edge, were
+    # 2.2e-8 off
     ref = _mp_uniform_f0(1e-3, 1.0)
-    assert abs(sliced_f0(1e-3, 1.0, ConstantPhi(1.0)) - ref) <= 1e-13 * ref
+    assert abs(sliced_f0(1e-3, 1.0, ConstantPhi(1.0)) - ref) <= 5e-15 * ref
 
 
 def test_sliced_f0_on_an_elongated_cosine_box():
-    # 1.9e-12 off.  Newton's method started from u/phi(b-a) cycled on the b
-    # side, 30 long, and printed 4.3e-7 high
+    # 2.5e-15 off.  Newton's method started from u/phi(b-a) cycled on the b
+    # side, 30 long, and printed 4.3e-7 high; 12 equal s panels, 1.6 wide,
+    # left 1.9e-12
     ref = SLICED_F0_MPMATH[("cosine", 1, 30)]
-    assert abs(sliced_f0(1.0, 30.0, CosinePhi()) - ref) <= 2e-11 * ref
+    assert abs(sliced_f0(1.0, 30.0, CosinePhi()) - ref) <= 3e-14 * ref
+
+
+def test_sliced_f0_s_panels():
+    # the Table 1 boxes keep 12 equal panels per stretch; elsewhere they
+    # double from the lower edge up to 1 wide and stop at s = _S_END, so a
+    # far elongated box costs no more panels than (1, 300)
+    assert asymptotics._s_panel_edges(0.41, 2.58) == list(np.linspace(0.41, 2.58, 13))[1:]
+    edges = asymptotics._s_panel_edges(1e-3, 1.0)
+    assert edges[:3] == [2e-3, 4e-3, 8e-3] and edges[-1] == 1.0
+    widths = np.diff([1e-3, *edges])
+    assert np.all(widths <= np.minimum(1.0, [1e-3, *edges[:-1]]))
+    assert len(asymptotics._s_panel_edges(0.5, 1e5)) == 64
+    assert asymptotics._s_panel_edges(80.0, 120.0) == []
+
+
+def test_sliced_f0_sides_too_far_apart_rejected():
+    # int phi over the a side rounds to 0 at b - a = 1e17
+    with pytest.raises(ValueError, match="sides are too far apart"):
+        sliced_f0(1.0, 1e17, CosinePhi())
 
 
 def test_sliced_f0_inversion_that_cannot_converge_raises(monkeypatch):
@@ -195,16 +216,16 @@ def test_predictor_residual_ratio_bounded():
 
 
 # (a, b, phi = c): relative gates on f0 and f3 at about 10x the measured gap
-# (f0: 2.1e-16, 4.1e-16, 9.1e-16, 2.5e-15, 2.6e-16, 2.8e-9; f3: 7.9e-15,
+# (f0: 2.1e-16, 4.1e-16, 9.1e-16, 2.5e-15, 0, 1.6e-16; f3: 7.9e-15,
 # 3.4e-13, 1.8e-15, 9.7e-13, 1.9e-12, 4.5e-12).  The f0 of (1, 300) is the
-# elongated box of ROADMAP item 10, where one of the two routes loses digits
+# elongated box of ROADMAP item 10: 12 equal s panels, 25 wide, left 2.8e-9
 CONSTANT_PHI_GAPS = [
     (1.0, 3.0, 1.0, 2e-15, 8e-14),
     (2.0, 3.0, 1.7, 4e-15, 3.5e-12),
     (1.0, 1.0, 0.3, 1e-14, 2e-14),
     (0.1, 1.0, 1.0, 2.5e-14, 1e-11),
     (1.0, 30.0, 1.0, 3e-15, 2e-11),
-    (1.0, 300.0, 1.0, 3e-8, 5e-11),
+    (1.0, 300.0, 1.0, 2e-15, 5e-11),
 ]
 
 
@@ -318,7 +339,14 @@ def test_exact_data_fit_reproduces_its_pin():
     assert abs(sliced_f3(1.0, 3.0, scenario.phi) - fitted) <= 2e-10
 
 
-@pytest.mark.parametrize("phi,a,b", [(phi, a, b) for phi, a, b, *_ in TABLE1_ANALYTIC_PINNED])
+# relative gate on the two f0 routes where it is not 1e-12: the series
+# route plateaus at 1.4e-12 on cosine (1, 300), where 12 equal s panels left
+# sliced_f0 1.1e-4 off
+JET_F0_GATES = {(1.0, 300.0): 1.5e-11}
+
+
+@pytest.mark.parametrize("phi,a,b", [(phi, a, b) for phi, a, b, *_ in TABLE1_ANALYTIC_PINNED]
+                         + [(CosinePhi(), 1.0, 300.0)])
 def test_sliced_jet_lower_orders(phi, a, b):
     # f1 = 0, and the zeroth order plus the rescaled box is sliced_f0, an
     # independent route (the 1-D convolution integral)
@@ -326,7 +354,8 @@ def test_sliced_jet_lower_orders(phi, a, b):
     eta = float(phi(b - a))
     assert abs(order1) <= 1e-14
     f0 = sliced_f0(a, b, phi)
-    assert abs(order0 + coeffs_infinite(a * eta, b * eta).f0 - f0) <= 1e-12 * abs(f0)
+    gate = JET_F0_GATES.get((a, b), 1e-12)
+    assert abs(order0 + coeffs_infinite(a * eta, b * eta).f0 - f0) <= gate * abs(f0)
 
 
 class CountingCosinePhi(CosinePhi):

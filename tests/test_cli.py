@@ -301,6 +301,55 @@ def test_usage_error_exit_code(capsys):
     assert main(["nonexistent-subcommand"]) == 1
 
 
+def test_a_reused_parser_carries_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process; every call must print what it
+    # prints on a freshly built parser, whatever the calls before it did
+    from hexdimer import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "out.csv"
+    coeffs = ("coeffs", "--scenario", "infinite", "--a", "2", "--b", "1")
+    free_energy = ("free-energy", "--a", "1", "--b", "2", "--c", "3", "--inv-eps", "10")
+    calls = [
+        (("coeffs", "--scenario", "infinite", "--a", "2"), None),
+        (("--version",), None),
+        ((*coeffs, "--json"), None),
+        (coeffs, None),
+        ((*free_energy, "--out", str(out)), None),
+        (free_energy, None),
+        (("coeffs", "--scenario", "sliced", "--a", "1", "--b", "3"), None),
+        (coeffs, (specialfn, "_LI_N_MAX", 2)),
+        (coeffs, None),
+    ]
+
+    def record(fresh):
+        records = []
+        for argv, patch in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            with monkeypatch.context() as m:
+                if patch:
+                    m.setattr(*patch)
+                code = main(list(argv))
+            printed = capsys.readouterr()
+            written = out.read_text() if out.exists() else None
+            out.unlink(missing_ok=True)
+            records.append((code, printed.out, printed.err, written))
+        return records
+
+    reused = record(fresh=False)
+    assert reused == record(fresh=True)
+    codes = [code for code, *_ in reused]
+    assert codes == [1, 0, 0, 0, 0, 0, 1, 2, 0]
+    assert "the following arguments are required: --b" in reused[0][2]
+    assert reused[1][1] == f"hexdimer {cli.__version__}\n"
+    assert json.loads(reused[2][1])["meta"]["command"] == "coeffs"
+    assert reused[3][1].startswith("# command: coeffs") and reused[8] == reused[3]
+    assert reused[4][1] == "" and reused[4][3] == reused[5][1] != ""
+    assert reused[6][2] == "error: the sliced scenario needs a phi function\n"
+    assert reused[7][2].startswith("numerical failure: ")
+
+
 def test_free_energy_grid_deterministic(tmp_path, capsys):
     out1 = tmp_path / "grid1.csv"
     out2 = tmp_path / "grid2.csv"

@@ -47,9 +47,16 @@ INVOCATIONS = (
     # e^(-a*phi(b-a)) rounds to 1: exit 1 before sliced_f0 runs, naming phi(b-a)
     ("coeffs", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "const:1e-300"),
     # elongated: sliced_f0's b side is 30 long.  Trees whose Newton inversion
-    # started from u/phi(b-a) cycled there and print f0 4.3e-7 high, a DIFF
-    # (stdout) by design
+    # started from u/phi(b-a) cycled there and print f0 4.3e-7 high; trees
+    # with 12 equal s panels on [u(a), v(b)], 1.6 wide here, print it 1.9e-12
+    # high.  Both are DIFFs (stdout) by design (ROADMAP item 10)
     ("coeffs", "--scenario", "sliced", "--a", "1", "--b", "30", "--phi", "cosine"),
+    # more elongated and thin: trees with 12 equal s panels print f0 1.1e-4 low
+    # on (1, 300), 16.6-wide panels, and 2.2e-8 low on (0.001, 1), where the
+    # first panel is 83 times wider than its distance from s = 0.  Both are
+    # DIFFs (stdout) by design (ROADMAP item 10)
+    ("coeffs", "--scenario", "sliced", "--a", "1", "--b", "300", "--phi", "cosine"),
+    ("coeffs", "--scenario", "sliced", "--a", "0.001", "--b", "1", "--phi", "const:1"),
     # rescaled sides 80 and 40, with a > b
     ("coeffs", "--scenario", "sliced", "--a", "2", "--b", "1", "--phi", "const:40", "--json"),
     ("fit", *_FINITE, *_GRID),
