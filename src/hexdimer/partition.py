@@ -27,7 +27,7 @@ from .asymptotics import (ExpansionCoefficients, _require_sides, coeffs_finite, 
 from .errors import ConvergenceError, _shown
 from .shapes import INFINITE, BoxShape
 from .specialfn import chi
-from .summation import NeumaierSum, exact_sum
+from .summation import exact_sum
 from .weights import PhiFunction
 
 
@@ -241,14 +241,14 @@ def series_free_energy(scenario: Scenario, eps: float) -> float:
 
     H_n has three exponential factors for the finite box, two for the
     infinite-height box; the sliced box has no such series.  The terms are
-    formed with numpy, _SERIES_CHUNK consecutive n per pass, and added in
-    ascending n with compensated summation (NeumaierSum.add_array, bit for
-    bit the term-by-term loop); numpy's chi, exp and expm1 give each term the
-    same bits in any chunk, so the sum does not depend on the chunking.  The sum
-    stops at the first n whose remaining tail bound chi(n eps) * max(H) *
+    formed with numpy, _SERIES_CHUNK consecutive n per pass, kept, and summed
+    once with exact_sum, so the chunking leaves the value alone.  The terms
+    stop at the first n whose remaining tail bound chi(n eps) * max(H) *
     sum_{m>n} m^-3 <= chi(n eps)/(2 n^2) is below _SERIES_TERM_TOL, that
-    term included, and raises ConvergenceError once _SERIES_N_MAX terms are
-    summed without it; no chunk runs past that cap.  numpy's exp and expm1
+    term included; once _SERIES_N_MAX terms are formed without it (no chunk
+    runs past that cap), ConvergenceError carries their exact sum.  There
+    the terms take 80 MB and their concatenation as much again, below the
+    192 MiB of a MAX_PRODUCT_TERMS product formula.  numpy's exp and expm1
     may differ from the C library's by an ulp, so the value lies within 4 ulp
     of a term-by-term loop over math.exp and math.expm1.
     """
@@ -262,7 +262,7 @@ def series_free_energy(scenario: Scenario, eps: float) -> float:
     else:
         prefactor = 1.0 / (a * b)
 
-    acc = NeumaierSum()
+    parts = []
     for start in range(1, _SERIES_N_MAX + 1, _SERIES_CHUNK):
         n = np.arange(start, min(start + _SERIES_CHUNK, _SERIES_N_MAX + 1), dtype=float)
         chi_n = chi(n * eps)
@@ -273,11 +273,12 @@ def series_free_energy(scenario: Scenario, eps: float) -> float:
         tail = chi_n / (2.0 * n * n)
         done = tail < _SERIES_TERM_TOL
         if done.any():
-            acc.add_array(terms[:int(done.argmax()) + 1])
-            return prefactor * acc.value
-        acc.add_array(terms)
+            parts.append(terms[:int(done.argmax()) + 1])
+            return prefactor * exact_sum(np.concatenate(parts))
+        parts.append(terms)
     raise ConvergenceError(f"series free energy did not converge within {_SERIES_N_MAX} terms",
-                           partial=prefactor * acc.value, achieved=float(tail[-1]))
+                           partial=prefactor * exact_sum(np.concatenate(parts)),
+                           achieved=float(tail[-1]))
 
 
 SCENARIO_KINDS = ("finite", "infinite", "sliced")

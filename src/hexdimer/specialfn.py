@@ -25,7 +25,6 @@ from math import comb, exp, expm1, factorial, fsum, isnan, log, log1p, pi, ulp
 import numpy as np
 
 from .errors import ConvergenceError
-from .summation import NeumaierSum
 
 _CHI_TAYLOR_SWITCH = 1e-3
 _LI_TERM_TOL = 1e-17
@@ -153,12 +152,12 @@ def li(s: int, z: float) -> float:
     Li_1(z) is -log1p(-z).  Li_2 and Li_3 near z = 1 (x = -ln z below
     _LI3_SERIES_SWITCH) are their expansions in x (see
     _li_series_coefficients), where the series in z would need ~1/x terms.
-    Otherwise the series in z is summed with compensated accumulation.
+    Otherwise the terms of the series in z are kept and their fsum returned.
     After term n the tail is below term * z / (1 - z), and for s >= 2 below
-    term * z * n / (s - 1); the sum stops at the first term whose bound is
-    below _LI_TERM_TOL * |partial sum|, with 1 - z formed as -expm1(ln z).
-    It raises ConvergenceError past _LI_N_MAX terms.  z = 1 is rejected: the
-    closed forms take Li_3(1) as zeta3().
+    term * z * n / (s - 1); the terms stop at the first whose bound is below
+    _LI_TERM_TOL * (plain running sum), with 1 - z formed as -expm1(ln z).
+    Past _LI_N_MAX terms it raises ConvergenceError with the fsum so far.
+    z = 1 is rejected: the closed forms take Li_3(1) as zeta3().
     """
     if not isinstance(s, int) or s < 1:
         raise ValueError(f"order s must be an integer >= 1, got {s!r}")
@@ -176,19 +175,19 @@ def li(s: int, z: float) -> float:
         x = -logz
         return fsum([_ZETA3, -_ZETA2 * x, (1.5 - log(x)) * x * x / 2.0]
                     + [c * x**k for k, c in _LI3_C])
-    acc = NeumaierSum()
+    terms, running = [], 0.0
     tol = _LI_TERM_TOL * -expm1(logz) / z
     n = 1
     while True:
         term = exp(n * logz) / n**s
-        acc.add(term)
-        bound = abs(acc.value)
-        if term < tol * bound or term * z * n < (s - 1) * _LI_TERM_TOL * bound:
-            return acc.value
+        terms.append(term)
+        running += term
+        if term < tol * running or term * z * n < (s - 1) * _LI_TERM_TOL * running:
+            return fsum(terms)
         n += 1
         if n > _LI_N_MAX:
             raise ConvergenceError(f"Li_{s}({z}) did not converge within {_LI_N_MAX} terms",
-                                   partial=acc.value, achieved=term)
+                                   partial=fsum(terms), achieved=term)
 
 
 def zeta3() -> float:

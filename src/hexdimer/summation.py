@@ -1,10 +1,8 @@
-"""Exact accumulation: a vectorised correctly rounded sum and a streaming one.
+"""The package's one summation, exact_sum: the correctly rounded sum of an array.
 
-exact_sum serves arrays that are all in hand: small ones go to math.fsum,
-larger ones are split at one error-free extraction level with one splitting
-constant per array, and a bound on the rest decides the rounding.
-NeumaierSum serves streaming loops with a data-dependent stopping rule, a
-term or an array of terms at a time.
+Small arrays go to math.fsum; larger ones are split at one error-free
+extraction level with one splitting constant per array, and a bound on the
+rest decides the rounding.  Streaming loops keep their terms and call it once.
 """
 import math
 
@@ -77,42 +75,3 @@ def exact_sum(values, top: float | None = None) -> float:
     if low == math.fsum(sums + [bound]):
         return low
     return _fsum(x)
-
-
-class NeumaierSum:
-    """Running compensated sum (Neumaier's variant of Kahan summation)."""
-
-    __slots__ = ("_s", "_c", "count")
-
-    def __init__(self):
-        self._s = 0.0
-        self._c = 0.0
-        self.count = 0
-
-    def add(self, term: float) -> None:
-        t = self._s + term
-        if abs(self._s) >= abs(term):
-            self._c += (self._s - t) + term
-        else:
-            self._c += (term - t) + self._s
-        self._s = t
-        self.count += 1
-
-    def add_array(self, terms: np.ndarray) -> None:
-        """add each value of a 1-D array in order, bit for bit as the add loop.
-
-        np.cumsum accumulates sequentially, so seeded with _s it reproduces
-        every running sum t; each step's compensation is add's branch, picked
-        by np.where, and a cumsum seeded with _c adds them in the same order.
-        """
-        with np.errstate(all="ignore"):  # inf and nan propagate as Python floats do
-            sums = np.cumsum(np.concatenate(([self._s], terms)))
-            s, t = sums[:-1], sums[1:]
-            comp = np.where(np.abs(s) >= np.abs(terms), (s - t) + terms, (terms - t) + s)
-            self._c = float(np.cumsum(np.concatenate(([self._c], comp)))[-1])
-        self._s = float(sums[-1])
-        self.count += terms.size
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c

@@ -64,7 +64,7 @@ class LinearPhi(PhiFunction):
             raise ValueError(f"linear phi needs finite alpha and beta; got {alpha}, {beta}")
         self.alpha = float(alpha)
         self.beta = float(beta)
-        self.id = f"linear:{self.alpha:g},{self.beta:g}"
+        self.id = f"linear:{_number_id(self.alpha)},{_number_id(self.beta)}"
 
     def __call__(self, t):
         return self.alpha + self.beta * np.asarray(t, dtype=float)
@@ -87,7 +87,7 @@ class ConstantPhi(LinearPhi):
         if not (math.isfinite(c) and c > 0):
             raise ValueError(f"constant phi must be finite and positive; got {c}")
         super().__init__(c, 0.0)
-        self.id = f"const:{self.alpha:g}"
+        self.id = f"const:{_number_id(self.alpha)}"
 
 
 class CosinePhi(PhiFunction):
@@ -165,6 +165,11 @@ def phi_from_id(spec: str) -> PhiFunction:
                              f"expected two, t,phi")
         return TabulatedPhi(data[:, 0], data[:, 1], id=f"tabulated:{args}")
     raise ValueError(f"unknown phi spec {spec!r}; expected const:c, linear:a,b, cosine or tabulated:<file>")
+
+
+def _number_id(x: float) -> str:
+    """x's shortest text that reads back as x, less a trailing ".0" (1.0 gives "1")."""
+    return repr(x).removesuffix(".0")
 
 
 def _parse_floats(spec: str, args: str, form: str) -> list[float]:

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from hexdimer import partition, specialfn
 from hexdimer.errors import ConvergenceError
-from hexdimer.summation import NeumaierSum
 
 ZETA3 = 1.2020569031595942854  # Apery's constant, standard tables
 
@@ -151,7 +150,7 @@ def reference_series_free_energy(scenario, eps: float) -> float:
     else:
         prefactor = 1.0 / (a * b)
 
-    acc = NeumaierSum()
+    terms = []
     n = 1
     while True:
         z = n * eps
@@ -159,15 +158,15 @@ def reference_series_free_energy(scenario, eps: float) -> float:
         h = (-math.expm1(-n * a)) * (-math.expm1(-n * b))
         if finite:
             h *= -math.expm1(-n * c)
-        acc.add(chi_n * h / n**3)
+        terms.append(chi_n * h / n**3)
         if chi_n / (2.0 * n * n) < partition._SERIES_TERM_TOL:
             break
         n += 1
         if n > partition._SERIES_N_MAX:
             raise ConvergenceError(
                 f"series free energy did not converge within {partition._SERIES_N_MAX} terms",
-                partial=prefactor * acc.value, achieved=chi_n / (2.0 * n * n))
-    return prefactor * acc.value
+                partial=prefactor * math.fsum(terms), achieved=chi_n / (2.0 * n * n))
+    return prefactor * math.fsum(terms)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,12 @@
 """tools/compare_cli.py reports SAME for one tree against itself and DIFF,
-naming what differs, against a tree whose CLI prints something else."""
+naming what differs, against a tree whose CLI prints something else; and
+every invocation it runs is one the CLI parses."""
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from hexdimer import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = importlib.util.spec_from_file_location("compare_cli", ROOT / "tools" / "compare_cli.py")
@@ -24,3 +29,9 @@ def test_same_tree_is_same_and_other_output_is_a_diff(tmp_path, monkeypatch, cap
     (fake / "cli.py").write_text("print('not the same')\n")
     assert compare_cli.main([src, str(tmp_path)]) == 1
     assert capsys.readouterr().out.startswith("DIFF (stdout, file): hexdimer partition")
+
+
+@pytest.mark.parametrize("invocation", compare_cli.INVOCATIONS, ids=" ".join)
+def test_every_invocation_parses(invocation):
+    # a renamed flag would make both trees print the same usage error: SAME
+    cli.build_parser().parse_args(invocation)

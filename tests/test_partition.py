@@ -631,7 +631,7 @@ def first_n_below_tolerance(eps: float) -> int:
 
 
 def test_series_chunks_sum_through_the_first_n_below_the_tolerance(monkeypatch):
-    # add_array is the add loop bit for bit, so the chunk size leaves the bits
+    # The terms are summed once, exactly, so the chunk size leaves the bits
     # alone.  The stop term is below an ulp of the sum, so the terms are
     # counted: the stop falls at a chunk's end, at the next one's start, or
     # inside one.
@@ -640,13 +640,11 @@ def test_series_chunks_sum_through_the_first_n_below_the_tolerance(monkeypatch):
     last = first_n_below_tolerance(eps)
     counts = []
 
-    class CountingSum(partition.NeumaierSum):
-        @property
-        def value(self):
-            counts.append(self.count)
-            return super().value
+    def exact_sum_spy(values, top=None):
+        counts.append(np.size(values))
+        return exact_sum(values, top)
 
-    monkeypatch.setattr(partition, "NeumaierSum", CountingSum)
+    monkeypatch.setattr(partition, "exact_sum", exact_sum_spy)
     for chunk in (1, 7, last - 1, last, last + 1, 4096):
         monkeypatch.setattr(partition, "_SERIES_CHUNK", chunk)
         assert same_bits(series_free_energy(scenario, eps), want), chunk

@@ -243,10 +243,15 @@ def test_quadrature_engine_calibration():
 
 
 def test_li_convergence_cap(monkeypatch):
-    # Li_2 near z = 1 now takes its expansion in x; Li_4 still sums the series
-    monkeypatch.setattr(specialfn, "_LI_N_MAX", 100)
-    with pytest.raises(ConvergenceError):
+    # Li_2 near z = 1 now takes its expansion in x; Li_4 still sums the series.
+    # partial is the exact sum of the 1000 terms, which a plain running sum
+    # misses by 2 ulp here
+    monkeypatch.setattr(specialfn, "_LI_N_MAX", 1000)
+    with pytest.raises(ConvergenceError) as err:
         li(4, 0.999999)
+    terms = [math.exp(n * math.log(0.999999)) / n**4 for n in range(1, 1001)]
+    assert same_bits(err.value.partial, math.fsum(terms))
+    assert same_bits(err.value.achieved, terms[-1])
 
 
 def test_adaptive_quadrature_panel_budget(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hexdimer import partition, summation
 from hexdimer.partition import log_z_sliced, sliced_log_weight_exponents
-from hexdimer.summation import NeumaierSum, exact_sum
+from hexdimer.summation import exact_sum
 from hexdimer.weights import phi_from_id
 
 from _reference import TABLE1, same_bits
@@ -319,55 +319,3 @@ def test_sliced_terms_decide_after_one_level(monkeypatch):
         assert sigmas == [splitting_constant(min(m * n, summation._BLOCK), top)] * blocks
         terms = np.log1p(-np.exp(-sliced_log_weight_exponents(m, n, phi, eps)))
         assert same_bits(log_z, -math.fsum(terms.ravel()))
-
-
-def neumaier_state(acc: NeumaierSum) -> tuple:
-    return acc._s, acc._c, acc.value, acc.count
-
-
-def same_state(x: tuple, y: tuple) -> bool:
-    """Equal Neumaier states: floats bit for bit (nan as nan), counts equal."""
-    return x[-1] == y[-1] and all(
-        same_bits(a, b) or (math.isnan(a) and math.isnan(b)) for a, b in zip(x[:-1], y[:-1]))
-
-
-def assert_add_array_matches_add(chunks) -> None:
-    """add_array over the chunks leaves the state that add over their values does."""
-    by_term, by_array = NeumaierSum(), NeumaierSum()
-    for chunk in chunks:
-        for v in chunk:
-            by_term.add(v)
-        by_array.add_array(np.array(chunk, dtype=float))
-        assert same_state(neumaier_state(by_array), neumaier_state(by_term))
-
-
-NEUMAIER_CASES = [
-    [],
-    [0.0],
-    [-0.0],
-    [-0.0, -0.0, 0.0, -0.0],
-    [1e16, 1.0, -1e16],                      # cancellation: add's first branch
-    [1.0, 1e100, 1.0, -1e100],               # cancellation: add's second branch
-    [1.0, 2.0**-53, 2.0**-53, -1.0],
-    [1e-300, -0.0, 1e300, 0.0, -1e300, 1e-300, -1e-300, 5e-324],
-    [1e300, 1e-300, -1e300, 1e-300, 0.0, -0.0],
-    [3.0, -0.1, 1e-200, -2.5, 7e150, -7e150, 0.1],
-    [1.0, math.inf, 2.0],
-    [1.0, math.nan, 2.0],
-]
-
-
-@pytest.mark.parametrize("xs", NEUMAIER_CASES)
-def test_add_array_matches_add_at_every_split(xs):
-    assert_add_array_matches_add([xs])
-    for i in range(len(xs) + 1):
-        assert_add_array_matches_add([xs[:i], xs[i:]])
-        assert_add_array_matches_add([xs[:i], [], xs[i:]])
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(scaled_floats | tie_floats, max_size=200), st.data())
-def test_add_array_matches_add_bit_for_bit(xs, data):
-    i = data.draw(st.integers(0, len(xs)))
-    j = data.draw(st.integers(i, len(xs)))
-    assert_add_array_matches_add([xs[:i], xs[i:j], xs[j:]])

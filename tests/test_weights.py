@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from hexdimer import (
     phi_from_id,
 )
 
+from _reference import same_bits
+
 
 def test_catalog_parsing():
     assert isinstance(phi_from_id("cosine"), CosinePhi)
@@ -18,6 +22,23 @@ def test_catalog_parsing():
     assert float(const(123.0)) == 1.5
     with pytest.raises(ValueError):
         phi_from_id("mystery:1")
+
+
+@pytest.mark.parametrize("phi", [
+    ConstantPhi(1.0), ConstantPhi(1.0000001), ConstantPhi(math.pi), ConstantPhi(3e-15),
+    LinearPhi(1234567.0, 0.5), LinearPhi(0.1 + 0.2, -1e-300), LinearPhi(-0.0, 1e16),
+], ids=lambda phi: phi.id)
+def test_id_rebuilds_the_parameters_exactly(phi):
+    back = phi_from_id(phi.id)
+    assert type(back) is type(phi) and back.id == phi.id
+    assert same_bits(back.alpha, phi.alpha) and same_bits(back.beta, phi.beta)
+
+
+def test_ids_keep_the_short_forms():
+    assert [p.id for p in (ConstantPhi(1.0), ConstantPhi(40.0), LinearPhi(1.0, 0.5),
+                           LinearPhi(1e-7, 3e-15), ConstantPhi(1e-300))] == [
+        "const:1", "const:40", "linear:1,0.5", "linear:1e-07,3e-15", "const:1e-300"]
+    assert ConstantPhi(1.0000001).id != ConstantPhi(1.0).id
 
 
 def test_derivatives_and_antiderivative_consistency():

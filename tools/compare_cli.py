@@ -41,6 +41,9 @@ INVOCATIONS = (
     # sides below 1, where li(3, .) runs longest and zeta(3) weighs most in f0
     ("coeffs", "--scenario", "finite", "--a", "0.5", "--b", "1", "--c", "2"),
     ("coeffs", "--scenario", "infinite", "--a", "0.25", "--b", "3", "--json"),
+    # side sums just above li's 0.25 switch, where its series in z is longest
+    ("coeffs", "--scenario", "infinite", "--a", "0.125", "--b", "0.13"),
+    ("coeffs", "--scenario", "finite", "--a", "0.1", "--b", "0.15", "--c", "0.2"),
     # f3 takes the uniform box's f3 at the rescaled sides 1e-7, where the
     # uniform f0 would cancel catastrophically
     ("coeffs", "--scenario", "sliced", "--a", "1", "--b", "1", "--phi", "const:1e-7"),
@@ -84,6 +87,9 @@ INVOCATIONS = (
     ("free-energy", "--M", "3", "--N", "4", "--K", "5", "--q", "0.7"),
     ("free-energy", "--a", "1", "--b", "2", "--c", "3", "--inv-eps", "10"),
     ("free-energy", "--a", "1", "--b", "3", "--phi", "cosine", "--inv-eps", "25"),
+    # trees that write the phi id with :g print phi=const:1 here, as for
+    # const:1 itself, beside a different f: a DIFF (stdout) by design
+    ("free-energy", "--a", "1", "--b", "3", "--phi", "const:1.0000001", "--inv-eps", "4"),
     ("free-energy", "--a", "1", "--b", "1", "--c", "1", *_GRID, "--out", OUT),
     ("free-energy", "--a", "2", "--b", "1", *_SLICED_GRID, "--out", OUT),
     ("free-energy", "--a", "1", "--b", "3", "--phi", "cosine", *_SLICED_GRID, "--out", OUT),
