@@ -18,7 +18,6 @@ import tempfile
 import threading
 import warnings
 from dataclasses import dataclass
-from math import log
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .asymptotics import (ExpansionCoefficients, _require_sides, coeffs_finite, 
 from .errors import ConvergenceError, _shown
 from .shapes import INFINITE, BoxShape
 from .specialfn import chi
-from .summation import exact_sum
+from .summation import exact_sum, exact_sums
 from .weights import PhiFunction
 
 
@@ -42,12 +41,16 @@ _BOUND_E_MIN = math.ldexp(1.0, -30)
 # most cells m*n of one sliced ln Z: its exponent matrix then takes 256 MiB
 MAX_SLICED_CELLS = 2**25
 # most terms m+n+k (m+n at infinite height) of one uniform product formula.
-# log_z_macmahon holds at most six float arrays of about that length at once,
-# log_z_infinite four, so a call peaks near 6 * 8 B * 2^22 = 192 MiB
+# A call holds at most four arrays of m+n+k+1 slots at once (three float64,
+# one int64), so it peaks near 4 * 8 B * 2^22 = 128 MiB
 MAX_PRODUCT_TERMS = 2**22
-# signs of the monomials 1, x^m, x^n, x^k, x^(m+n), x^(n+k), x^(m+k), x^(m+n+k)
-# of (1-x^m)(1-x^n)(1-x^k)
-_MACMAHON_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
+# most terms m+n+k (m+n at infinite height) of the uniform meshes a grid
+# evaluates in one batch; a mesh with more runs alone.  On a 2-core EPYC VM
+# the four uniform grids of the benchmark's fit, (1,1,1), (3,2,1), (1,1) and
+# (2,1) over 1/eps = 2..200, took 4.95-5.17 ms in all with 2^13 (medians of
+# 30, three rounds), against 6.2-6.4 ms with 2^12, 4.8-6.7 ms with 2^14 and
+# 6.5-7.1 ms with 2^15; one mesh at a time they took 11.0 ms
+_BATCH_TERMS = 2**13
 # a grid runs in one process per whole _SPLIT_WORK of its work (see
 # _grid_processes).  On a 2-core Xeon VM a 2-way split of cosine (1, 3) tied
 # with one process at 1.02 M cells (18.3 ms, medians of 15) and won at 2.22 M
@@ -81,50 +84,108 @@ def _check_product_terms(terms: float) -> None:
                          f"of {MAX_PRODUCT_TERMS} terms")
 
 
-def log_z_macmahon(shape: BoxShape, q: float) -> float:
-    """ln Z for the finite box via the triple product formula, q in (0, 1].
+# the numerator prod_s (1-x^s) of r sides, 3 for the finite box and 2 at
+# infinite height: its 2^r monomials, each the sum of the sides in one column
+# here, and their signs, as the float weights np.bincount takes
+_SUBSETS = {r: np.array(list(itertools.product((0, 1), repeat=r))).T for r in (2, 3)}
+_SIGNS = {r: np.where(subsets.sum(axis=0) % 2, -1.0, 1.0) for r, subsets in _SUBSETS.items()}
 
-    Factors are grouped by t = i+j+l, 1 <= i, j, l <= m, n, k, so the cost is
-    O(m+n+k) instead of O(mnk).  The multiplicity of t is the coefficient of
-    x^(t-3) in (1-x^m)(1-x^n)(1-x^k)/(1-x)^3: eight +-1 monomials, then three
-    running sums.  Those sums are small integers (the last at most mn), so
-    floats hold them exactly: the same bits as convolving three rows of ones,
-    without its O(mn + (m+n)k) cost.  Each grouped factor is a single log1p
-    of a positive quantity, which is stable at both q^t -> 0 and q^t -> 1.
-    At q = 1 the factor is its limit (t-1)/(t-2), so ln Z is the log of the
-    configuration count.  A box with m+n+k above MAX_PRODUCT_TERMS is rejected
-    before any array exists.
+
+def _uniform_log_z(boxes: list[tuple[int, ...]], qs: list[float]) -> list[float]:
+    """ln Z of each box at its q by its product formula, all boxes in one set
+    of numpy passes: finite boxes (m, n, k) with 0 < q <= 1, or boxes (m, n)
+    of infinite height with 0 < q < 1.
+
+    The boxes are laid end to end, each in sum(sides) + 1 slots.  Slot i of
+    a box holds the multiplicity of its grouped factor, the coefficient of
+    x^i in prod_s (1-x^s)/(1-x) over its r sides: the 2^r signed monomials
+    of the numerator prod_s (1-x^s), of degree sum(sides), counted by
+    np.bincount, then r running sums in int64.  These are small integers (at
+    most mn for the finite box, min(m, n) at infinite height).  Before the
+    last running sum, each box's entries sum to the polynomial's value at
+    x = 1, which keeps a factor 1-x^s and so is 0: one cumsum over every box
+    starts afresh at each box, and the last r slots of each box are 0.
+
+    Slot i has power p = i+1 and x = q^p = exp(p ln q), ln q taken with math
+    per box.  The finite box groups its factors by t = p+2 = i+j+l,
+    1 <= i, j, l <= m, n, k; each grouped factor (1-q^(t-1))/(1-q^(t-2)) is
+    the single log1p of a positive quantity, x (1-q)/(1-x), stable at both
+    x -> 0 and x -> 1.  At q = 1 it is its limit (t-1)/(t-2), the log1p of
+    1/p, so ln Z is the log of the configuration count.  At infinite height,
+    ln Z = -sum_{i,j} ln(1 - q^(i+j-1)) = -sum mult log1p(-x), s = p =
+    i+j-1.  Every pass but the sum is elementwise, and exact_sums sums each
+    box's terms mult * log1p(.) exactly, so a box's ln Z has the same bits
+    alone or beside others.  A lone box takes its q, ln q and 1-q as they
+    are, many spread theirs over their slots.
+    """
+    r, lone = len(boxes[0]), len(boxes) == 1
+    if lone:
+        slots = sum(boxes[0]) + 1
+        monomials, signs = np.dot(boxes[0], _SUBSETS[r]), _SIGNS[r]
+        q = qs[0]
+        log_q, rest, units = (math.log(q), 1.0 - q, 0) if q < 1.0 else (0.0, 0.0, 1)
+    else:
+        sizes = [sum(box) + 1 for box in boxes]
+        starts = list(itertools.accumulate(sizes, initial=0))
+        slots = starts.pop()
+        monomials = (np.array(boxes) @ _SUBSETS[r] + np.array(starts)[:, None]).ravel()
+        signs = np.tile(_SIGNS[r], len(boxes))
+        log_q = np.repeat([math.log(q) if q < 1.0 else 0.0 for q in qs], sizes)
+        rest = np.repeat([1.0 - q for q in qs], sizes)
+        units = qs.count(1.0)
+    mult = np.bincount(monomials, signs, slots).astype(np.int64)
+    for _ in range(r):
+        np.add.accumulate(mult, out=mult)
+    powers = np.arange(1.0, slots + 1.0)
+    if not lone:
+        powers -= np.repeat(starts, sizes)
+    if units == len(qs):
+        terms = 1.0 / powers
+    else:
+        terms = powers * log_q
+        np.exp(terms, out=terms)
+        if r == 2:
+            np.negative(terms, out=terms)
+        else:
+            den = 1.0 - terms
+            terms *= rest
+            if units:  # beside q < 1, x (1-q)/(1-x) is 0/0 at q = 1: take 1-x as 1, then 1/p
+                den[den == 0.0] = 1.0
+                terms /= den
+                for start, size in itertools.compress(zip(starts, sizes), [q == 1.0 for q in qs]):
+                    np.divide(1.0, powers[start:start + size], out=terms[start:start + size])
+            else:
+                terms /= den
+    np.log1p(terms, out=terms)
+    terms *= mult
+    sums = [exact_sum(terms)] if lone else exact_sums(terms, sizes)
+    return sums if r == 3 else [-total for total in sums]
+
+
+def log_z_macmahon(shape: BoxShape, q: float) -> float:
+    """ln Z for the finite box via the triple product formula, q in (0, 1]:
+    the one-box case of _uniform_log_z, so the cost is O(m+n+k) instead of
+    O(mnk).  A box with m+n+k above MAX_PRODUCT_TERMS is rejected before any
+    array exists.
     """
     if not shape.is_finite:
         raise ValueError("log_z_macmahon requires finite k; use log_z_infinite")
     if not (0.0 < q <= 1.0):
         raise ValueError(f"q must be in (0, 1]; got {q}")
-    m, n, k = shape.m, shape.n, shape.k
-    _check_product_terms(m + n + k)
-    numerator = np.bincount((0, m, n, k, m + n, n + k, m + k, m + n + k), _MACMAHON_SIGNS)
-    mult = numerator[:m + n + k - 2].cumsum().cumsum().cumsum()  # index t-3
-    t = np.arange(3, m + n + k + 1, dtype=float)
-    if q == 1.0:
-        terms = np.log1p(1.0 / (t - 2.0))
-    else:
-        q_t2 = np.exp((t - 2.0) * log(q))
-        # ln[(1-q^{t-1})/(1-q^{t-2})] = log1p(q^{t-2}(1-q)/(1-q^{t-2}))
-        terms = np.log1p(q_t2 * (1.0 - q) / (1.0 - q_t2))
-    return exact_sum(mult * terms)
+    _check_product_terms(shape.m + shape.n + shape.k)
+    return _uniform_log_z([(shape.m, shape.n, shape.k)], [q])[0]
 
 
 def log_z_infinite(shape: BoxShape, q: float) -> float:
-    """ln Z for the infinite-height box: -sum_{i,j} ln(1 - q^{i+j-1}).  A box
-    with m+n above MAX_PRODUCT_TERMS is rejected before any array exists."""
+    """ln Z for the infinite-height box, -sum_{i,j} ln(1 - q^{i+j-1}): the
+    one-box case of _uniform_log_z.  A box with m+n above MAX_PRODUCT_TERMS
+    is rejected before any array exists."""
     if shape.is_finite:
         raise ValueError("log_z_infinite requires k = inf")
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must be in (0, 1) for the infinite-height box; got {q}")
-    m, n = shape.m, shape.n
-    _check_product_terms(m + n)
-    s = np.arange(1, m + n, dtype=float)
-    mult = np.minimum(np.minimum(s, m + n - s), min(m, n))
-    return -exact_sum(mult * np.log1p(-np.exp(s * log(q))))
+    _check_product_terms(shape.m + shape.n)
+    return _uniform_log_z([(shape.m, shape.n)], [q])[0]
 
 
 def _sliced_prefix_sums(m: int, n: int, phi: PhiFunction, eps: float):
@@ -229,11 +290,28 @@ CONVENTION_FINITE = "f = -ln(Z)/V"
 CONVENTION_POSITIVE = "f = +ln(Z)/V"
 
 
+def _per_site(shape: BoxShape, log_z: float) -> float:
+    """The free energy per site of ln Z, with the sign of shape's convention."""
+    if shape.is_finite:
+        return -log_z / shape.volume
+    return log_z / shape.volume
+
+
 def free_energy_value(shape: BoxShape, q: float) -> float:
     """Free energy per site from the exact product formulas (uniform weight)."""
     if shape.is_finite:
-        return -log_z_macmahon(shape, q) / shape.volume
-    return log_z_infinite(shape, q) / shape.volume
+        return _per_site(shape, log_z_macmahon(shape, q))
+    return _per_site(shape, log_z_infinite(shape, q))
+
+
+def _uniform_free_energies(meshes: list[tuple[BoxShape, float]]):
+    """free_energy_value at each (box, q) of meshes, from one batch of
+    _uniform_log_z: the same bits as one call each."""
+    if not meshes:
+        return []
+    boxes = [(box.m, box.n, box.k) if box.is_finite else (box.m, box.n) for box, _ in meshes]
+    log_zs = _uniform_log_z(boxes, [q for _, q in meshes])
+    return [_per_site(box, log_z) for (box, _), log_z in zip(meshes, log_zs)]
 
 
 def series_free_energy(scenario: Scenario, eps: float) -> float:
@@ -247,10 +325,11 @@ def series_free_energy(scenario: Scenario, eps: float) -> float:
     sum_{m>n} m^-3 <= chi(n eps)/(2 n^2) is below _SERIES_TERM_TOL, that
     term included; once _SERIES_N_MAX terms are formed without it (no chunk
     runs past that cap), ConvergenceError carries their exact sum.  There
-    the terms take 80 MB and their concatenation as much again, below the
-    192 MiB of a MAX_PRODUCT_TERMS product formula.  numpy's exp and expm1
-    may differ from the C library's by an ulp, so the value lies within 4 ulp
-    of a term-by-term loop over math.exp and math.expm1.
+    the terms take 80 MB and their concatenation as much again, 160 MB in
+    all, against 128 MiB (134 MB) for a MAX_PRODUCT_TERMS product formula.
+    numpy's exp and expm1 may differ from the C library's by an ulp, so the
+    value lies within 4 ulp of a term-by-term loop over math.exp and
+    math.expm1.
     """
     if scenario.kind == "sliced":
         raise ValueError("the series free energy covers the finite and infinite boxes, not sliced")
@@ -343,12 +422,54 @@ class Scenario:
             lattice.append(steps)
         return BoxShape(*lattice)
 
+    def _uniform_mesh(self, eps: float) -> tuple[BoxShape, float]:
+        """The lattice box and q = e^(-eps) of a uniform box at mesh eps.
+        Where q rounds to 1, the infinite-height product has the factor
+        1/(1 - q), so eps is named."""
+        box, q = self.box(eps), math.exp(-eps)
+        if q == 1.0 and not box.is_finite:
+            raise ValueError(f"eps = {eps} is too small for the infinite-height box: "
+                             f"q = e^(-eps) rounds to 1 in floating point, so ln(1 - q) "
+                             f"cannot be formed")
+        return box, q
+
     def free_energy(self, eps: float) -> float:
         """Exact free energy per site at mesh eps (see box)."""
-        box = self.box(eps)
         if self.kind == "sliced":
+            box = self.box(eps)
             return log_z_sliced(box.m, box.n, self.phi, eps) / (box.m * box.n)
-        return free_energy_value(box, math.exp(-eps))
+        return free_energy_value(*self._uniform_mesh(eps))
+
+    def _free_energies(self, meshes):
+        """free_energy(1/t) for each t of the iterable meshes, in order, as a
+        generator.
+
+        Sliced meshes run one at a time.  Uniform meshes are taken in order
+        and checked as they are taken, box and q (_uniform_mesh) and term
+        count, then evaluated in batches of _uniform_free_energies: a batch
+        holds at most _BATCH_TERMS terms, or one mesh with more.  A mesh
+        whose check fails first has the meshes before it evaluated and
+        yielded, then raises, so the first bad mesh's error comes out in
+        grid order, as it would one mesh at a time."""
+        if self.kind == "sliced":
+            for t in meshes:
+                yield self.free_energy(1.0 / t)
+            return
+        batch, terms = [], 0
+        for t in meshes:
+            try:
+                box, q = self._uniform_mesh(1.0 / t)
+                size = box.m + box.n + (box.k if box.is_finite else 0)
+                _check_product_terms(size)
+            except ValueError:
+                yield from _uniform_free_energies(batch)
+                raise
+            if terms + size > _BATCH_TERMS:
+                yield from _uniform_free_energies(batch)
+                batch, terms = [], 0
+            batch.append((box, q))
+            terms += size
+        yield from _uniform_free_energies(batch)
 
     def coefficients(self) -> ExpansionCoefficients:
         """Closed-form f0..f3."""
@@ -469,13 +590,16 @@ def grid_samples(scenario: Scenario, inv_eps_min: int = 2, inv_eps_max: int = 20
 
     The grid's plan (_grid_processes) checks its finest mesh against
     MAX_SLICED_CELLS or MAX_PRODUCT_TERMS before the first sample is
-    computed.  In one process each mesh is evaluated as its sample is built,
-    with no per-mesh list before.  A grid whose meshes' work sums to
-    2 * _SPLIT_WORK or more is split over forked processes on a machine with
-    two or more CPUs.  They pull its meshes from one temporary file and write
-    each value into it as the mesh finishes, the same bits as in one process
-    (see _pulled_free_energies).  Any mesh they did not evaluate is evaluated
-    here, in grid order, so a failing grid raises its first bad mesh's error.
+    computed.  In one process the meshes are evaluated as the samples are
+    built, with no per-mesh list before: a sliced mesh one at a time, uniform
+    meshes in batches of at most _BATCH_TERMS terms (Scenario._free_energies),
+    each mesh's lattice check in grid order and each value the bits of its
+    mesh alone.  A grid whose meshes' work sums to 2 * _SPLIT_WORK or more is
+    split over forked processes on a machine with two or more CPUs.  They
+    pull its meshes from one temporary file, one at a time, and write each
+    value into it as the mesh finishes, the same bits as in one process (see
+    _pulled_free_energies).  Any mesh they did not evaluate is evaluated here,
+    in grid order, so a failing grid raises its first bad mesh's error.
 
     beside, if given, is called once with no arguments in this process
     before it evaluates its first mesh: under a split, once the children
@@ -491,6 +615,7 @@ def grid_samples(scenario: Scenario, inv_eps_min: int = 2, inv_eps_max: int = 20
         values = _pulled_free_energies(scenario, grid, processes, beside)
     elif beside is not None:
         beside()
-    return [FreeEnergySample(inv_eps=t, eps=1.0 / t,
-                             f=scenario.free_energy(1.0 / t) if math.isnan(f) else f)
+    # values is a list, or one NaN repeated, so both zips see the same values
+    fresh = scenario._free_energies(t for t, f in zip(grid, values) if math.isnan(f))
+    return [FreeEnergySample(inv_eps=t, eps=1.0 / t, f=next(fresh) if math.isnan(f) else f)
             for t, f in zip(grid, values)]

@@ -92,6 +92,14 @@ def reference_macmahon(m, n, k, q):
     return fsum(mult * terms)
 
 
+def reference_infinite(m, n, q):
+    """ln Z at infinite height from its terms s = i+j-1, each multiplicity
+    the minimum of s, m, n and m+n-s, summed with math.fsum."""
+    s = np.arange(1, m + n, dtype=float)
+    mult = np.minimum.reduce([s, np.full_like(s, m), np.full_like(s, n), m + n - s])
+    return -fsum(mult * np.log1p(-np.exp(s * math.log(q))))
+
+
 def test_uniform_products_match_their_fsum_expressions():
     # the grouped terms, formed as in log_z_macmahon and log_z_infinite and
     # summed with math.fsum: exact_sum must give the same bits
@@ -102,10 +110,107 @@ def test_uniform_products_match_their_fsum_expressions():
             assert same_bits(log_z_macmahon(BoxShape(m, n, k), q), reference_macmahon(m, n, k, q))
             if q == 1.0:
                 continue
-            s = np.arange(1, m + n, dtype=float)
-            mult = np.minimum.reduce([s, np.full_like(s, m), np.full_like(s, n), m + n - s])
-            want = -fsum(mult * np.log1p(-np.exp(s * math.log(q))))
+            want = reference_infinite(m, n, q)
             assert same_bits(log_z_infinite(BoxShape(m, n, INFINITE), q), want)
+
+
+def reference_free_energy(scenario, eps):
+    """The free energy at mesh eps from reference_macmahon or
+    reference_infinite, with the scenario's sign."""
+    box, q = scenario.box(eps), math.exp(-eps)
+    if box.is_finite:
+        return -reference_macmahon(box.m, box.n, box.k, q) / box.volume
+    return reference_infinite(box.m, box.n, q) / box.volume
+
+
+def batch_spy(monkeypatch):
+    """Record the boxes of every _uniform_log_z call."""
+    batches, kernel = [], partition._uniform_log_z
+
+    def spy(boxes, qs):
+        batches.append(list(boxes))
+        return kernel(boxes, qs)
+
+    monkeypatch.setattr(partition, "_uniform_log_z", spy)
+    return batches
+
+
+BENCHMARK_UNIFORM = (Scenario("finite", 1.0, 1.0, 1.0), Scenario("finite", 3.0, 2.0, 1.0),
+                     Scenario("infinite", 1.0, 1.0), Scenario("infinite", 2.0, 1.0))
+
+
+@pytest.mark.parametrize("scenario", BENCHMARK_UNIFORM, ids=lambda s: f"{s.kind}-{s.a:g},{s.b:g}")
+def test_uniform_grid_meshes_match_the_references(monkeypatch, scenario):
+    # every mesh of a batched grid has the bits of its own reference, and the
+    # batches hold up to _BATCH_TERMS terms, so meshes straddle their boundaries
+    batches = batch_spy(monkeypatch)
+    samples = grid_samples(scenario, 2, 200)
+    assert [s.inv_eps for s in samples] == list(range(2, 201))
+    assert len(batches) > 1 and sum(map(len, batches)) == 199
+    terms = [sum(map(sum, batch)) for batch in batches]
+    assert max(terms) <= partition._BATCH_TERMS
+    # each batch but the last was closed by the first mesh of the next
+    assert all(total + sum(batch[0]) > partition._BATCH_TERMS
+               for total, batch in zip(terms, batches[1:]))
+    for s in samples:
+        assert same_bits(s.f, reference_free_energy(scenario, s.eps))
+        assert same_bits(s.f, scenario.free_energy(s.eps))
+
+
+def test_meshes_above_the_batch_constant_run_alone(monkeypatch):
+    # (3, 2, 1) has 6t terms at 1/eps = t: with a constant of 64, the meshes
+    # from t = 11 on are each a batch of their own
+    monkeypatch.setattr(partition, "_BATCH_TERMS", 64)
+    batches = batch_spy(monkeypatch)
+    scenario = Scenario("finite", 3.0, 2.0, 1.0)
+    samples = grid_samples(scenario, 2, 40)
+    for s in samples:
+        assert same_bits(s.f, reference_free_energy(scenario, s.eps))
+    lone = [batch for batch in batches if sum(map(sum, batch)) > 64]
+    assert [box for [box] in lone] == [(3 * t, 2 * t, t) for t in range(11, 41)]
+    assert sum(map(len, batches)) == 39
+
+
+def test_finite_meshes_at_q_one_beside_meshes_below_it(monkeypatch):
+    # a = 2^-52 is 4 lattice steps at 1/eps = 2^54 +- 10; q = e^(-eps) rounds
+    # to 1 from 2^54 - 1 on, and one batch holds both kinds of mesh
+    side, lo = 2.0**-52, 2**54 - 10
+    scenario = Scenario("finite", side, side, side)
+    batches = batch_spy(monkeypatch)
+    samples = grid_samples(scenario, lo, lo + 20)
+    assert len(batches) == 1
+    units = [math.exp(-s.eps) == 1.0 for s in samples]
+    assert units == [False] * 9 + [True] * 12
+    for s in samples:
+        assert same_bits(s.f, reference_free_energy(scenario, s.eps))
+
+
+def test_an_infinite_box_names_eps_where_q_rounds_to_one():
+    # the same message one mesh at a time and on a grid, at its first such mesh
+    side, lo = 2.0**-52, 2**54 - 10
+    scenario = Scenario("infinite", side, side)
+    message = (f"eps = {1.0 / (2**54 - 1)!r} is too small for the infinite-height box: "
+               f"q = e^(-eps) rounds to 1 in floating point, so ln(1 - q) cannot be formed")
+    with pytest.raises(ValueError) as one:
+        scenario.free_energy(1.0 / (2**54 - 1))
+    assert str(one.value) == message
+    with pytest.raises(ValueError) as grid:
+        grid_samples(scenario, lo, lo + 20)
+    assert str(grid.value) == message
+    assert grid_samples(scenario, lo, 2**54 - 2)[-1].f > 0
+
+
+def test_a_batch_raises_its_first_bad_mesh_before_a_later_check(monkeypatch):
+    # 1/eps = 3 is off the lattice (a/eps = 3001.5), and 1/eps = 2 is already
+    # in the batch: its error, here a nan free energy, comes first
+    scenario = Scenario("infinite", 1000.5, 1000.0)
+    with pytest.raises(ValueError, match=re.escape("a/eps = 3001.5 is not an integer")):
+        grid_samples(scenario, 2, 10)
+    kernel = partition._uniform_log_z
+    monkeypatch.setattr(partition, "_uniform_log_z", lambda boxes, qs: [
+        math.nan if boxes[0] == (2001, 2000) else f for f in kernel(boxes, qs)])
+    with pytest.raises(ValueError, match="free energy must be finite"):
+        grid_samples(scenario, 2, 10)
 
 
 @pytest.mark.parametrize("sides", [*itertools.product((1, 2), repeat=3), (1, 1, 600),

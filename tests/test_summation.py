@@ -319,3 +319,120 @@ def test_sliced_terms_decide_after_one_level(monkeypatch):
         assert sigmas == [splitting_constant(min(m * n, summation._BLOCK), top)] * blocks
         terms = np.log1p(-np.exp(-sliced_log_weight_exponents(m, n, phi, eps)))
         assert same_bits(log_z, -math.fsum(terms.ravel()))
+
+
+def fsum_or_error(xs):
+    """math.fsum(xs), or the type of the exception it raises."""
+    try:
+        return math.fsum(xs)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_segments_match_fsum(segments) -> None:
+    """exact_sums over the segments laid end to end gives math.fsum of each,
+    bit for bit (nan as nan), or raises what fsum raises on the first segment
+    that raises."""
+    values = np.array([x for segment in segments for x in segment], dtype=float)
+    want = [fsum_or_error(segment) for segment in segments]
+    error = next((w for w in want if isinstance(w, type)), None)
+    if error is not None:
+        with pytest.raises(error):
+            summation.exact_sums(values, [len(segment) for segment in segments])
+        return
+    got = summation.exact_sums(values, [len(segment) for segment in segments])
+    assert len(got) == len(want)
+    assert all(same_bits(g, w) or (math.isnan(g) and math.isnan(w)) for g, w in zip(got, want))
+
+
+special_floats = st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 2.0**-1000,
+                                  2.0**950, -2.0**950])
+
+
+@st.composite
+def segments(draw):
+    """One segment: 0 to 600 values around _FSUM_MAX with ties and signed
+    zeros, plain scaled floats, all zeros, or rarely a few specials: inf, nan,
+    tops outside [2^-900, 2^900] and sums that overflow."""
+    kind = draw(st.sampled_from(["around", "around", "plain", "zeros", "empty", "special"]))
+    if kind == "around":
+        return draw(arrays_around_fsum_max())
+    if kind == "plain":
+        return draw(st.lists(scaled_floats, min_size=1, max_size=300))
+    if kind == "zeros":
+        return draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=300))
+    if kind == "empty":
+        return []
+    return draw(st.lists(special_floats | scaled_floats, min_size=1, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(segments(), min_size=1, max_size=6))
+def test_each_segment_matches_fsum_bit_for_bit(parts):
+    assert summation._FSUM_MAX == 256
+    assert_segments_match_fsum(parts)
+
+
+@pytest.mark.parametrize("sizes", [[255, 256, 257], [1, 600, 2], [256] * 5])
+def test_segments_around_fsum_max_are_split_at_once(monkeypatch, sizes):
+    # segments of in-range values go through one _split call over the whole
+    # array, each at its own sigma; a lone segment is exact_sum's
+    rng = np.random.default_rng(sum(sizes))
+    parts = [(rng.standard_normal(k) * np.exp2(rng.integers(-40, 40, k))).tolist() for k in sizes]
+    calls, split = [], summation._split
+
+    def split_spy(x, sigma, p, q, starts=None):
+        calls.append((x.size, None if starts is None else starts.tolist()))
+        return split(x, sigma, p, q, starts)
+
+    monkeypatch.setattr(summation, "_split", split_spy)
+    assert_segments_match_fsum(parts)
+    assert calls == [(sum(sizes), [sum(sizes[:i]) for i in range(len(sizes))])]
+
+
+def fsum_spy(monkeypatch):
+    """Record the size of every array that _fsum sums whole."""
+    sizes, fsum_whole = [], summation._fsum
+
+    def spy(x):
+        sizes.append(x.size)
+        return fsum_whole(x)
+
+    monkeypatch.setattr(summation, "_fsum", spy)
+    return sizes
+
+
+def test_a_tie_falls_back_for_its_segment_only(monkeypatch):
+    # 1 + 2^-53 + 2^-106 lies just above a rounding midpoint, within the bound
+    # of its remainder sum: that segment alone goes to math.fsum
+    fallbacks = fsum_spy(monkeypatch)
+    tie = [1.0, 2.0**-53, 2.0**-106]
+    assert_segments_match_fsum([[0.5] * 300, tie, [3.0, -1.0, 0.25]])
+    assert fallbacks == [3]
+    assert summation.exact_sums(np.array(tie * 2), [3, 3]) == [1.0 + 2.0**-52] * 2
+
+
+@pytest.mark.parametrize("scale", [2.0**-950, 2.0**-901, 2.0**901, 2.0**1000],
+                         ids=["2^-950", "2^-901", "2^901", "2^1000"])
+def test_a_top_out_of_range_sums_each_segment_on_its_own(monkeypatch, scale):
+    # no segment is split with the others; exact_sum splits the 400 values of
+    # the first, and the other two go to math.fsum, one for its top and one
+    # for its size
+    sigmas, fallbacks = level_spy(monkeypatch)
+    rng = np.random.default_rng(9)
+    parts = [rng.uniform(-1.0, 1.0, 400).tolist(), (rng.uniform(-1.0, 1.0, 300) * scale).tolist(),
+             rng.uniform(-1.0, 1.0, 100).tolist()]
+    assert_segments_match_fsum(parts)
+    assert len(sigmas) == 1 and fallbacks == [300, 100]
+
+
+@pytest.mark.parametrize("parts", [
+    [[1.0, 2.0], [], [3.0]],
+    [[0.0] * 300, [-0.0] * 5, [-0.0] * 400, [1.0, -1.0]],
+    [[1.0] * 300, [math.inf, 1.0], [2.0] * 10],
+    [[1.0, math.nan], [1.0] * 300],
+    [[1.0] * 300, [math.inf, -math.inf], [math.nan]],
+    [[1e308, 1e308, -1e308], [1.0]],
+], ids=["empty", "zeros", "inf", "nan", "inf-inf", "overflow"])
+def test_special_segments_follow_fsum(parts):
+    assert_segments_match_fsum(parts)

@@ -124,3 +124,22 @@ def test_tabulated_rejects_range_outside_table():
             phi.check_positive(lo, hi)
     with pytest.raises(ValueError, match="tabulated range"):
         coeffs_sliced(1.0, 3.0, phi)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="integral is a difference of antiderivatives")
+def test_cosine_integral_over_a_short_side_far_out():
+    # sliced_f0's u(a) is integral(b - a, b) over the short side: the difference
+    # of two antiderivatives near 2b/3 keeps only about 16 - log10(b/a) digits,
+    # 4.4e-11 relative here (2.1e-12 at b = 1e4, 1.5e-9 at b = 1e7).  The
+    # sum-to-product form (2a + 2 cos(d + a/2) sin(a/2))/3, d = b - a, is
+    # stable.  Its fix is a change of its own: a stable CosinePhi.integral
+    # moves pinned bits, cosine (1, 3)'s f0 from 0.47220669610174465 to
+    # 0.4722066961017446 and cosine (1, 30)'s f0 too
+    mpmath = pytest.importorskip("mpmath")
+    a, b = 1.0, 1e6
+    with mpmath.workdps(40):
+        d, half = mpmath.mpf(b) - a, mpmath.mpf(a) / 2
+        ref = float((2 * mpmath.mpf(a) + 2 * mpmath.cos(d + half) * mpmath.sin(half)) / 3)
+    got = float(CosinePhi().integral(b - a, b))
+    assert abs(got - ref) <= 1e-13 * abs(ref)

@@ -97,6 +97,17 @@ INVOCATIONS = (
     ("free-energy", "--a", "2", "--b", "3", "--phi", "linear:2,0.5", *_SLICED_GRID, "--out", OUT),
     # 12.06 M product terms in all: a uniform grid split over up to five processes
     ("free-energy", "--a", "300", "--b", "200", "--c", "100", *_SLICED_GRID, "--out", OUT),
+    # 8,340-8,400 terms a mesh, 92 k in all: one process, and each mesh is
+    # above the batch of a grid that evaluates its meshes in batches
+    ("free-energy", "--a", "3", "--b", "2", "--c", "1", "--inv-eps-min", "1390",
+     "--inv-eps-max", "1400"),
+    ("fit", "--scenario", "infinite", "--a", "4", "--b", "1", *_SLICED_GRID, "--json"),
+    # e^(-eps) rounds to 1 at every mesh: the infinite-height box exits 1.
+    # Trees that named "q must be in (0, 1)", a q the user never gave, print
+    # a DIFF (stderr) here, by design; both trees name the same first mesh
+    ("free-energy", "--a", "2e-16", "--b", "2e-16", "--inv-eps", "20000000000000000"),
+    ("fit", "--scenario", "infinite", "--a", "2e-16", "--b", "2e-16",
+     "--inv-eps-min", "20000000000000000", "--inv-eps-max", "20000000000000020"),
     # a lattice box past the product-term cap: exit 1 naming its 3e+300 terms.
     # Trees that still named it "sides too large" print a DIFF (stderr) here,
     # by design
