@@ -135,16 +135,42 @@ def _check_faces(shape: BoxShape, white_id, black_id, partners) -> None:
         raise EmbeddingError(f"Euler check failed: V={v_count}, E={e_count}, internal F={faces}")
 
 
+@dataclass(frozen=True)
+class _BandLayout:
+    """Where each edge of an embedding sits in band storage: kl, ku, the
+    flat index of its entry in the F-ordered ab, whether it is horizontal,
+    and -v, the exponent of q on it, as a float."""
+
+    kl: int
+    ku: int
+    rows: int
+    cols: int
+    flat: np.ndarray
+    horizontal: np.ndarray
+    neg_v: np.ndarray
+
+    def matrix(self, values: np.ndarray) -> BandMatrix:
+        """The band matrix with values on the edges, zeros elsewhere."""
+        ab = np.zeros(self.rows * self.cols)
+        ab[self.flat] = values
+        return BandMatrix(ab.reshape(self.cols, self.rows).T, self.kl, self.ku)
+
+
+def _band_layout(embedding: HexEmbedding) -> _BandLayout:
+    """The band layout of embedding's edges, entry (wi, bi) at ab[kl + ku + wi - bi, bi]."""
+    wi, bi, direction = embedding.edges.T
+    kl, ku = max(int(np.max(wi - bi)), 0), max(int(np.max(bi - wi)), 0)
+    rows = 2 * kl + ku + 1  # kl spare rows on top for the LU's fill
+    return _BandLayout(kl, ku, rows, embedding.size, kl + ku + wi - bi + rows * bi,
+                       direction == HORIZONTAL, -embedding.white[wi, 1].astype(float))
+
+
 def kasteleyn_matrix(embedding: HexEmbedding, q: float) -> BandMatrix:
     """Weighted adjacency matrix, whites by blacks, in band storage; entry
     q^(Re w + Im w) = q^-v on the horizontal edge of the white (u, v), 1 on
     slanted edges, 0 elsewhere."""
-    wi, bi, direction = embedding.edges.T
-    kl, ku = max(int(np.max(wi - bi)), 0), max(int(np.max(bi - wi)), 0)
-    ab = np.zeros((2 * kl + ku + 1, embedding.size), order="F")  # factored in place
-    ab[kl + ku + wi - bi, bi] = np.where(direction == HORIZONTAL,
-                                         q ** -embedding.white[wi, 1].astype(float), 1.0)
-    return BandMatrix(ab, kl, ku)
+    layout = _band_layout(embedding)
+    return layout.matrix(np.where(layout.horizontal, q ** layout.neg_v, 1.0))
 
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -168,8 +194,9 @@ def _flapack():
 
 
 def _log_z_of_q(shape: BoxShape) -> Callable[[float], float]:
-    """ln Z as a function of q in (0, 1], over one embedding of the sorted box:
-    |det K|, normalized by the empty-pile matching weight."""
+    """ln Z as a function of q in (0, 1], over one embedding of the sorted box
+    and its band layout: |det K|, normalized by the empty-pile matching
+    weight.  Each q forms the edge values, fills a zeroed ab and factors it."""
     if shape.is_finite and shape.volume // 2 > MAX_DIMENSION:
         raise ValueError(f"Kasteleyn matrix dimension {shape.volume // 2} exceeds {MAX_DIMENSION}")
     # Z is symmetric in the sides; the ascending order keeps GEPP accurate on
@@ -177,8 +204,9 @@ def _log_z_of_q(shape: BoxShape) -> Callable[[float], float]:
     box = BoxShape(*sorted((shape.m, shape.n, shape.k)))
     embedding = build_embedding(box)  # raises for infinite height
     dgbtrf = _flapack().dgbtrf  # loaded once the box has passed its checks
-    wi, bi, direction = embedding.edges.T
-    horizontal = wi[direction == HORIZONTAL]
+    layout = _band_layout(embedding)
+    wi = embedding.edges[:, 0]
+    horizontal = wi[layout.horizontal]
     half_v = 0.5 * embedding.white[horizontal, 1]
     j0 = box.m * box.n * (box.n - 1) // 2
 
@@ -189,15 +217,15 @@ def _log_z_of_q(shape: BoxShape) -> Callable[[float], float]:
         scale_log = np.zeros(embedding.size)
         scale_log[horizontal] = half_v * log_q
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            mat = kasteleyn_matrix(embedding, q)
-            entries = (mat.kl + mat.ku + wi - bi, bi)
-            mat.ab[entries] *= np.exp(scale_log)[wi]
-        if not np.all(np.isfinite(mat.ab[entries])):
+            values = np.where(layout.horizontal, q ** layout.neg_v, 1.0)
+            values *= np.exp(scale_log)[wi]
+        if not np.all(np.isfinite(values)):
             # K holds q^-v and the row scale q^(v/2), over the whites' v
             v = embedding.white[horizontal, 1]
             power = max(v.max(), -v.min() / 2)
             raise ValueError(f"q = {q!r} is too small for the Kasteleyn matrix of {shape}: "
                              f"q^-{power:g} overflows a float")
+        mat = layout.matrix(values)
         lu, _, info = dgbtrf(mat.ab, mat.kl, mat.ku, overwrite_ab=True)
         pivots = np.abs(lu[mat.kl + mat.ku])
         if info != 0 or not np.all(np.isfinite(pivots)):

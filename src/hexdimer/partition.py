@@ -24,7 +24,7 @@ import numpy as np
 from .asymptotics import (ExpansionCoefficients, _require_sides, coeffs_finite, coeffs_infinite,
                           coeffs_sliced)
 from .errors import ConvergenceError, _shown
-from .shapes import INFINITE, BoxShape
+from .shapes import INFINITE, BoxShape, _is_positive_int
 from .specialfn import chi
 from .summation import exact_sum, exact_sums
 from .weights import PhiFunction
@@ -70,8 +70,9 @@ class FreeEnergySample:
     f: float
 
     def __post_init__(self):
-        if self.inv_eps < 1 or abs(self.eps * self.inv_eps - 1.0) > 1e-9:
-            raise ValueError(f"inconsistent sample: eps={self.eps}, inv_eps={self.inv_eps}")
+        # not "> 1e-9": a nan eps fails every comparison
+        if not (_is_positive_int(self.inv_eps) and abs(self.eps * self.inv_eps - 1.0) <= 1e-9):
+            raise ValueError(f"inconsistent sample: eps={self.eps!r}, inv_eps={self.inv_eps!r}")
         if not math.isfinite(self.f):
             raise ValueError("free energy must be finite")
 
@@ -91,10 +92,12 @@ _SUBSETS = {r: np.array(list(itertools.product((0, 1), repeat=r))).T for r in (2
 _SIGNS = {r: np.where(subsets.sum(axis=0) % 2, -1.0, 1.0) for r, subsets in _SUBSETS.items()}
 
 
-def _uniform_log_z(boxes: list[tuple[int, ...]], qs: list[float]) -> list[float]:
+def _uniform_log_z(boxes: np.ndarray, log_q: np.ndarray, rest: np.ndarray) -> list[float]:
     """ln Z of each box at its q by its product formula, all boxes in one set
-    of numpy passes: finite boxes (m, n, k) with 0 < q <= 1, or boxes (m, n)
-    of infinite height with 0 < q < 1.
+    of numpy passes.  boxes is an int array of rows: finite boxes (m, n, k)
+    with 0 < q <= 1, or boxes (m, n) of infinite height with 0 < q < 1;
+    log_q holds each box's ln q, taken with math, and rest its 1 - q, so
+    q = 1 is ln q = 1 - q = 0.
 
     The boxes are laid end to end, each in sum(sides) + 1 slots.  Slot i of
     a box holds the multiplicity of its grouped factor, the coefficient of
@@ -106,42 +109,35 @@ def _uniform_log_z(boxes: list[tuple[int, ...]], qs: list[float]) -> list[float]
     x = 1, which keeps a factor 1-x^s and so is 0: one cumsum over every box
     starts afresh at each box, and the last r slots of each box are 0.
 
-    Slot i has power p = i+1 and x = q^p = exp(p ln q), ln q taken with math
-    per box.  The finite box groups its factors by t = p+2 = i+j+l,
-    1 <= i, j, l <= m, n, k; each grouped factor (1-q^(t-1))/(1-q^(t-2)) is
-    the single log1p of a positive quantity, x (1-q)/(1-x), stable at both
-    x -> 0 and x -> 1.  At q = 1 it is its limit (t-1)/(t-2), the log1p of
-    1/p, so ln Z is the log of the configuration count.  At infinite height,
-    ln Z = -sum_{i,j} ln(1 - q^(i+j-1)) = -sum mult log1p(-x), s = p =
-    i+j-1.  Every pass but the sum is elementwise, and exact_sums sums each
-    box's terms mult * log1p(.) exactly, so a box's ln Z has the same bits
-    alone or beside others.  A lone box takes its q, ln q and 1-q as they
-    are, many spread theirs over their slots.
+    Slot i has power p = i+1 and x = q^p = exp(p ln q).  The finite box
+    groups its factors by t = p+2 = i+j+l, 1 <= i, j, l <= m, n, k; each
+    grouped factor (1-q^(t-1))/(1-q^(t-2)) is the single log1p of a positive
+    quantity, x (1-q)/(1-x), stable at both x -> 0 and x -> 1.  At q = 1 it
+    is its limit (t-1)/(t-2), the log1p of 1/p, so ln Z is the log of the
+    configuration count.  At infinite height, ln Z = -sum_{i,j} ln(1 -
+    q^(i+j-1)) = -sum mult log1p(-x), s = p = i+j-1.  Every pass but the sum
+    is elementwise, and exact_sums sums each box's terms mult * log1p(.)
+    exactly, so a box's ln Z has the same bits alone or beside others.  A
+    lone box's ln q and 1 - q broadcast over its slots; many spread theirs.
     """
-    r, lone = len(boxes[0]), len(boxes) == 1
-    if lone:
-        slots = sum(boxes[0]) + 1
-        monomials, signs = np.dot(boxes[0], _SUBSETS[r]), _SIGNS[r]
-        q = qs[0]
-        log_q, rest, units = (math.log(q), 1.0 - q, 0) if q < 1.0 else (0.0, 0.0, 1)
-    else:
-        sizes = [sum(box) + 1 for box in boxes]
-        starts = list(itertools.accumulate(sizes, initial=0))
-        slots = starts.pop()
-        monomials = (np.array(boxes) @ _SUBSETS[r] + np.array(starts)[:, None]).ravel()
-        signs = np.tile(_SIGNS[r], len(boxes))
-        log_q = np.repeat([math.log(q) if q < 1.0 else 0.0 for q in qs], sizes)
-        rest = np.repeat([1.0 - q for q in qs], sizes)
-        units = qs.count(1.0)
-    mult = np.bincount(monomials, signs, slots).astype(np.int64)
+    count, r = boxes.shape
+    monomials = boxes @ _SUBSETS[r]
+    sizes = monomials[:, -1] + 1  # the last monomial has degree sum(sides)
+    ends = np.add.accumulate(sizes)
+    starts, slots = ends - sizes, int(ends[-1])
+    monomials += starts[:, None]
+    mult = np.bincount(monomials.ravel(), np.tile(_SIGNS[r], count), slots).astype(np.int64)
     for _ in range(r):
         np.add.accumulate(mult, out=mult)
     powers = np.arange(1.0, slots + 1.0)
-    if not lone:
+    if count > 1:
         powers -= np.repeat(starts, sizes)
-    if units == len(qs):
+    units = rest == 0.0
+    if units.all():
         terms = 1.0 / powers
     else:
+        if count > 1:
+            log_q, rest = np.repeat(log_q, sizes), np.repeat(rest, sizes)
         terms = powers * log_q
         np.exp(terms, out=terms)
         if r == 2:
@@ -149,17 +145,22 @@ def _uniform_log_z(boxes: list[tuple[int, ...]], qs: list[float]) -> list[float]
         else:
             den = 1.0 - terms
             terms *= rest
-            if units:  # beside q < 1, x (1-q)/(1-x) is 0/0 at q = 1: take 1-x as 1, then 1/p
-                den[den == 0.0] = 1.0
-                terms /= den
-                for start, size in itertools.compress(zip(starts, sizes), [q == 1.0 for q in qs]):
-                    np.divide(1.0, powers[start:start + size], out=terms[start:start + size])
+            if units.any():  # beside q < 1, x (1-q)/(1-x) is 0/0 at q = 1: take 1/p there
+                units = np.repeat(units, sizes)
+                np.divide(terms, den, out=terms, where=~units)
+                np.divide(1.0, powers, out=terms, where=units)
             else:
                 terms /= den
     np.log1p(terms, out=terms)
     terms *= mult
-    sums = [exact_sum(terms)] if lone else exact_sums(terms, sizes)
+    sums = exact_sums(terms, sizes)
     return sums if r == 3 else [-total for total in sums]
+
+
+def _product_log_zs(boxes: list[tuple[int, ...]], qs: list[float]) -> list[float]:
+    """_uniform_log_z of each box at its q, ln q and 1 - q taken with math."""
+    return _uniform_log_z(np.array(boxes), np.array([math.log(q) for q in qs]),
+                          1.0 - np.array(qs))
 
 
 def log_z_macmahon(shape: BoxShape, q: float) -> float:
@@ -173,7 +174,7 @@ def log_z_macmahon(shape: BoxShape, q: float) -> float:
     if not (0.0 < q <= 1.0):
         raise ValueError(f"q must be in (0, 1]; got {q}")
     _check_product_terms(shape.m + shape.n + shape.k)
-    return _uniform_log_z([(shape.m, shape.n, shape.k)], [q])[0]
+    return _product_log_zs([(shape.m, shape.n, shape.k)], [q])[0]
 
 
 def log_z_infinite(shape: BoxShape, q: float) -> float:
@@ -185,7 +186,7 @@ def log_z_infinite(shape: BoxShape, q: float) -> float:
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must be in (0, 1) for the infinite-height box; got {q}")
     _check_product_terms(shape.m + shape.n)
-    return _uniform_log_z([(shape.m, shape.n)], [q])[0]
+    return _product_log_zs([(shape.m, shape.n)], [q])[0]
 
 
 def _sliced_prefix_sums(m: int, n: int, phi: PhiFunction, eps: float):
@@ -290,28 +291,11 @@ CONVENTION_FINITE = "f = -ln(Z)/V"
 CONVENTION_POSITIVE = "f = +ln(Z)/V"
 
 
-def _per_site(shape: BoxShape, log_z: float) -> float:
-    """The free energy per site of ln Z, with the sign of shape's convention."""
-    if shape.is_finite:
-        return -log_z / shape.volume
-    return log_z / shape.volume
-
-
 def free_energy_value(shape: BoxShape, q: float) -> float:
     """Free energy per site from the exact product formulas (uniform weight)."""
     if shape.is_finite:
-        return _per_site(shape, log_z_macmahon(shape, q))
-    return _per_site(shape, log_z_infinite(shape, q))
-
-
-def _uniform_free_energies(meshes: list[tuple[BoxShape, float]]):
-    """free_energy_value at each (box, q) of meshes, from one batch of
-    _uniform_log_z: the same bits as one call each."""
-    if not meshes:
-        return []
-    boxes = [(box.m, box.n, box.k) if box.is_finite else (box.m, box.n) for box, _ in meshes]
-    log_zs = _uniform_log_z(boxes, [q for _, q in meshes])
-    return [_per_site(box, log_z) for (box, _), log_z in zip(meshes, log_zs)]
+        return -log_z_macmahon(shape, q) / shape.volume
+    return log_z_infinite(shape, q) / shape.volume
 
 
 def series_free_energy(scenario: Scenario, eps: float) -> float:
@@ -444,32 +428,55 @@ class Scenario:
         """free_energy(1/t) for each t of the iterable meshes, in order, as a
         generator.
 
-        Sliced meshes run one at a time.  Uniform meshes are taken in order
-        and checked as they are taken, box and q (_uniform_mesh) and term
-        count, then evaluated in batches of _uniform_free_energies: a batch
-        holds at most _BATCH_TERMS terms, or one mesh with more.  A mesh
-        whose check fails first has the meshes before it evaluated and
-        yielded, then raises, so the first bad mesh's error comes out in
-        grid order, as it would one mesh at a time."""
+        Sliced meshes run one at a time.  Uniform meshes are planned with
+        numpy, _BATCH_TERMS // 2 of them at a time, the most one batch can
+        hold: eps = 1/t, each side's ratio side/eps, its lattice steps
+        np.rint(ratio) (half to even, as round), the checks of box and
+        _check_product_terms, and the term counts; q = e^(-eps) and ln q are
+        taken per mesh with math, where numpy's exp may move an ulp.  The
+        meshes before the first that fails a check are cut into batches of
+        at most _BATCH_TERMS terms, or one mesh with more, and evaluated by
+        _uniform_log_z; then the failed mesh's own checks raise its error
+        (_uniform_mesh, _check_product_terms), so the first bad mesh's error
+        comes out in grid order, as it would one mesh at a time."""
         if self.kind == "sliced":
             for t in meshes:
                 yield self.free_energy(1.0 / t)
             return
-        batch, terms = [], 0
-        for t in meshes:
-            try:
-                box, q = self._uniform_mesh(1.0 / t)
-                size = box.m + box.n + (box.k if box.is_finite else 0)
-                _check_product_terms(size)
-            except ValueError:
-                yield from _uniform_free_energies(batch)
-                raise
-            if terms + size > _BATCH_TERMS:
-                yield from _uniform_free_energies(batch)
-                batch, terms = [], 0
-            batch.append((box, q))
-            terms += size
-        yield from _uniform_free_energies(batch)
+        finite = self.kind == "finite"
+        sides = np.array([self.a, self.b, self.c] if finite else [self.a, self.b])[:, None]
+        meshes = iter(meshes)
+        while chunk := list(itertools.islice(meshes, _BATCH_TERMS // 2)):
+            eps = 1.0 / np.array(chunk, dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf/nan ratios fail below
+                ratio = sides / eps
+                steps = np.rint(ratio)
+                on_lattice = (np.abs(ratio - steps) <= _LATTICE_TOL) & (steps != 0)
+            terms = steps.sum(axis=0)
+            qs = np.array([math.exp(-e) for e in eps.tolist()])
+            ok = on_lattice.all(axis=0) & (terms <= MAX_PRODUCT_TERMS)
+            if not finite:
+                ok &= qs < 1.0
+            count = len(chunk) if ok.all() else int(ok.argmin())
+            boxes = steps[:, :count].T.astype(np.int64)
+            log_q = np.array([math.log(q) for q in qs[:count].tolist()])
+            m, n = boxes[:, 0], boxes[:, 1]
+            volumes = 2 * (m * n + n * boxes[:, 2] + m * boxes[:, 2]) if finite else m * n
+            ends = np.cumsum(terms[:count])
+            start = 0
+            while start < count:
+                top = ends[start - 1] + _BATCH_TERMS if start else _BATCH_TERMS
+                end = max(int(np.searchsorted(ends, top, "right")), start + 1)
+                log_z = np.array(_uniform_log_z(boxes[start:end], log_q[start:end],
+                                                1.0 - qs[start:end]))
+                if finite:  # f = -ln Z / V
+                    np.negative(log_z, out=log_z)
+                yield from (log_z / volumes[start:end]).tolist()
+                start = end
+            if count < len(chunk):  # the first bad mesh: its own checks raise its error
+                box, _ = self._uniform_mesh(1.0 / chunk[count])
+                _check_product_terms(box.m + box.n + (box.k if finite else 0))
+                raise AssertionError(f"1/eps = {chunk[count]} failed the grid's checks alone")
 
     def coefficients(self) -> ExpansionCoefficients:
         """Closed-form f0..f3."""

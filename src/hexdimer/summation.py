@@ -26,7 +26,8 @@ def _fsum(x: np.ndarray) -> float:
 
 def _split(x: np.ndarray, sigma, p: np.ndarray, q: np.ndarray, starts=None):
     """Split x at sigma; return its level sum and its remainders' float sum,
-    or, given the segments' starts (and sigma per value), both per segment.
+    or, given the segments' starts (and sigma per value), both per segment as
+    arrays.
 
     Error-free splitting of Rump, Ogita and Oishi ("ExtractVector", Accurate
     floating-point summation, Part I, SIAM J. Sci. Comput. 31(1), 2008): with
@@ -41,7 +42,7 @@ def _split(x: np.ndarray, sigma, p: np.ndarray, q: np.ndarray, starts=None):
     np.subtract(x, q, out=p)
     if starts is None:
         return float(q.sum()), float(p.sum())
-    return np.add.reduceat(q, starts).tolist(), np.add.reduceat(p, starts).tolist()
+    return np.add.reduceat(q, starts), np.add.reduceat(p, starts)
 
 
 def _certified(sums: list[float], bound: float) -> float | None:
@@ -100,8 +101,12 @@ def exact_sums(values, sizes) -> list[float]:
     [2^-900, 2^900] and no segment is empty, the whole array is split in one
     _split pass, each segment at the sigma that its own size k and top give,
     so its level sum is exact and its remainder sum off by at most
-    (k u)^2 sigma; B, that rounded up, decides each segment through
-    _certified, and a segment it leaves undecided is summed by math.fsum.
+    (k u)^2 sigma, rounded up to B.  Every segment is then decided at once:
+    s = level + rest, with e its error by Knuth's TwoSum, so level + rest =
+    s + e exactly and the segment's sum lies within |e| + B of s.  Where
+    that is below half the gap from |s| down to the next float, s is the
+    nearest float to the sum, and no tie; a segment it leaves undecided (a
+    sum near a rounding boundary, or s = 0) is summed by math.fsum.
     Any other case (an empty or all-zero segment, a tiny or huge top, an inf
     or a nan) sums each segment with exact_sum in turn, so each value, or the
     first error, is math.fsum's.  The input is never written.
@@ -111,7 +116,7 @@ def exact_sums(values, sizes) -> list[float]:
     x = np.asarray(values, dtype=float).ravel()
     sizes = np.asarray(sizes, dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
-    spans = list(zip(starts.tolist(), sizes.tolist()))
+    spans = zip(starts.tolist(), sizes.tolist())
     if sizes.all():
         top = np.maximum(np.maximum.reduceat(x, starts), -np.minimum.reduceat(x, starts))
         if ((top >= _TINY) & (top <= _HUGE)).all():  # nan fails both
@@ -119,8 +124,15 @@ def exact_sums(values, sizes) -> list[float]:
             levels, rests = _split(x, np.repeat(sigma, sizes), np.empty(x.size),
                                    np.empty(x.size), starts)
             # (k u)^2 sigma per segment; nextafter covers the int product's rounding to float
-            bounds = np.nextafter(sizes * sizes * _U * _U * sigma, math.inf).tolist()
-            totals = map(_certified, map(list, zip(levels, rests)), bounds)
-            return [_fsum(x[s:s + k]) if total is None else total
-                    for total, (s, k) in zip(totals, spans)]
+            bounds = np.nextafter(sizes * sizes * _U * _U * sigma, math.inf)
+            totals = levels + rests
+            back = totals - levels
+            errors = (levels - (totals - back)) + (rests - back)
+            # nextafter covers the rounding of |e| + B; halving the gap is exact
+            # unless it is subnormal, where it only makes the test stricter
+            magnitudes = np.abs(totals)
+            decided = np.nextafter(np.abs(errors) + bounds, math.inf) \
+                < (magnitudes - np.nextafter(magnitudes, 0.0)) / 2
+            return [total if ok else _fsum(x[s:s + k])
+                    for total, ok, (s, k) in zip(totals.tolist(), decided.tolist(), spans)]
     return [exact_sum(x[s:s + k]) for s, k in spans]

@@ -372,10 +372,14 @@ def test_verify_passes(capsys):
 
 def test_verify_walks_and_embeds_each_box_once(monkeypatch):
     # the 27 boxes are evaluated at three q each, over one histogram and one
-    # embedding per box; the rows are those of the public oracles per (box, q)
+    # embedding per box, their MacMahon ln Z in one batch of 81; the rows are
+    # those of the public oracles per (box, q)
     import hexdimer.cli as cli
 
     calls = {"energy_histogram": 0, "build_embedding": 0}
+    batches, kernel = [], partition._uniform_log_z
+    monkeypatch.setattr(partition, "_uniform_log_z", lambda boxes, log_q, rest: (
+        batches.append(len(boxes)) or kernel(boxes, log_q, rest)))
 
     def spy(module, name):
         original = getattr(module, name)
@@ -391,6 +395,7 @@ def test_verify_walks_and_embeds_each_box_once(monkeypatch):
     rows = [row for row in cli._verify_suites()
             if row[0] in ("enumeration-vs-macmahon", "kasteleyn-vs-enumeration")]
     assert 0 < calls["energy_histogram"] <= 27 and 0 < calls["build_embedding"] <= 27, calls
+    assert batches[0] == 81
     monkeypatch.undo()
 
     expected = []

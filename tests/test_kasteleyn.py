@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -23,7 +24,7 @@ from hexdimer import (
 from hexdimer import kasteleyn
 from hexdimer.kasteleyn import HORIZONTAL
 
-from _reference import boxed_plane_partition_count
+from _reference import boxed_plane_partition_count, same_bits
 
 
 def test_unit_hexagon_structure():
@@ -137,6 +138,49 @@ def test_dimension_guard_boundary():
     assert abs(log_z_kasteleyn(shape, 0.9) - log_z_macmahon(shape, 0.9)) <= 1e-9
     with pytest.raises(ValueError, match="2028"):
         log_z_kasteleyn(BoxShape(26, 26, 26), 0.9)
+
+
+def reference_log_z_kasteleyn(shape, q):
+    """ln Z from a band matrix filled entry by entry at (kl + ku + wi - bi, bi),
+    each entry q^-v or 1 times its row scale e^(v ln(q) / 2), then factored
+    by dgbtrf: the construction with no layout kept between q."""
+    box = BoxShape(*sorted((shape.m, shape.n, shape.k)))
+    emb = build_embedding(box)
+    wi, bi, direction = emb.edges.T
+    kl, ku = max(int(np.max(wi - bi)), 0), max(int(np.max(bi - wi)), 0)
+    log_q = math.log(q) if q < 1.0 else 0.0
+    horizontal = wi[direction == HORIZONTAL]
+    scale_log = np.zeros(emb.size)
+    scale_log[horizontal] = 0.5 * emb.white[horizontal, 1] * log_q
+    ab = np.zeros((2 * kl + ku + 1, emb.size), order="F")
+    entries = (kl + ku + wi - bi, bi)
+    ab[entries] = np.where(direction == HORIZONTAL, q ** -emb.white[wi, 1].astype(float), 1.0)
+    ab[entries] *= np.exp(scale_log)[wi]
+    lu, _, info = kasteleyn._flapack().dgbtrf(ab, kl, ku, overwrite_ab=True)
+    assert info == 0
+    j0 = box.m * box.n * (box.n - 1) // 2
+    return float(np.sum(np.log(np.abs(lu[kl + ku])))) - float(np.sum(scale_log)) + j0 * log_q
+
+
+def assert_layout_keeps_the_bits(shape, qs):
+    """One layout evaluated at each q in turn gives the bits of a fresh
+    log_z_kasteleyn call and of the entry-by-entry reference."""
+    log_z = kasteleyn._log_z_of_q(shape)
+    for q in qs:
+        got = log_z(q)
+        assert same_bits(got, log_z_kasteleyn(shape, q)), (shape, q)
+        assert same_bits(got, reference_log_z_kasteleyn(shape, q)), (shape, q)
+
+
+def test_verify_boxes_keep_their_bits_over_one_layout():
+    for sides in itertools.product((1, 2, 3), repeat=3):
+        assert_layout_keeps_the_bits(BoxShape(*sides), (0.3, 0.5, 0.9))
+
+
+@pytest.mark.parametrize("side", [8, 16, 24])
+def test_cubes_keep_their_bits_over_one_layout(side):
+    qs = [0.5, 0.95, *np.random.default_rng(side).uniform(0.5, 0.95, 3).tolist()]
+    assert_layout_keeps_the_bits(BoxShape(side, side, side), qs)
 
 
 @pytest.mark.parametrize("side", [8, 16, 24])

@@ -127,9 +127,9 @@ def batch_spy(monkeypatch):
     """Record the boxes of every _uniform_log_z call."""
     batches, kernel = [], partition._uniform_log_z
 
-    def spy(boxes, qs):
-        batches.append(list(boxes))
-        return kernel(boxes, qs)
+    def spy(boxes, log_q, rest):
+        batches.append([tuple(box) for box in boxes.tolist()])
+        return kernel(boxes, log_q, rest)
 
     monkeypatch.setattr(partition, "_uniform_log_z", spy)
     return batches
@@ -207,10 +207,64 @@ def test_a_batch_raises_its_first_bad_mesh_before_a_later_check(monkeypatch):
     with pytest.raises(ValueError, match=re.escape("a/eps = 3001.5 is not an integer")):
         grid_samples(scenario, 2, 10)
     kernel = partition._uniform_log_z
-    monkeypatch.setattr(partition, "_uniform_log_z", lambda boxes, qs: [
-        math.nan if boxes[0] == (2001, 2000) else f for f in kernel(boxes, qs)])
+    monkeypatch.setattr(partition, "_uniform_log_z", lambda boxes, log_q, rest: [
+        math.nan if tuple(boxes[0]) == (2001, 2000) else f for f in kernel(boxes, log_q, rest)])
     with pytest.raises(ValueError, match="free energy must be finite"):
         grid_samples(scenario, 2, 10)
+
+
+PLANNED = (Scenario("finite", 1.0, 2.0, 3.0), Scenario("finite", 20.0, 10.0, 15.0),
+           Scenario("infinite", 4.0, 1.0), Scenario("infinite", 1.0, 30.0))
+
+
+@pytest.mark.parametrize("batch_terms", [partition._BATCH_TERMS, 64])
+@pytest.mark.parametrize("scenario", PLANNED, ids=lambda s: f"{s.kind}-{s.a:g},{s.b:g},{s.c:g}")
+def test_the_planned_grid_is_free_energy_mesh_by_mesh(monkeypatch, scenario, batch_terms):
+    # a grid is planned _BATCH_TERMS // 2 meshes at a time and cut into
+    # batches of at most _BATCH_TERMS terms: with 64, a plan holds 32 meshes,
+    # so both kinds of edge fall inside 2..200.  (20, 10, 15) has 45t terms,
+    # above 2^13 from 1/eps = 183 on
+    monkeypatch.setattr(partition, "_BATCH_TERMS", batch_terms)
+    batches = batch_spy(monkeypatch)
+    samples = grid_samples(scenario, 2, 200)
+    assert len(batches) > 1 and sum(map(len, batches)) == 199
+    # each mesh above the constant is a batch of its own
+    above = [batch for batch in batches if sum(map(sum, batch)) > batch_terms]
+    assert [box for [box] in above] == [box for batch in batches for box in batch
+                                        if sum(box) > batch_terms]
+    assert [s.inv_eps for s in samples] == list(range(2, 201))
+    for s in samples:
+        assert same_bits(s.f, scenario.free_energy(s.eps)), s.inv_eps
+
+
+def test_a_batch_takes_meshes_up_to_exactly_the_batch_constant(monkeypatch):
+    # (1, 1) has 2t terms at 1/eps = t: 4 + ... + 14 = 54 and 16 + 18 + 20 = 54
+    monkeypatch.setattr(partition, "_BATCH_TERMS", 54)
+    batches = batch_spy(monkeypatch)
+    grid_samples(Scenario("infinite", 1.0, 1.0), 2, 12)
+    assert [[m for m, _ in batch] for batch in batches] == [[2, 3, 4, 5, 6, 7], [8, 9, 10],
+                                                            [11, 12]]
+
+
+VERIFY_BOXES = tuple(itertools.product((1, 2, 3), repeat=3))
+
+
+def test_batched_products_are_the_lone_products():
+    # verify's 27 boxes at its three q, and cubes at q in [0.5, 0.95] beside
+    # q = 1, alone and in one batch: each ln Z has the bits of one call
+    rng = np.random.default_rng(34)
+    cube_qs = [0.5, 0.95, 1.0, *rng.uniform(0.5, 0.95, 5).tolist()]
+    finite = [*itertools.product(VERIFY_BOXES, (0.3, 0.5, 0.9)),
+              *itertools.product([(8, 8, 8), (16, 16, 16), (24, 24, 24)], cube_qs)]
+    for batch in (finite[:81], finite[81:], finite):
+        boxes, qs = zip(*batch)
+        for box, q, log_z in zip(boxes, qs, partition._product_log_zs(boxes, qs)):
+            assert same_bits(log_z, log_z_macmahon(BoxShape(*box), q)), (box, q)
+            assert same_bits(log_z, reference_macmahon(*box, q)), (box, q)
+    boxes, qs = zip(*itertools.product([(1, 1), (3, 2), (24, 8)], (0.3, 0.5, 0.9, 0.95)))
+    for box, q, log_z in zip(boxes, qs, partition._product_log_zs(boxes, qs)):
+        assert same_bits(log_z, log_z_infinite(BoxShape(*box, INFINITE), q)), (box, q)
+        assert same_bits(log_z, reference_infinite(*box, q)), (box, q)
 
 
 @pytest.mark.parametrize("sides", [*itertools.product((1, 2), repeat=3), (1, 1, 600),
@@ -607,6 +661,12 @@ def test_sliced_rejects_bad_sides_and_mesh():
 def test_free_energy_sample_rejects_inconsistent_mesh_and_nonfinite_f():
     for inv_eps, eps in ((2, 0.3), (0, 1.0), (4, 0.25 * (1 + 1e-8))):
         with pytest.raises(ValueError, match="inconsistent sample"):
+            FreeEnergySample(inv_eps, eps, 1.0)
+    # a nan eps, a float t and a bool t are each named, as BoxShape names a bad side
+    for inv_eps, eps, shown in ((4, math.nan, "eps=nan, inv_eps=4"),
+                                (2.5, 0.4, "eps=0.4, inv_eps=2.5"),
+                                (True, 1.0, "eps=1.0, inv_eps=True")):
+        with pytest.raises(ValueError, match=re.escape(f"inconsistent sample: {shown}")):
             FreeEnergySample(inv_eps, eps, 1.0)
     for f in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="free energy must be finite"):

@@ -373,6 +373,58 @@ def test_each_segment_matches_fsum_bit_for_bit(parts):
     assert_segments_match_fsum(parts)
 
 
+@st.composite
+def tight_segments(draw):
+    """One segment whose sum sits where deciding it from its level and
+    remainder sums is tight, at a scale 2^e: reaching 2^e from below, where
+    the ulp halves, a few quarter-ulps either side; on or just off a midpoint
+    between floats; exactly zero; one value; mixed signs; or with its top
+    near 2^900 or 2^-900.  Cancelling pairs (x, -x), shuffled in, lengthen a
+    segment and mix its signs without moving its sum."""
+    kind = draw(st.sampled_from(["power", "midpoint", "zero", "one", "mixed", "far"]))
+    e = draw(st.integers(-40, 40))
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    if kind == "one":
+        return [math.ldexp(draw(unit), e)]
+    if kind == "far":
+        scale = math.ldexp(1.0, draw(st.sampled_from([-900, 900])) + draw(st.integers(-2, 2)))
+        return [scale * x for x in draw(st.lists(unit, min_size=1, max_size=100))]
+    tiny = draw(st.sampled_from([0.0, 1.0, -1.0])) * math.ldexp(1.0, e - 110)
+    if kind == "power":  # 2^(e-1) + ... + 2^(e-k) + 2^(e-k) = 2^e, then d quarter-ulps below it
+        k, d = draw(st.integers(1, 60)), draw(st.integers(-3, 3))
+        values = [math.ldexp(1.0, e - j) for j in range(1, k + 1)]
+        values += [math.ldexp(1.0, e - k), -d * math.ldexp(1.0, e - 55), tiny]
+    elif kind == "midpoint":  # a and the midpoint above it, half an ulp of a
+        a = math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), e)
+        values = [a, math.ulp(a) / 2, tiny]
+    elif kind == "mixed":
+        values = draw(st.lists(scaled_floats, min_size=1, max_size=100))
+    else:  # zero
+        values = [math.ldexp(1.0, e), -math.ldexp(1.0, e)]
+    pairs = draw(st.lists(st.builds(math.ldexp, unit, st.integers(e - 60, e + 2)), max_size=60))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return [sign * x for x in draw(st.permutations(values + pairs + [-x for x in pairs]))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(tight_segments(), min_size=2, max_size=5))
+def test_segments_decided_at_once_match_fsum_bit_for_bit(parts):
+    assert_segments_match_fsum(parts)
+
+
+@pytest.mark.parametrize("e", [-900 + 60, -7, 0, 5, 900 - 60])
+@pytest.mark.parametrize("quarters", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 3, 55])
+def test_a_sum_just_below_a_power_of_two_is_decided_by_the_gap_below(e, quarters, k):
+    # 2^e less 1, 2 or 3 quarters of the gap below it, 2^(e-53), less
+    # 2^(e-110).  At two quarters the float sum of level and remainders is
+    # the midpoint, rounded to 2^e, while the sum rounds down: only a check
+    # against the gap below 2^e, half the gap above, leaves it undecided
+    parts = [math.ldexp(1.0, e - j) for j in range(1, k + 1)]
+    parts += [math.ldexp(1.0, e - k), -quarters * math.ldexp(1.0, e - 55), -math.ldexp(1.0, e - 110)]
+    assert_segments_match_fsum([parts, [1.0, 2.0], [-x for x in parts]])
+
+
 @pytest.mark.parametrize("sizes", [[255, 256, 257], [1, 600, 2], [256] * 5])
 def test_segments_around_fsum_max_are_split_at_once(monkeypatch, sizes):
     # segments of in-range values go through one _split call over the whole

@@ -114,6 +114,12 @@ INVOCATIONS = (
     ("free-energy", "--M", _HUGE, "--N", _HUGE, "--K", _HUGE, "--q", "0.5"),
     # off the lattice at 1/eps = 3: the grid stays in one process and fails there
     ("free-energy", "--a", "1000.5", "--b", "1000", *_SLICED_GRID),
+    # off the lattice at 1/eps = 100 (c/eps, then b/eps, is 100.000000001),
+    # in the second batch of a grid whose first batch has been evaluated:
+    # exit 1 naming that mesh
+    ("fit", "--scenario", "finite", "--a", "1", "--b", "1", "--c", "1.00000000001",
+     *_SLICED_GRID),
+    ("free-energy", "--a", "2", "--b", "1.00000000001", *_SLICED_GRID),
     # 1e+07 product terms at 1/eps = 10 are named before any mesh runs, though
     # 1/eps = 3 is off the lattice
     ("free-energy", "--a", "0.5", "--b", "1", "--c", "1e6", "--inv-eps-min", "2",
