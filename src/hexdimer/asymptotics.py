@@ -301,7 +301,7 @@ def _sliced_pieces(a: float, b: float, phi: PhiFunction) -> tuple[float, float, 
         # + s eps^2 (phi'(d+sx) - phi'(d))/12, subtracted inside the integrand
         # so the O(x^2) cancellation near 0 is kept; lam_a = lam_jet(nn, x)
         t = d + sgn * x
-        e_r = _jet_exp(-nn * sgn * (phi.antiderivative(t) - phi.antiderivative(d)),
+        e_r = _jet_exp(-nn * sgn * phi.integral(d, t),
                        -nn * 0.5 * (phi(t) - eta), -nn * sgn * (phi.d1(t) - p1) / 12.0)
         v, w, z = lam_a
         return (e_r[0] - v, e_r[1] - w if sgn > 0 else e_r[1] + w, e_r[2] - z)
@@ -340,7 +340,7 @@ def _sliced_pieces(a: float, b: float, phi: PhiFunction) -> tuple[float, float, 
         for length, sgn in sides:
             end = psi(n, length, sgn, lam_jet(n, length))
             t_end = d + sgn * length
-            r_end = sgn * float(phi.antiderivative(t_end) - phi.antiderivative(d))
+            r_end = sgn * float(phi.integral(d, t_end))
             dpsi_end = n * (eta * np.exp(-n * length * eta)
                             - float(phi(t_end)) * np.exp(-n * r_end))
             o = out[sgn]

@@ -22,7 +22,7 @@ from .errors import HexdimerError
 from .fitting import BASIS_NAMES, fit
 from .kasteleyn import _log_z_of_q
 from .partition import (CONVENTION_FINITE, CONVENTION_POSITIVE, SCENARIO_KINDS, Scenario,
-                        _product_log_zs, free_energy_value, grid_samples, log_z_infinite,
+                        _uniform_log_z, free_energy_value, grid_samples, log_z_infinite,
                         log_z_macmahon, log_z_sliced, series_free_energy)
 from .shapes import INFINITE, BoxShape
 from .specialfn import universal_constant_detail
@@ -340,7 +340,7 @@ def _verify_suites():
     """Yield (suite, case, passed, detail) rows."""
     # every box's MacMahon ln Z at every q in one batch, the bits of log_z_macmahon
     boxes, qs = zip(*itertools.product(_VERIFY_BOXES, _VERIFY_QS))
-    mac_log_z = iter(_product_log_zs(boxes, qs))
+    mac_log_z = iter(_uniform_log_z(boxes, qs))
     for m, n, k in _VERIFY_BOXES:
         shape = BoxShape(m, n, k)
         # one walk and one embedding serve the three q

@@ -92,12 +92,12 @@ _SUBSETS = {r: np.array(list(itertools.product((0, 1), repeat=r))).T for r in (2
 _SIGNS = {r: np.where(subsets.sum(axis=0) % 2, -1.0, 1.0) for r, subsets in _SUBSETS.items()}
 
 
-def _uniform_log_z(boxes: np.ndarray, log_q: np.ndarray, rest: np.ndarray) -> list[float]:
+def _uniform_log_z(boxes, qs) -> list[float]:
     """ln Z of each box at its q by its product formula, all boxes in one set
-    of numpy passes.  boxes is an int array of rows: finite boxes (m, n, k)
-    with 0 < q <= 1, or boxes (m, n) of infinite height with 0 < q < 1;
-    log_q holds each box's ln q, taken with math, and rest its 1 - q, so
-    q = 1 is ln q = 1 - q = 0.
+    of numpy passes.  boxes holds integer rows (an array or tuples): finite
+    boxes (m, n, k) with 0 < q <= 1, or boxes (m, n) of infinite height with
+    0 < q < 1, each at its q in qs.  ln q is taken with math.log, where
+    numpy's log may move an ulp, and rest = 1 - q, so q = 1 is ln q = rest = 0.
 
     The boxes are laid end to end, each in sum(sides) + 1 slots.  Slot i of
     a box holds the multiplicity of its grouped factor, the coefficient of
@@ -120,6 +120,8 @@ def _uniform_log_z(boxes: np.ndarray, log_q: np.ndarray, rest: np.ndarray) -> li
     exactly, so a box's ln Z has the same bits alone or beside others.  A
     lone box's ln q and 1 - q broadcast over its slots; many spread theirs.
     """
+    boxes, qs = np.asarray(boxes), np.asarray(qs)
+    log_q, rest = np.array([math.log(q) for q in qs.tolist()]), 1.0 - qs
     count, r = boxes.shape
     monomials = boxes @ _SUBSETS[r]
     sizes = monomials[:, -1] + 1  # the last monomial has degree sum(sides)
@@ -157,36 +159,30 @@ def _uniform_log_z(boxes: np.ndarray, log_q: np.ndarray, rest: np.ndarray) -> li
     return sums if r == 3 else [-total for total in sums]
 
 
-def _product_log_zs(boxes: list[tuple[int, ...]], qs: list[float]) -> list[float]:
-    """_uniform_log_z of each box at its q, ln q and 1 - q taken with math."""
-    return _uniform_log_z(np.array(boxes), np.array([math.log(q) for q in qs]),
-                          1.0 - np.array(qs))
-
-
 def log_z_macmahon(shape: BoxShape, q: float) -> float:
     """ln Z for the finite box via the triple product formula, q in (0, 1]:
-    the one-box case of _uniform_log_z, so the cost is O(m+n+k) instead of
-    O(mnk).  A box with m+n+k above MAX_PRODUCT_TERMS is rejected before any
-    array exists.
+    _uniform_log_z of the one box at q, so the cost is O(m+n+k) instead of
+    O(mnk) and the value has the bits of the box in any batch.  A box with
+    m+n+k above MAX_PRODUCT_TERMS is rejected before any array exists.
     """
     if not shape.is_finite:
         raise ValueError("log_z_macmahon requires finite k; use log_z_infinite")
     if not (0.0 < q <= 1.0):
         raise ValueError(f"q must be in (0, 1]; got {q}")
     _check_product_terms(shape.m + shape.n + shape.k)
-    return _product_log_zs([(shape.m, shape.n, shape.k)], [q])[0]
+    return _uniform_log_z([(shape.m, shape.n, shape.k)], [q])[0]
 
 
 def log_z_infinite(shape: BoxShape, q: float) -> float:
     """ln Z for the infinite-height box, -sum_{i,j} ln(1 - q^{i+j-1}): the
-    one-box case of _uniform_log_z.  A box with m+n above MAX_PRODUCT_TERMS
-    is rejected before any array exists."""
+    one-box case of _uniform_log_z, with its bits in any batch.  A box with
+    m+n above MAX_PRODUCT_TERMS is rejected before any array exists."""
     if shape.is_finite:
         raise ValueError("log_z_infinite requires k = inf")
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must be in (0, 1) for the infinite-height box; got {q}")
     _check_product_terms(shape.m + shape.n)
-    return _product_log_zs([(shape.m, shape.n)], [q])[0]
+    return _uniform_log_z([(shape.m, shape.n)], [q])[0]
 
 
 def _sliced_prefix_sums(m: int, n: int, phi: PhiFunction, eps: float):
@@ -406,23 +402,19 @@ class Scenario:
             lattice.append(steps)
         return BoxShape(*lattice)
 
-    def _uniform_mesh(self, eps: float) -> tuple[BoxShape, float]:
-        """The lattice box and q = e^(-eps) of a uniform box at mesh eps.
-        Where q rounds to 1, the infinite-height product has the factor
-        1/(1 - q), so eps is named."""
-        box, q = self.box(eps), math.exp(-eps)
+    def free_energy(self, eps: float) -> float:
+        """Exact free energy per site at mesh eps (see box).  Where q = e^(-eps)
+        rounds to 1, the infinite-height product has the factor 1/(1 - q), so
+        eps is named."""
+        box = self.box(eps)
+        if self.kind == "sliced":
+            return log_z_sliced(box.m, box.n, self.phi, eps) / (box.m * box.n)
+        q = math.exp(-eps)
         if q == 1.0 and not box.is_finite:
             raise ValueError(f"eps = {eps} is too small for the infinite-height box: "
                              f"q = e^(-eps) rounds to 1 in floating point, so ln(1 - q) "
                              f"cannot be formed")
-        return box, q
-
-    def free_energy(self, eps: float) -> float:
-        """Exact free energy per site at mesh eps (see box)."""
-        if self.kind == "sliced":
-            box = self.box(eps)
-            return log_z_sliced(box.m, box.n, self.phi, eps) / (box.m * box.n)
-        return free_energy_value(*self._uniform_mesh(eps))
+        return free_energy_value(box, q)
 
     def _free_energies(self, meshes):
         """free_energy(1/t) for each t of the iterable meshes, in order, as a
@@ -431,14 +423,14 @@ class Scenario:
         Sliced meshes run one at a time.  Uniform meshes are planned with
         numpy, _BATCH_TERMS // 2 of them at a time, the most one batch can
         hold: eps = 1/t, each side's ratio side/eps, its lattice steps
-        np.rint(ratio) (half to even, as round), the checks of box and
-        _check_product_terms, and the term counts; q = e^(-eps) and ln q are
-        taken per mesh with math, where numpy's exp may move an ulp.  The
-        meshes before the first that fails a check are cut into batches of
-        at most _BATCH_TERMS terms, or one mesh with more, and evaluated by
-        _uniform_log_z; then the failed mesh's own checks raise its error
-        (_uniform_mesh, _check_product_terms), so the first bad mesh's error
-        comes out in grid order, as it would one mesh at a time."""
+        np.rint(ratio) (half to even, as round), the checks of box,
+        free_energy and _check_product_terms, and the term counts; q =
+        e^(-eps) is taken per mesh with math, where numpy's exp may move an
+        ulp.  The meshes before the first that fails a check are cut into
+        batches of at most _BATCH_TERMS terms, or one mesh with more, and
+        evaluated by _uniform_log_z.  Then the failed mesh is evaluated alone
+        by free_energy, which raises its error, so the first bad mesh's error
+        comes out in grid order, worded as one mesh at a time words it."""
         if self.kind == "sliced":
             for t in meshes:
                 yield self.free_energy(1.0 / t)
@@ -459,7 +451,6 @@ class Scenario:
                 ok &= qs < 1.0
             count = len(chunk) if ok.all() else int(ok.argmin())
             boxes = steps[:, :count].T.astype(np.int64)
-            log_q = np.array([math.log(q) for q in qs[:count].tolist()])
             m, n = boxes[:, 0], boxes[:, 1]
             volumes = 2 * (m * n + n * boxes[:, 2] + m * boxes[:, 2]) if finite else m * n
             ends = np.cumsum(terms[:count])
@@ -467,15 +458,13 @@ class Scenario:
             while start < count:
                 top = ends[start - 1] + _BATCH_TERMS if start else _BATCH_TERMS
                 end = max(int(np.searchsorted(ends, top, "right")), start + 1)
-                log_z = np.array(_uniform_log_z(boxes[start:end], log_q[start:end],
-                                                1.0 - qs[start:end]))
+                log_z = np.array(_uniform_log_z(boxes[start:end], qs[start:end]))
                 if finite:  # f = -ln Z / V
                     np.negative(log_z, out=log_z)
                 yield from (log_z / volumes[start:end]).tolist()
                 start = end
-            if count < len(chunk):  # the first bad mesh: its own checks raise its error
-                box, _ = self._uniform_mesh(1.0 / chunk[count])
-                _check_product_terms(box.m + box.n + (box.k if finite else 0))
+            if count < len(chunk):  # the first bad mesh, evaluated alone, raises its error
+                self.free_energy(1.0 / chunk[count])
                 raise AssertionError(f"1/eps = {chunk[count]} failed the grid's checks alone")
 
     def coefficients(self) -> ExpansionCoefficients:

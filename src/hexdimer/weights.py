@@ -157,6 +157,8 @@ def phi_from_id(spec: str) -> PhiFunction:
     if name == "linear":
         return LinearPhi(*_parse_floats(spec, args, "linear:alpha,beta"))
     if name == "cosine":
+        if spec != "cosine":
+            raise ValueError(f"bad phi spec {spec!r}; expected cosine")
         return CosinePhi()
     if name == "tabulated":
         data = np.loadtxt(args, delimiter=",", comments="#", ndmin=2)

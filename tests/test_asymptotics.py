@@ -321,6 +321,31 @@ def test_coeffs_sliced_bits_pinned(monkeypatch, phi_id, a, b, f0_bits, f3_bits):
     assert (coeffs.f0.hex(), coeffs.f3.hex()) == (f0_bits, f3_bits)
 
 
+class IntegralOnlyCosinePhi(CosinePhi):
+    """CosinePhi whose antiderivative runs only inside integral."""
+
+    inside = False
+
+    def integral(self, t0, t1):
+        self.inside = True
+        try:
+            return super().integral(t0, t1)
+        finally:
+            self.inside = False
+
+    def antiderivative(self, t):
+        assert self.inside, "phi.antiderivative called outside phi.integral"
+        return super().antiderivative(t)
+
+
+def test_sliced_coefficients_integrate_phi_only_through_integral():
+    # a stable PhiFunction.integral then reaches sliced_f0 and sliced_f3 alike;
+    # the bits are those of CosinePhi itself
+    coeffs = coeffs_sliced(1.0, 3.0, IntegralOnlyCosinePhi())
+    _, _, _, f0_bits, f3_bits = COEFFS_SLICED_BITS[0]
+    assert (coeffs.f0.hex(), coeffs.f3.hex()) == (f0_bits, f3_bits)
+
+
 @pytest.mark.parametrize("phi_id,a,b", list(SLICED_F3_EXACT_FIT))
 def test_sliced_f3_matches_exact_data(phi_id, a, b):
     # measured |sliced_f3 - pin|: cosine (1,3) 1.7e-11, cosine (2,3) 8.7e-12,

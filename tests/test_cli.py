@@ -109,6 +109,16 @@ def test_free_energy_rejects_infinite_side(capsys):
     assert "side a" in err and out == ""
 
 
+@pytest.mark.parametrize("argv,spec", [
+    (("coeffs", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "cosine:5"), "cosine:5"),
+    (("coeffs", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "cosine:"), "cosine:"),
+    (("table1", "--row", "cosine:junk:1,3"), "cosine:junk"),
+])
+def test_cosine_takes_no_arguments(capsys, argv, spec):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: bad phi spec {spec!r}; expected cosine\n")
+
+
 @pytest.mark.parametrize("argv,match", [
     # the closed forms' divisor overflows; Scenario rejects the sides before any box
     (("free-energy", "--a", "1e308", "--b", "1", "--c", "1", "--inv-eps", "10"), "ab+bc+ca = inf"),
@@ -377,9 +387,9 @@ def test_verify_walks_and_embeds_each_box_once(monkeypatch):
     import hexdimer.cli as cli
 
     calls = {"energy_histogram": 0, "build_embedding": 0}
-    batches, kernel = [], partition._uniform_log_z
-    monkeypatch.setattr(partition, "_uniform_log_z", lambda boxes, log_q, rest: (
-        batches.append(len(boxes)) or kernel(boxes, log_q, rest)))
+    batches, kernel = [], cli._uniform_log_z
+    monkeypatch.setattr(cli, "_uniform_log_z", lambda boxes, qs: (
+        batches.append(len(boxes)) or kernel(boxes, qs)))
 
     def spy(module, name):
         original = getattr(module, name)

@@ -127,9 +127,9 @@ def batch_spy(monkeypatch):
     """Record the boxes of every _uniform_log_z call."""
     batches, kernel = [], partition._uniform_log_z
 
-    def spy(boxes, log_q, rest):
-        batches.append([tuple(box) for box in boxes.tolist()])
-        return kernel(boxes, log_q, rest)
+    def spy(boxes, qs):
+        batches.append([tuple(box) for box in np.asarray(boxes).tolist()])
+        return kernel(boxes, qs)
 
     monkeypatch.setattr(partition, "_uniform_log_z", spy)
     return batches
@@ -207,10 +207,27 @@ def test_a_batch_raises_its_first_bad_mesh_before_a_later_check(monkeypatch):
     with pytest.raises(ValueError, match=re.escape("a/eps = 3001.5 is not an integer")):
         grid_samples(scenario, 2, 10)
     kernel = partition._uniform_log_z
-    monkeypatch.setattr(partition, "_uniform_log_z", lambda boxes, log_q, rest: [
-        math.nan if tuple(boxes[0]) == (2001, 2000) else f for f in kernel(boxes, log_q, rest)])
+    monkeypatch.setattr(partition, "_uniform_log_z", lambda boxes, qs: [
+        math.nan if tuple(boxes[0]) == (2001, 2000) else f for f in kernel(boxes, qs)])
     with pytest.raises(ValueError, match="free energy must be finite"):
         grid_samples(scenario, 2, 10)
+
+
+def test_a_grid_evaluates_its_first_bad_mesh_alone_by_free_energy(monkeypatch):
+    # 1/eps = 2 runs in the batch; 1/eps = 3 (a/eps = 3001.5) is the first
+    # bad mesh, and free_energy, called once there, words its error
+    scenario = Scenario("infinite", 1000.5, 1000.0)
+    calls, free_energy = [], Scenario.free_energy
+
+    def spy(self, eps):
+        calls.append(eps)
+        return free_energy(self, eps)
+
+    monkeypatch.setattr(Scenario, "free_energy", spy)
+    with pytest.raises(ValueError) as bad:
+        grid_samples(scenario, 2, 10)
+    assert str(bad.value) == "a/eps = 3001.5 is not an integer within 1e-09"
+    assert calls == [1.0 / 3]
 
 
 PLANNED = (Scenario("finite", 1.0, 2.0, 3.0), Scenario("finite", 20.0, 10.0, 15.0),
@@ -258,11 +275,11 @@ def test_batched_products_are_the_lone_products():
               *itertools.product([(8, 8, 8), (16, 16, 16), (24, 24, 24)], cube_qs)]
     for batch in (finite[:81], finite[81:], finite):
         boxes, qs = zip(*batch)
-        for box, q, log_z in zip(boxes, qs, partition._product_log_zs(boxes, qs)):
+        for box, q, log_z in zip(boxes, qs, partition._uniform_log_z(boxes, qs)):
             assert same_bits(log_z, log_z_macmahon(BoxShape(*box), q)), (box, q)
             assert same_bits(log_z, reference_macmahon(*box, q)), (box, q)
     boxes, qs = zip(*itertools.product([(1, 1), (3, 2), (24, 8)], (0.3, 0.5, 0.9, 0.95)))
-    for box, q, log_z in zip(boxes, qs, partition._product_log_zs(boxes, qs)):
+    for box, q, log_z in zip(boxes, qs, partition._uniform_log_z(boxes, qs)):
         assert same_bits(log_z, log_z_infinite(BoxShape(*box, INFINITE), q)), (box, q)
         assert same_bits(log_z, reference_infinite(*box, q)), (box, q)
 

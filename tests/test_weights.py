@@ -82,10 +82,14 @@ def test_nonfinite_phi_is_rejected():
     ("linear:1,x", "linear:alpha,beta"),
     ("const:", "const:c"),
     ("const:1,2", "const:c"),
+    ("cosine:5", "cosine"),
+    ("cosine:", "cosine"),
+    ("cosine:junk", "cosine"),
 ])
 def test_bad_spec_names_the_form(spec, form):
-    with pytest.raises(ValueError, match=form):
+    with pytest.raises(ValueError) as bad:
         phi_from_id(spec)
+    assert str(bad.value) == f"bad phi spec {spec!r}; expected {form}"
 
 
 def test_tabulated_file_needs_two_columns(tmp_path):
@@ -126,20 +130,33 @@ def test_tabulated_rejects_range_outside_table():
         coeffs_sliced(1.0, 3.0, phi)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="integral is a difference of antiderivatives")
-def test_cosine_integral_over_a_short_side_far_out():
-    # sliced_f0's u(a) is integral(b - a, b) over the short side: the difference
-    # of two antiderivatives near 2b/3 keeps only about 16 - log10(b/a) digits,
-    # 4.4e-11 relative here (2.1e-12 at b = 1e4, 1.5e-9 at b = 1e7).  The
-    # sum-to-product form (2a + 2 cos(d + a/2) sin(a/2))/3, d = b - a, is
-    # stable.  Its fix is a change of its own: a stable CosinePhi.integral
-    # moves pinned bits, cosine (1, 3)'s f0 from 0.47220669610174465 to
-    # 0.4722066961017446 and cosine (1, 30)'s f0 too
+def cosine_integral_error(b):
+    """Relative error of CosinePhi().integral(b - 1, b) against the 50-digit
+    sum-to-product form (2(t1-t0) + 2 cos((t0+t1)/2) sin((t1-t0)/2))/3."""
     mpmath = pytest.importorskip("mpmath")
-    a, b = 1.0, 1e6
-    with mpmath.workdps(40):
-        d, half = mpmath.mpf(b) - a, mpmath.mpf(a) / 2
-        ref = float((2 * mpmath.mpf(a) + 2 * mpmath.cos(d + half) * mpmath.sin(half)) / 3)
-    got = float(CosinePhi().integral(b - a, b))
-    assert abs(got - ref) <= 1e-13 * abs(ref)
+    t0, t1 = b - 1.0, b
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(t0), mpmath.mpf(t1)
+        ref = (2 * (hi - lo) + 2 * mpmath.cos((lo + hi) / 2) * mpmath.sin((hi - lo) / 2)) / 3
+        return float(abs(float(CosinePhi().integral(t0, t1)) - ref) / abs(ref))
+
+
+def test_cosine_integral_over_a_short_side_near_the_origin():
+    # the difference of two antiderivatives near 2b/3 keeps about
+    # 16 - log10(b) digits: 8.6e-17 relative at b = 3, 3.6e-15 at b = 30
+    assert cosine_integral_error(3.0) <= 1e-14
+    assert cosine_integral_error(30.0) <= 1e-14
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="PhiFunction.integral is a difference of antiderivatives; a stable "
+                          "integral there is the one fix, for sliced_f0 and sliced_f3 alike")
+def test_cosine_integral_over_a_short_side_far_out():
+    # sliced_f0's u(a) is integral(b - a, b) over the short side.  The relative
+    # error is 2.1e-12 at b = 1e4, 4.4e-11 at 1e6 and 1.5e-9 at 1e7.  Its fix
+    # is a change of its own: a stable CosinePhi.integral moves pinned bits,
+    # cosine (1, 3)'s f0 from 0.47220669610174465 to 0.4722066961017446, its
+    # f3 from -0.04388302624171615 to -0.043883026241728275, and cosine
+    # (1, 30)'s f0 too
+    errors = {b: cosine_integral_error(b) for b in (1e4, 1e6, 1e7)}
+    assert max(errors.values()) <= 1e-14, errors

@@ -132,6 +132,17 @@ INVOCATIONS = (
     # e^(-a*phi(b-a)) rounds to 1: the coefficients name phi(b-a) before any grid runs
     ("table1", "--row", "const:1e-300:1,3"),
     ("fit", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "const:3e-15", *_SLICED_GRID),
+    # every error of a single uniform mesh: off the lattice, zero lattice steps,
+    # an infinite ratio, and the product-term cap, finite and at infinite height
+    ("free-energy", "--a", "1.5", "--b", "1", "--inv-eps", "3"),
+    ("free-energy", "--a", "1", "--b", "1", "--c", "1e-10", "--inv-eps", "2"),
+    ("free-energy", "--a", "1e308", "--b", "1e-10", "--inv-eps", "10"),
+    ("free-energy", "--a", "1", "--b", "1", "--c", "1", "--inv-eps", "2000000"),
+    ("free-energy", "--a", "1", "--b", "1", "--inv-eps", "3000000"),
+    # trees that read any "cosine:..." as cosine print its coefficients and
+    # exit 0; trees that take only "cosine" exit 1 naming the spec.  A DIFF
+    # (stdout, stderr, exit code) by design
+    ("coeffs", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "cosine:5"),
 )
 
 
