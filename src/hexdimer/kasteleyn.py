@@ -125,7 +125,8 @@ def _check_faces(shape: BoxShape, white_id, black_id, partners) -> None:
     face = (ring >= 0).all(axis=0)
     ring = ring[:, face]
     cycle_w, cycle_b = ring[[0, 1, 1, 2, 2, 0]], ring[[3, 3, 4, 4, 5, 5]]
-    closed = (partners[cycle_w] == cycle_b[..., None]).any(axis=-1).all(axis=0)
+    # one direction column at a time: no (6, F, 3) gather of every partner
+    closed = np.logical_or.reduce([col[cycle_w] == cycle_b for col in partners.T]).all(axis=0)
     if not closed.all():
         gx, gy = np.argwhere(face)[np.argmin(closed)]
         raise EmbeddingError(

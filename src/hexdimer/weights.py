@@ -161,6 +161,8 @@ def phi_from_id(spec: str) -> PhiFunction:
             raise ValueError(f"bad phi spec {spec!r}; expected cosine")
         return CosinePhi()
     if name == "tabulated":
+        if not args:
+            raise ValueError(f"bad phi spec {spec!r}; expected tabulated:<file>")
         data = np.loadtxt(args, delimiter=",", comments="#", ndmin=2)
         if data.shape[1] != 2:
             raise ValueError(f"tabulated phi file {args} has {data.shape[1]} column(s); "

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import types
 import warnings
 
 import pytest
@@ -117,6 +118,16 @@ def test_free_energy_rejects_infinite_side(capsys):
 def test_cosine_takes_no_arguments(capsys, argv, spec):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: bad phi spec {spec!r}; expected cosine\n")
+
+
+@pytest.mark.parametrize("argv,spec", [
+    (("coeffs", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "tabulated:"),
+     "tabulated:"),
+    (("partition", "--a", "1", "--b", "3", "--inv-eps", "8", "--phi", "tabulated"), "tabulated"),
+])
+def test_tabulated_needs_a_file(capsys, argv, spec):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: bad phi spec {spec!r}; expected tabulated:<file>\n")
 
 
 @pytest.mark.parametrize("argv,match", [
@@ -381,31 +392,35 @@ def test_verify_passes(capsys):
 
 
 def test_verify_walks_and_embeds_each_box_once(monkeypatch):
-    # the 27 boxes are evaluated at three q each, over one histogram and one
-    # embedding per box, their MacMahon ln Z in one batch of 81; the rows are
-    # those of the public oracles per (box, q)
+    # the 27 ordered boxes are walked once each for their three q; the 10
+    # distinct sorted boxes are embedded once each and factored once per q;
+    # the MacMahon ln Z of all 81 cases come in one batch; the rows are those
+    # of the public oracles per (box, q)
     import hexdimer.cli as cli
 
-    calls = {"energy_histogram": 0, "build_embedding": 0}
+    calls = {"energy_histogram": 0, "build_embedding": 0, "dgbtrf": 0}
     batches, kernel = [], cli._uniform_log_z
     monkeypatch.setattr(cli, "_uniform_log_z", lambda boxes, qs: (
         batches.append(len(boxes)) or kernel(boxes, qs)))
+    lapack = types.SimpleNamespace(dgbtrf=kasteleyn._flapack().dgbtrf)
+    monkeypatch.setattr(kasteleyn, "_flapack", lambda: lapack)
 
     def spy(module, name):
         original = getattr(module, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
     spy(enumeration, "energy_histogram")
     spy(kasteleyn, "build_embedding")
+    spy(lapack, "dgbtrf")
     rows = [row for row in cli._verify_suites()
             if row[0] in ("enumeration-vs-macmahon", "kasteleyn-vs-enumeration")]
-    assert 0 < calls["energy_histogram"] <= 27 and 0 < calls["build_embedding"] <= 27, calls
-    assert batches[0] == 81
+    assert calls == {"energy_histogram": 27, "build_embedding": 10, "dgbtrf": 30}
+    assert batches == [81]
     monkeypatch.undo()
 
     expected = []

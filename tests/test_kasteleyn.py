@@ -21,7 +21,7 @@ from hexdimer import (
     log_z_macmahon,
     oracle_partition,
 )
-from hexdimer import kasteleyn
+from hexdimer import EmbeddingError, kasteleyn
 from hexdimer.kasteleyn import HORIZONTAL
 
 from _reference import boxed_plane_partition_count, same_bits
@@ -84,6 +84,44 @@ def test_matrix_entries():
     # one horizontal edge at weight 1 (v = 0) and one at weight q^{-(-1)} = q
     horizontal = direction == HORIZONTAL
     assert sorted(dense[wi[horizontal], bi[horizontal]]) == [0.5, 1.0]
+
+
+def _face_check_arguments(monkeypatch, shape):
+    """The (shape, white_id, black_id, partners) that build_embedding hands to
+    _check_faces for shape, after that check has passed on them."""
+    seen = []
+    check = kasteleyn._check_faces
+    monkeypatch.setattr(kasteleyn, "_check_faces", lambda *args: seen.append(args) or check(*args))
+    build_embedding(shape)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_a_broken_face_is_an_embedding_error_naming_it(monkeypatch):
+    # the white U(1, 0)'s horizontal edge to D(0, 0) runs from (1, 0) to
+    # (1, 1), on the hexagons around both; the first in (x, y) order is named
+    shape = BoxShape(3, 2, 1)
+    _, white_id, black_id, partners = _face_check_arguments(monkeypatch, shape)
+    doctored = partners.copy()
+    doctored[white_id[1 + shape.n + 1, 0 + shape.k + 1], HORIZONTAL] = -1
+    with pytest.raises(EmbeddingError) as broken:
+        kasteleyn._check_faces(shape, white_id, black_id, doctored)
+    assert str(broken.value) == "face at lattice point (1, 0) is not a 6-cycle"
+
+
+def test_an_extra_edge_fails_euler_count(monkeypatch):
+    # a boundary white given one more black keeps every face closed but adds
+    # an edge: V - E + F = 0, not 1
+    shape = BoxShape(3, 2, 1)
+    _, white_id, black_id, partners = _face_check_arguments(monkeypatch, shape)
+    doctored = partners.copy()
+    doctored[tuple(np.argwhere(partners < 0)[0])] = 0
+    v_count = shape.volume
+    faces = shape.m * shape.n + shape.n * shape.k + shape.m * shape.k - shape.m - shape.n - shape.k + 1
+    with pytest.raises(EmbeddingError) as broken:
+        kasteleyn._check_faces(shape, white_id, black_id, doctored)
+    assert str(broken.value) == (f"Euler check failed: V={v_count}, E={v_count + faces}, "
+                                 f"internal F={faces}")
 
 
 def test_infinite_height_rejected():
@@ -175,6 +213,16 @@ def assert_layout_keeps_the_bits(shape, qs):
 def test_verify_boxes_keep_their_bits_over_one_layout():
     for sides in itertools.product((1, 2, 3), repeat=3):
         assert_layout_keeps_the_bits(BoxShape(*sides), (0.3, 0.5, 0.9))
+
+
+def test_every_ordering_of_a_verify_box_has_the_same_bits():
+    # ln Z depends on the sorted sides alone, so verify may share one
+    # embedding and factorization among a box's orderings
+    for sides in itertools.combinations_with_replacement((1, 2, 3), 3):
+        for q in (0.3, 0.5, 0.9):
+            first, *others = (log_z_kasteleyn(BoxShape(*order), q)
+                              for order in itertools.permutations(sides))
+            assert all(same_bits(first, other) for other in others), (sides, q)
 
 
 @pytest.mark.parametrize("side", [8, 16, 24])

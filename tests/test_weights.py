@@ -85,6 +85,8 @@ def test_nonfinite_phi_is_rejected():
     ("cosine:5", "cosine"),
     ("cosine:", "cosine"),
     ("cosine:junk", "cosine"),
+    ("tabulated:", "tabulated:<file>"),
+    ("tabulated", "tabulated:<file>"),
 ])
 def test_bad_spec_names_the_form(spec, form):
     with pytest.raises(ValueError) as bad:

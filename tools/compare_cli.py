@@ -143,6 +143,10 @@ INVOCATIONS = (
     # exit 0; trees that take only "cosine" exit 1 naming the spec.  A DIFF
     # (stdout, stderr, exit code) by design
     ("coeffs", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "cosine:5"),
+    # a tabulated spec with no file: trees that hand the empty path to the
+    # loader print "error:  not found."; trees that check the spec name it
+    # and the form.  A DIFF (stderr) by design; both exit 1
+    ("coeffs", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "tabulated:"),
 )
 
 
