@@ -129,8 +129,9 @@ _N_MAX = 2000
 _INVERSE_TABLE = 257
 _INVERSE_TOL = 2.0 ** -26
 _INVERSE_STEPS = 12
-# sliced_f0's s panels past the graded start: equal panels per stretch where
-# they are narrow enough, and where graded ones stop (_s_panel_edges)
+# sliced_f0's s panels: equal panels per stretch past the graded start where
+# they are narrow enough (_s_panel_edges), and the s at which every graded
+# stretch stops, the graded start too
 _S_PANELS = 12
 _S_END = 64.0
 
@@ -169,7 +170,7 @@ def sliced_f0(a: float, b: float, phi: PhiFunction) -> float:
     substituting to (u, v) the double integral collapses to a 1-D integral of
     K(s) = -ln(1-e^{-s}) against the convolution C(s) of the two inverse
     Jacobians.  The s -> 0 log singularity is handled by dyadic panel grading
-    up to min(u(a), v(b)); _s_panel_edges places the panels beyond it.
+    up to min(u(a), v(b), _S_END); _s_panel_edges places the panels beyond it.
 
     The inverse Jacobians need u -> z and v -> y at every node.  Newton's
     method starts from a monotone table of int phi at 257 points and stops
@@ -178,6 +179,7 @@ def sliced_f0(a: float, b: float, phi: PhiFunction) -> float:
     boxes take two steps.  After 12 steps it raises ConvergenceError with
     the last move rather than return digits.
     """
+    _require_sides(a, b)
     d = b - a
     phi.check_positive(-a, b)
     cap_u = float(phi.integral(d, b))        # u(a)
@@ -215,7 +217,7 @@ def sliced_f0(a: float, b: float, phi: PhiFunction) -> float:
         return np.where(u_hi > u_lo, half * _row_dots(vals, gw), 0.0)
 
     m1, m2, end = min(cap_u, cap_v), max(cap_u, cap_v), cap_u + cap_v
-    edges = list(log_graded_edges(0.0, m1))
+    edges = list(log_graded_edges(0.0, min(m1, _S_END)))
     if m2 > m1 + 1e-15:
         edges += _s_panel_edges(m1, m2)
     edges += _s_panel_edges(m2, end)
@@ -281,7 +283,7 @@ def _sliced_pieces(a: float, b: float, phi: PhiFunction) -> tuple[float, float, 
     """
     d = b - a
     eta, p1, p2 = float(phi(d)), float(phi.d1(d)), float(phi.d2(d))
-    slope_min = 0.9 * phi.min_on(-a, b)
+    slope_min = 0.9 * phi.check_positive(-a, b)
     n = np.arange(1.0, _N_MAX + 1)
     gx, gw = gauss_legendre(_N_QUAD)
     gx01, gw01 = (gx + 1.0) / 2.0, gw / 2.0
@@ -371,6 +373,7 @@ def sliced_f3(a: float, b: float, phi: PhiFunction) -> float:
     """The eps^2 coefficient for slice weights: eta^2 f3_inf(a eta, b eta) +
     ln(eta)/(12ab), the uniform infinite box's at the rescaled sides a*phi(b-a)
     and b*phi(b-a) (checked here), plus the eps^2 order of _sliced_pieces."""
+    _require_sides(a, b)
     phi.check_positive(-a, b)
     eta = float(phi(b - a))
     _require_sides(a * eta, b * eta, factor_name="*phi(b-a)")
@@ -382,6 +385,5 @@ def coeffs_sliced(a: float, b: float, phi: PhiFunction) -> ExpansionCoefficients
     """Slice-weighted infinite-height box, convention f = +ln Z/V.  f3 comes
     first, so a rescaled side that sliced_f3 rejects is named before
     sliced_f0 runs."""
-    _require_sides(a, b)
     f3 = sliced_f3(a, b, phi)
     return ExpansionCoefficients(sliced_f0(a, b, phi), 0.0, 1.0 / (12.0 * a * b), f3)

@@ -259,8 +259,8 @@ def log_z_sliced(m: int, n: int, phi: PhiFunction, eps: float) -> float:
     ln(1 - e^{-E_ij}) cannot be formed and ValueError is raised; Z itself is
     finite for every E_ij > 0.
     """
-    if m < 1 or n < 1 or eps <= 0:
-        raise ValueError("need m, n >= 1 and eps > 0")
+    if m < 1 or n < 1 or not 0.0 < eps < math.inf:
+        raise ValueError("need m, n >= 1 and eps > 0, finite")
     _check_sliced_cells(m, n)
     phi.check_range((1 - m) * eps, (n - 1) * eps)
     eta, c_minus, c_plus = _sliced_prefix_sums(m, n, phi, eps)

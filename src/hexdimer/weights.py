@@ -12,9 +12,8 @@ import math
 
 import numpy as np
 
-# grid points of the sampled positivity check and minimum on an interval
-_CHECK_SAMPLES = 2001
-_MIN_SAMPLES = 4001
+# grid points at which check_positive samples phi on an interval
+_SAMPLES = 4001
 
 
 class PhiFunction:
@@ -41,19 +40,18 @@ class PhiFunction:
     def check_range(self, lo: float, hi: float) -> None:
         """Raise ValueError unless phi is defined on [lo, hi] (closed forms are, everywhere)."""
 
-    def check_positive(self, lo: float, hi: float) -> None:
+    def check_positive(self, lo: float, hi: float) -> float:
+        """Raise ValueError, naming the first bad sample, unless phi is finite and
+        positive at _SAMPLES equally spaced points of [lo, hi]; else their minimum."""
         self.check_range(lo, hi)
-        grid = np.linspace(lo, hi, _CHECK_SAMPLES)
+        grid = np.linspace(lo, hi, _SAMPLES)
         vals = np.asarray(self(grid), dtype=float)
         ok = np.isfinite(vals) & (vals > 0.0)
         if not np.all(ok):
             bad = int(np.argmin(ok))
             raise ValueError(f"phi must be finite and strictly positive on [{lo}, {hi}]; "
                              f"{self.id}({float(grid[bad])}) = {float(vals[bad])}")
-
-    def min_on(self, lo: float, hi: float) -> float:
-        grid = np.linspace(lo, hi, _MIN_SAMPLES)
-        return float(np.min(np.asarray(self(grid), dtype=float)))
+        return float(np.min(vals))
 
 
 class LinearPhi(PhiFunction):

@@ -149,6 +149,29 @@ def test_sliced_f0_sides_too_far_apart_rejected():
         sliced_f0(1.0, 1e17, CosinePhi())
 
 
+@pytest.mark.parametrize("a, b", [(1e-300, 1e-300), (0, 1), (-1, 2)])
+def test_sliced_f0_and_f3_check_the_sides(a, b):
+    # sliced_f0 raised ZeroDivisionError on (1e-300, 1e-300) and called the
+    # other two sides too far apart
+    with pytest.raises(ValueError) as want:
+        asymptotics._require_sides(a, b)
+    for coefficient in (sliced_f0, sliced_f3):
+        with pytest.raises(ValueError) as got:
+            coefficient(a, b, CosinePhi())
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("x", [64.0, 1e3, 1e8, 1e13, 1e20, 1e150])
+def test_sliced_f0_on_large_sides(x):
+    # at constant phi this is the infinite box.  Graded s panels that reached
+    # all the way to min(u(a), v(b)) were 1.2e-8 off at x = 1e13 and gave 0
+    # from about 1e15, their first edge beyond the integrand's mass
+    for c in (0.5, 1.0, 3.0):
+        for r in (1.0, 2.0, 10.0):
+            ref = coeffs_infinite(c * x, c * r * x).f0
+            assert abs(sliced_f0(x, r * x, ConstantPhi(c)) - ref) <= 1e-14 * ref
+
+
 def test_sliced_f0_inversion_that_cannot_converge_raises(monkeypatch):
     # cosine (1, 3) takes two Newton steps on each side
     monkeypatch.setattr(asymptotics, "_INVERSE_STEPS", 1)

@@ -1,13 +1,15 @@
 import itertools
 import json
 import math
+import re
 import types
 import warnings
 
 import pytest
 
-from hexdimer import (BoxShape, ConvergenceError, asymptotics, enumeration, kasteleyn,
-                      kasteleyn_partition, log_z_macmahon, oracle_partition, partition, specialfn)
+from hexdimer import (BoxShape, ConvergenceError, Scenario, TabulatedPhi, asymptotics,
+                      enumeration, kasteleyn, kasteleyn_partition, log_z_macmahon,
+                      oracle_partition, partition, specialfn)
 from hexdimer.cli import main
 from hexdimer.fitting import BASIS_NAMES
 
@@ -281,6 +283,26 @@ def test_degenerate_phi_is_an_error(argv, message, capsys):
         code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert "phi" in err and message in err and "side" not in err
+
+
+def test_a_dip_between_coarse_samples_is_rejected(tmp_path, capsys):
+    # the spline dips to -0.05 at t = 0.301, between the points of a 2001-point
+    # grid on [-1, 3].  Sampled there, free-energy printed an f with exit 0 and
+    # coeffs failed with "math domain error"
+    import numpy as np
+
+    t = np.union1d(np.linspace(-1, 3, 201), 0.301 + np.linspace(-3e-4, 3e-4, 41))
+    values = 1 - 1.05 * np.exp(-((t - 0.301) / 1e-4) ** 2)
+    point = "(0.30099999999999993) = -0.050000000000000044"
+    with pytest.raises(ValueError, match=re.escape(f"; tabulated{point}")):
+        Scenario("sliced", 1, 3, phi=TabulatedPhi(t, values))
+    table = tmp_path / "dip.csv"
+    table.write_text("".join(f"{x!r},{y!r}\n" for x, y in zip(t.tolist(), values.tolist())))
+    for argv in (("free-energy", "--inv-eps", "100"), ("coeffs", "--scenario", "sliced")):
+        code, out, err = run(capsys, *argv, "--a", "1", "--b", "3", "--phi", f"tabulated:{table}")
+        assert code == 1 and out == ""
+        assert err == (f"error: phi must be finite and strictly positive on [-1.0, 3.0]; "
+                       f"tabulated:{table}{point}\n")
 
 
 @pytest.mark.parametrize("argv", [

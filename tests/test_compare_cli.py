@@ -4,6 +4,7 @@ every invocation it runs is one the CLI parses."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hexdimer import cli
@@ -31,7 +32,14 @@ def test_same_tree_is_same_and_other_output_is_a_diff(tmp_path, monkeypatch, cap
     assert capsys.readouterr().out.startswith("DIFF (stdout, file): hexdimer partition")
 
 
-@pytest.mark.parametrize("invocation", compare_cli.INVOCATIONS, ids=" ".join)
+@pytest.mark.parametrize("invocation", compare_cli.INVOCATIONS,
+                         ids=lambda v: " ".join(v).replace(compare_cli._DIP, "tabulated:dip_phi.csv"))
 def test_every_invocation_parses(invocation):
     # a renamed flag would make both trees print the same usage error: SAME
     cli.build_parser().parse_args(invocation)
+
+
+def test_the_dip_table_is_its_recipe():
+    t = np.union1d(np.linspace(-1, 3, 201), 0.301 + np.linspace(-3e-4, 3e-4, 41))
+    table = np.loadtxt(compare_cli._DIP.removeprefix("tabulated:"), delimiter=",", ndmin=2)
+    assert np.array_equal(table, np.column_stack([t, 1 - 1.05 * np.exp(-((t - 0.301) / 1e-4) ** 2)]))

@@ -369,7 +369,7 @@ class CountingPhi(PhiFunction):
         return self.base(t)
 
     def check_positive(self, lo, hi):
-        self.base.check_positive(lo, hi)
+        return self.base.check_positive(lo, hi)
 
 
 def reference_sliced_exponents(m, n, phi, eps):
@@ -670,7 +670,8 @@ def test_an_int_beyond_the_float_range_is_named_not_an_overflow(call, message):
 
 
 def test_sliced_rejects_bad_sides_and_mesh():
-    for m, n, eps in ((0, 4, 0.25), (4, 0, 0.25), (4, 4, 0.0), (4, 4, -0.25)):
+    for m, n, eps in ((0, 4, 0.25), (4, 0, 0.25), (4, 4, 0.0), (4, 4, -0.25),
+                      (4, 4, math.nan), (4, 4, math.inf)):
         with pytest.raises(ValueError, match="need m, n >= 1 and eps > 0"):
             log_z_sliced(m, n, ConstantPhi(1.0), eps)
 

@@ -7,11 +7,12 @@ from hexdimer import (
     ConstantPhi,
     CosinePhi,
     LinearPhi,
+    PhiFunction,
     TabulatedPhi,
     phi_from_id,
 )
 
-from _reference import same_bits
+from _reference import TABLE1, same_bits
 
 
 def test_catalog_parsing():
@@ -56,6 +57,20 @@ def test_positivity_check():
     LinearPhi(1.0, 0.5).check_positive(-1.0, 3.0)
     with pytest.raises(ValueError):
         LinearPhi(0.1, -1.0).check_positive(-1.0, 3.0)
+
+
+_SPLINE_T = np.linspace(-1.5, 3.5, 321)
+
+
+@pytest.mark.parametrize("phi, lo, hi", [
+    *[(phi_from_id(phi_id), -a, b) for phi_id, a, b in TABLE1],
+    (CosinePhi(), -1.0, 30.0),
+    (TabulatedPhi(_SPLINE_T, 1.0 + 0.08 * np.cos(_SPLINE_T + 1.0)
+                  - 0.05 * np.cos(2.0 * _SPLINE_T + 2.0)), -1.0, 3.0),
+], ids=lambda v: v.id if isinstance(v, PhiFunction) else None)
+def test_check_positive_returns_the_sampled_minimum(phi, lo, hi):
+    # the positivity check and the panel minimum of the sliced f3 are one pass
+    assert phi.check_positive(lo, hi) == float(np.min(phi(np.linspace(lo, hi, 4001))))
 
 
 class SpikePhi(CosinePhi):

@@ -29,6 +29,11 @@ _SLICED = ("--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "cosine")
 _GRID = ("--inv-eps-min", "2", "--inv-eps-max", "100")
 _SLICED_GRID = ("--inv-eps-min", "2", "--inv-eps-max", "200")
 _HUGE = str(10**300)
+# a cubic spline whose dip to -0.05 at t = 0.301 falls between 2001 samples of
+# [-1, 3] but on one of 4001.  The table holds, one "t,phi" line each,
+#   t = np.union1d(np.linspace(-1, 3, 201), 0.301 + np.linspace(-3e-4, 3e-4, 41))
+#   phi = 1 - 1.05 * np.exp(-((t - 0.301) / 1e-4) ** 2)
+_DIP = f"tabulated:{Path(__file__).resolve().parent / 'dip_phi.csv'}"
 
 INVOCATIONS = (
     ("coeffs", *_FINITE),
@@ -60,6 +65,19 @@ INVOCATIONS = (
     # DIFFs (stdout) by design (ROADMAP item 10)
     ("coeffs", "--scenario", "sliced", "--a", "1", "--b", "300", "--phi", "cosine"),
     ("coeffs", "--scenario", "sliced", "--a", "0.001", "--b", "1", "--phi", "const:1"),
+    # sides 1e20: trees whose graded s panels reach all the way to u(a) put
+    # the first one beyond the integrand's mass and print f0,0; trees that
+    # stop them at s = 64 print 1.2020569031595877e-40.  A DIFF (stdout) by
+    # design
+    ("coeffs", "--scenario", "sliced", "--a", "1e20", "--b", "1e20", "--phi", "const:1"),
+    # phi reaches 0 at t = 2: exit 1 naming that sample
+    ("coeffs", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "linear:1,-0.5"),
+    # the dip profile: trees that sample the sign at 2001 points print an f
+    # with exit 0, and exit 1 from coeffs with "math domain error"; trees
+    # that sample it at 4001 exit 1 from both naming the dip.  DIFFs (stdout,
+    # stderr, exit code; then stderr) by design
+    ("free-energy", "--a", "1", "--b", "3", "--phi", _DIP, "--inv-eps", "100"),
+    ("coeffs", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", _DIP),
     # rescaled sides 80 and 40, with a > b
     ("coeffs", "--scenario", "sliced", "--a", "2", "--b", "1", "--phi", "const:40", "--json"),
     ("fit", *_FINITE, *_GRID),
