@@ -147,15 +147,16 @@ def _s_panel_edges(lo: float, hi: float) -> list[float]:
     """Upper edges of sliced_f0's s panels on [lo, hi], lo > 0.
 
     These are 12 equal panels when each is at most 1 wide and no wider than
-    lo.  Otherwise the panels double in width from lo up to 1 wide, and stop
-    at s = _S_END.  A panel wider than 1 loses digits to the poles of 1/phi
-    near the real axis, and one wider than lo to the log singularity at
-    s = 0.  Beyond _S_END, K(s) < e^-64 (1.6e-28), far below roundoff
-    against the part of the integral near s = 0.  The stop bounds the work:
-    without it, sides (1, 1e5) took 1e5 panels.
+    lo, and hi <= _S_END.  Otherwise the panels double in width from lo up
+    to 1 wide, and stop at s = _S_END, so no edge lies past it.  A panel
+    wider than 1 loses digits to the poles of 1/phi near the real axis, and
+    one wider than lo to the log singularity at s = 0.  Beyond _S_END,
+    K(s) < e^-64 (1.6e-28), far below roundoff against the part of the
+    integral near s = 0.  The stop bounds the work: without it, sides
+    (1, 1e5) took 1e5 panels.
     """
     width = (hi - lo) / _S_PANELS
-    if width <= min(1.0, lo):
+    if width <= min(1.0, lo) and hi <= _S_END:
         return list(np.linspace(lo, hi, _S_PANELS + 1))[1:]
     edges = [lo]
     while edges[-1] < min(hi, _S_END):

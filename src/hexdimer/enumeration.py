@@ -2,7 +2,8 @@
 
 Configurations are monotone height tables h[i][j] <= min(h[i-1][j], h[i][j-1], k)
 (boxed plane partitions).  energy_histogram walks them lexicographically over
-row-major cells with an O(1) per-cell bound, counting each configuration at
+row-major cells, reading each cell's bound from its up and left neighbours
+through two index lists built once per walk, and counts each configuration at
 its number of cubes; oracle_partition sums q^(cubes) over that count.
 """
 from __future__ import annotations
@@ -53,20 +54,25 @@ def energy_histogram(shape: BoxShape) -> dict[int, int]:
 
     The walk visits every configuration once, lexicographically over row-major
     cells, and carries only the running cube count: no table is built per
-    configuration.
+    configuration.  The up and left neighbour of each cell are listed once
+    per walk, as indices into the current table, whose one slot past the end
+    holds k: the neighbour of a cell on the top row or in the left column.
+    So a cell's bound is the smaller of two table reads, one comparison.
     """
     _check_guard(shape)
     n, k = shape.n, shape.k
-    last = shape.m * n - 1
-    grid = [0] * (last + 1)  # the current table, row-major
-    counts = [0] * (shape.m * n * k + 1)  # configurations per energy 0..mnk
+    cells = shape.m * n
+    last = cells - 1
+    grid = [0] * cells + [k]  # the current table, row-major, then k
+    up = [cell - n if cell >= n else cells for cell in range(cells)]
+    left = [cell - 1 if cell % n else cells for cell in range(cells)]
+    counts = [0] * (cells * k + 1)  # configurations per energy 0..mnk
 
     def fill(cell: int, energy: int) -> None:
-        bound = k
-        if cell >= n:
-            bound = min(bound, grid[cell - n])
-        if cell % n:
-            bound = min(bound, grid[cell - 1])
+        bound = grid[up[cell]]
+        h = grid[left[cell]]
+        if h < bound:
+            bound = h
         if cell == last:
             for h in range(energy, energy + bound + 1):
                 counts[h] += 1

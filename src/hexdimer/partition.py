@@ -597,6 +597,11 @@ def grid_samples(scenario: Scenario, inv_eps_min: int = 2, inv_eps_max: int = 20
     _pulled_free_energies).  Any mesh they did not evaluate is evaluated here,
     in grid order, so a failing grid raises its first bad mesh's error.
 
+    The samples are built in the same one checked pass: a value that is not
+    finite raises FreeEnergySample's "free energy must be finite", and each
+    sample's fields are set directly, since range gives a positive integer
+    1/eps and eps = 1.0 / (1/eps) passes the constructor's other check.
+
     beside, if given, is called once with no arguments in this process
     before it evaluates its first mesh: under a split, once the children
     have started on the grid.  Its exception propagates, with every child
@@ -613,5 +618,15 @@ def grid_samples(scenario: Scenario, inv_eps_min: int = 2, inv_eps_max: int = 20
         beside()
     # values is a list, or one NaN repeated, so both zips see the same values
     fresh = scenario._free_energies(t for t, f in zip(grid, values) if math.isnan(f))
-    return [FreeEnergySample(inv_eps=t, eps=1.0 / t, f=next(fresh) if math.isnan(f) else f)
-            for t, f in zip(grid, values)]
+    samples, new, put = [], object.__new__, object.__setattr__
+    for t, f in zip(grid, values):
+        if math.isnan(f):
+            f = next(fresh)
+        if not math.isfinite(f):
+            raise ValueError("free energy must be finite")
+        sample = new(FreeEnergySample)
+        put(sample, "inv_eps", t)
+        put(sample, "eps", 1.0 / t)
+        put(sample, "f", f)
+        samples.append(sample)
+    return samples

@@ -2,9 +2,9 @@
 array, and exact_sums, the same for each of its consecutive segments.
 
 Small arrays go to math.fsum; larger ones are split at one error-free
-extraction level with one splitting constant per array (per segment for
-exact_sums), and a bound on the rest decides the rounding.  Streaming loops
-keep their terms and call it once.
+extraction level with one splitting constant per call (exact_sums too, from
+one top over all its segments), and a bound on the rest decides the rounding.
+Streaming loops keep their terms and call it once.
 """
 import math
 
@@ -24,10 +24,15 @@ def _fsum(x: np.ndarray) -> float:
     return math.fsum(x.tolist())
 
 
+def _sigma(size: int, top: float) -> float:
+    """The splitting constant 2^(M+e) of _split for at most size values, each
+    of |value| <= top: size + 2 <= 2^M and top < 2^e."""
+    return math.ldexp(1.0, (size + 1).bit_length() + math.frexp(top)[1])
+
+
 def _split(x: np.ndarray, sigma, p: np.ndarray, q: np.ndarray, starts=None):
     """Split x at sigma; return its level sum and its remainders' float sum,
-    or, given the segments' starts (and sigma per value), both per segment as
-    arrays.
+    or, given the segments' starts, both per segment as arrays.
 
     Error-free splitting of Rump, Ogita and Oishi ("ExtractVector", Accurate
     floating-point summation, Part I, SIAM J. Sci. Comput. 31(1), 2008): with
@@ -80,7 +85,7 @@ def exact_sum(values, top: float | None = None) -> float:
     if not _TINY <= top <= _HUGE:
         return _fsum(x)
     size = min(x.size, _BLOCK)
-    sigma = math.ldexp(1.0, (size + 1).bit_length() + math.frexp(top)[1])
+    sigma = _sigma(size, top)
     p, q = np.empty(size), np.empty(size)
     sums = []
     for start in range(0, x.size, _BLOCK):
@@ -96,20 +101,21 @@ def exact_sums(values, sizes) -> list[float]:
     """math.fsum of each consecutive segment of values, bit for bit: the
     first sizes[0] values, the next sizes[1], and so on (sizes sum to len).
 
-    One segment is exact_sum's.  Otherwise every segment's top, its largest
-    |value|, is measured with two reduceat passes.  When every top lies in
-    [2^-900, 2^900] and no segment is empty, the whole array is split in one
-    _split pass, each segment at the sigma that its own size k and top give,
-    so its level sum is exact and its remainder sum off by at most
-    (k u)^2 sigma, rounded up to B.  Every segment is then decided at once:
-    s = level + rest, with e its error by Knuth's TwoSum, so level + rest =
-    s + e exactly and the segment's sum lies within |e| + B of s.  Where
-    that is below half the gap from |s| down to the next float, s is the
-    nearest float to the sum, and no tie; a segment it leaves undecided (a
-    sum near a rounding boundary, or s = 0) is summed by math.fsum.
-    Any other case (an empty or all-zero segment, a tiny or huge top, an inf
-    or a nan) sums each segment with exact_sum in turn, so each value, or the
-    first error, is math.fsum's.  The input is never written.
+    One segment is exact_sum's.  Otherwise one top, the largest |value| of
+    the whole array, is measured.  When it lies in [2^-900, 2^900] and no
+    segment is empty, the whole array is split in one _split pass at the one
+    sigma that top and the largest segment's size give, so every segment's
+    level sum is exact and its remainder sum, over its own k values, off by
+    at most (k u)^2 sigma, rounded up to B.  Every segment is then decided at
+    once: s = level + rest, with e its error by Knuth's TwoSum, so level +
+    rest = s + e exactly and the segment's sum lies within |e| + B of s.
+    Where that is below half the gap from |s| down to the next float, s is
+    the nearest float to the sum, and no tie; a segment it leaves undecided
+    (a sum near a rounding boundary, s = 0, or a segment far smaller than the
+    top, whose B dwarfs its gap) is summed by math.fsum.  Any other case (an
+    empty segment, a top of zero, tiny or huge, an inf or a nan) sums each
+    segment with exact_sum in turn, so each value, or the first error, is
+    math.fsum's.  The input is never written.
     """
     if len(sizes) == 1:
         return [exact_sum(values)]
@@ -118,11 +124,10 @@ def exact_sums(values, sizes) -> list[float]:
     starts = np.cumsum(sizes) - sizes
     spans = zip(starts.tolist(), sizes.tolist())
     if sizes.all():
-        top = np.maximum(np.maximum.reduceat(x, starts), -np.minimum.reduceat(x, starts))
-        if ((top >= _TINY) & (top <= _HUGE)).all():  # nan fails both
-            sigma = np.ldexp(1.0, np.frexp(sizes + 1)[1] + np.frexp(top)[1])
-            levels, rests = _split(x, np.repeat(sigma, sizes), np.empty(x.size),
-                                   np.empty(x.size), starts)
+        top = max(x.max(initial=0.0), -x.min(initial=0.0))
+        if _TINY <= top <= _HUGE:  # nan fails both
+            sigma = _sigma(int(sizes.max()), top)
+            levels, rests = _split(x, sigma, np.empty(x.size), np.empty(x.size), starts)
             # (k u)^2 sigma per segment; nextafter covers the int product's rounding to float
             bounds = np.nextafter(sizes * sizes * _U * _U * sigma, math.inf)
             totals = levels + rests

@@ -141,6 +141,17 @@ def test_sliced_f0_s_panels():
     assert np.all(widths <= np.minimum(1.0, [1e-3, *edges[:-1]]))
     assert len(asymptotics._s_panel_edges(0.5, 1e5)) == 64
     assert asymptotics._s_panel_edges(80.0, 120.0) == []
+    # narrow stretches past s = _S_END get no panels either: (100, 105) took
+    # 12 equal panels from 100.42, and (60, 70) ran on to 70
+    assert asymptotics._s_panel_edges(100.0, 105.0) == []
+    assert asymptotics._s_panel_edges(60.0, 70.0) == [61.0, 62.0, 63.0, 64.0]
+
+
+def test_sliced_f0_stops_at_s_end_on_a_narrow_far_stretch():
+    # const:1 (100, 105): m1 = 100 and m2 = 105, 5 apart, once the equal-panel
+    # case; with every panel stopped at s = 64 it still matches the infinite box
+    ref = coeffs_infinite(100.0, 105.0).f0
+    assert abs(sliced_f0(100.0, 105.0, ConstantPhi(1.0)) - ref) <= 1e-14 * ref
 
 
 def test_sliced_f0_sides_too_far_apart_rejected():

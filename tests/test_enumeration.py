@@ -185,6 +185,19 @@ def test_energy_histogram_matches_listing():
         assert hist == listed and list(hist) == sorted(hist), (m, n, k)
 
 
+def test_energy_histogram_past_the_listing_counts_every_configuration_once():
+    # (3, 3, 6): 41,580 configurations, past the listed boxes' 20,000.  Their
+    # count is MacMahon's, and turning a table a half turn and taking each
+    # height h to k - h maps energy e to mnk - e one to one
+    shape = BoxShape(3, 3, 6)
+    hist = energy_histogram(shape)
+    mnk = 3 * 3 * 6
+    assert config_count(shape) == 41_580 > 20_000
+    assert sum(hist.values()) == config_count(shape)
+    assert list(hist) == list(range(mnk + 1))
+    assert all(hist[e] == hist[mnk - e] for e in hist)
+
+
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 1.0])
 def test_oracle_partition_matches_per_configuration_fsum(q):
     # bit for bit: math.fsum over q^e, one term per listed configuration

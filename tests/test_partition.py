@@ -1086,6 +1086,31 @@ def test_a_failing_mesh_raises_the_one_process_error_under_the_split(monkeypatch
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one process", "split"])
+@pytest.mark.parametrize("kind", ["sliced", "uniform"])
+def test_a_kernel_value_that_is_not_finite_stops_the_grid(monkeypatch, forks, kind, cpus, bad):
+    # the kernel returns inf or nan at 1/eps = 30, here or in a forked child;
+    # the grid raises FreeEnergySample's error rather than return the sample
+    monkeypatch.setattr(partition, "_SPLIT_WORK", 1024)
+    set_cpus(monkeypatch, cpus)
+    if kind == "sliced":
+        scenario, grid = Scenario("sliced", 1.0, 1.0, phi=ConstantPhi(1.0)), (2, 40)
+        sliced = partition.log_z_sliced
+        monkeypatch.setattr(partition, "log_z_sliced", lambda m, n, phi, eps:
+                            bad if m == 30 else sliced(m, n, phi, eps))
+    else:
+        scenario, grid = Scenario("infinite", 1.0, 1.0), (2, 700)
+        uniform = partition._uniform_log_z
+        monkeypatch.setattr(partition, "_uniform_log_z", lambda boxes, qs: [
+            bad if box[0] == 30 else f for box, f in zip(boxes, uniform(boxes, qs))])
+    assert partition._grid_processes(scenario, range(grid[0], grid[1] + 1)) == cpus
+    with pytest.raises(ValueError, match="free energy must be finite"):
+        grid_samples(scenario, *grid)
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
+
+
 def test_a_failing_child_leaves_the_grid_to_this_process(monkeypatch, forks):
     phi = RaisingPhi(RuntimeError("a child's mesh"), in_child=True)
     scenario = split_scenario(phi)

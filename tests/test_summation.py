@@ -183,14 +183,15 @@ def test_fsum_errors_carry_over(xs):
 
 
 def level_spy(monkeypatch):
-    """Record the sigma of every _split call (one per block) and the size of
+    """Record the sigma of every _split call (one per block of exact_sum, one
+    per exact_sums call that splits its segments at once) and the size of
     every array that _fsum sums whole (the fallback)."""
     sigmas, fallbacks = [], []
     split, fsum_whole = summation._split, summation._fsum
 
-    def split_spy(x, sigma, p, q):
+    def split_spy(x, sigma, p, q, starts=None):
         sigmas.append(sigma)
-        return split(x, sigma, p, q)
+        return split(x, sigma, p, q, starts)
 
     def fsum_spy(x):
         fallbacks.append(x.size)
@@ -428,7 +429,7 @@ def test_a_sum_just_below_a_power_of_two_is_decided_by_the_gap_below(e, quarters
 @pytest.mark.parametrize("sizes", [[255, 256, 257], [1, 600, 2], [256] * 5])
 def test_segments_around_fsum_max_are_split_at_once(monkeypatch, sizes):
     # segments of in-range values go through one _split call over the whole
-    # array, each at its own sigma; a lone segment is exact_sum's
+    # array, at the one sigma of its top; a lone segment is exact_sum's
     rng = np.random.default_rng(sum(sizes))
     parts = [(rng.standard_normal(k) * np.exp2(rng.integers(-40, 40, k))).tolist() for k in sizes]
     calls, split = [], summation._split
@@ -467,15 +468,37 @@ def test_a_tie_falls_back_for_its_segment_only(monkeypatch):
 @pytest.mark.parametrize("scale", [2.0**-950, 2.0**-901, 2.0**901, 2.0**1000],
                          ids=["2^-950", "2^-901", "2^901", "2^1000"])
 def test_a_top_out_of_range_sums_each_segment_on_its_own(monkeypatch, scale):
-    # no segment is split with the others; exact_sum splits the 400 values of
-    # the first, and the other two go to math.fsum, one for its top and one
-    # for its size
+    # one top for the whole call.  Scaled down, the top (about 1) is in range:
+    # all three segments are split at once at its one sigma, and the tiny
+    # segment, whose bound dwarfs its gap, goes to math.fsum undecided.
+    # Scaled up, the top is out of range and no segment is split with the
+    # others: exact_sum splits the 400 values of the first, and the other two
+    # go to math.fsum, one for its top and one for its size
     sigmas, fallbacks = level_spy(monkeypatch)
     rng = np.random.default_rng(9)
     parts = [rng.uniform(-1.0, 1.0, 400).tolist(), (rng.uniform(-1.0, 1.0, 300) * scale).tolist(),
              rng.uniform(-1.0, 1.0, 100).tolist()]
     assert_segments_match_fsum(parts)
-    assert len(sigmas) == 1 and fallbacks == [300, 100]
+    if scale < 1.0:
+        top = max(map(abs, parts[0] + parts[2]))
+        assert sigmas == [splitting_constant(400, top)] and fallbacks == [300]
+    else:
+        assert len(sigmas) == 1 and fallbacks == [300, 100]
+
+
+def test_tiny_zero_tie_and_lone_segments_beside_ordinary_ones_match_fsum(monkeypatch):
+    # one call, one sigma from the largest top: the 2^-950 segment and the
+    # all-zero one are left undecided, the tie lies within its bound, and
+    # each of the four reaches math.fsum; the ordinary segments and the lone
+    # value are decided at once
+    sigmas, fallbacks = level_spy(monkeypatch)
+    rng = np.random.default_rng(11)
+    tiny = (rng.uniform(-1.0, 1.0, 50) * 2.0**-950).tolist()
+    tie = [1.0, 2.0**-53, 2.0**-106]
+    parts = [rng.standard_normal(300).tolist(), tiny, [0.0] * 7 + [-0.0], tie, [0.1],
+             (rng.standard_normal(40) * 1e3).tolist(), tiny[:5]]
+    assert_segments_match_fsum(parts)
+    assert len(sigmas) == 1 and fallbacks == [50, 8, 3, 5]
 
 
 @pytest.mark.parametrize("parts", [
@@ -485,6 +508,7 @@ def test_a_top_out_of_range_sums_each_segment_on_its_own(monkeypatch, scale):
     [[1.0, math.nan], [1.0] * 300],
     [[1.0] * 300, [math.inf, -math.inf], [math.nan]],
     [[1e308, 1e308, -1e308], [1.0]],
-], ids=["empty", "zeros", "inf", "nan", "inf-inf", "overflow"])
+    [],
+], ids=["empty", "zeros", "inf", "nan", "inf-inf", "overflow", "no segment"])
 def test_special_segments_follow_fsum(parts):
     assert_segments_match_fsum(parts)

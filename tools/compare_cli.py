@@ -70,6 +70,11 @@ INVOCATIONS = (
     # stop them at s = 64 print 1.2020569031595877e-40.  A DIFF (stdout) by
     # design
     ("coeffs", "--scenario", "sliced", "--a", "1e20", "--b", "1e20", "--phi", "const:1"),
+    # u(a) = 100 and v(b) = 105, 5 apart: trees that place 12 equal s panels
+    # on [100, 105] integrate 13 panels past s = 64, where K(s) < e^-64;
+    # trees that stop every stretch at 64 place none there.  Those panels sum
+    # below half an ulp of f0, so both print the same bits: SAME
+    ("coeffs", "--scenario", "sliced", "--a", "100", "--b", "105", "--phi", "const:1"),
     # phi reaches 0 at t = 2: exit 1 naming that sample
     ("coeffs", "--scenario", "sliced", "--a", "1", "--b", "3", "--phi", "linear:1,-0.5"),
     # the dip profile: trees that sample the sign at 2001 points print an f
