@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import math
 import sys
-from math import exp, fsum, log, log1p
+from math import comb, exp, fsum, log, log1p
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, _shown
 from .quadrature import gauss_legendre, log_graded_edges
-from .specialfn import li, universal_constant, zeta3
+from .specialfn import _LI3_C, _LI3_SERIES_SWITCH, li, universal_constant, zeta3
 from .weights import PhiFunction
 
 
@@ -112,7 +112,14 @@ def coeffs_infinite(a: float, b: float) -> ExpansionCoefficients:
     """Infinite-height box, convention f = +ln Z/V."""
     _require_sides(a, b)
     ab = a * b
-    f0 = (zeta3() + li(3, exp(-a - b)) - li(3, exp(-a)) - li(3, exp(-b))) / ab
+    if a + b < _LI3_SERIES_SWITCH:
+        # li's expansion differenced in closed form, so zeta(3) and zeta(2) x
+        # cancel exactly; the Li_3 sum below was 8.5e5 off at (1e-12, 1e-11)
+        f0 = fsum([1.5, -log(a + b), -(a * a * log1p(b / a) + b * b * log1p(a / b)) / (2.0 * ab)]
+                  + [c * comb(k, j) * a ** (j - 1) * b ** (k - j - 1)
+                     for k, c in _LI3_C for j in range(1, k)])
+    else:
+        f0 = (zeta3() + li(3, exp(-a - b)) - li(3, exp(-a)) - li(3, exp(-b))) / ab
     return ExpansionCoefficients(f0, 0.0, 1.0 / (12.0 * ab), _f3_infinite(a, b))
 
 

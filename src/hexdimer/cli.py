@@ -9,24 +9,21 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
 import stat
 import sys
 
-from . import __version__
-from .enumeration import _z_of_q
+from . import __version__, verify
 from .errors import HexdimerError
 from .fitting import BASIS_NAMES, fit
-from .kasteleyn import _log_z_of_q
 from .partition import (CONVENTION_FINITE, CONVENTION_POSITIVE, SCENARIO_KINDS, Scenario,
-                        _uniform_log_z, free_energy_value, grid_samples, log_z_infinite,
-                        log_z_macmahon, log_z_sliced, series_free_energy)
+                        free_energy_value, grid_samples, log_z_infinite, log_z_macmahon,
+                        log_z_sliced)
 from .shapes import INFINITE, BoxShape
 from .specialfn import universal_constant_detail
-from .weights import ConstantPhi, phi_from_id
+from .weights import phi_from_id
 
 _TABLE1_ROWS = (
     ("cosine", 1.0, 3.0),
@@ -34,10 +31,6 @@ _TABLE1_ROWS = (
     ("linear:1,0.5", 1.0, 3.0),
     ("linear:2,0.5", 2.0, 3.0),
 )
-
-
-class VerificationFailure(HexdimerError):
-    pass
 
 
 def _fmt(x) -> str:
@@ -168,15 +161,6 @@ def _scenario(args, kind: str = None) -> Scenario:
     return Scenario(kind, args.a, args.b, c, phi)
 
 
-def _params(scenario: Scenario) -> str:
-    params = f"a={scenario.a};b={scenario.b}"
-    if scenario.c != INFINITE:
-        params += f";c={scenario.c}"
-    if scenario.phi is not None:
-        params += f";phi={scenario.phi.id}"
-    return params
-
-
 def _z_of(logz: float) -> float:
     try:
         return math.exp(logz)
@@ -222,14 +206,14 @@ def cmd_free_energy(args) -> int:
             scenario = _scenario(args)
             eps = 1.0 / args.inv_eps
             rows = [[args.inv_eps, eps, scenario.free_energy(eps), scenario.kind,
-                     _params(scenario)]]
+                     scenario.params]]
         else:
             if not _given(args, _GRID):
                 raise ValueError("missing --inv-eps, or --inv-eps-min and --inv-eps-max")
             _require(args, *_GRID)
             scenario = _scenario(args)
             samples = grid_samples(scenario, args.inv_eps_min, args.inv_eps_max)
-            rows = [[s.inv_eps, s.eps, s.f, scenario.kind, _params(scenario)] for s in samples]
+            rows = [[s.inv_eps, s.eps, s.f, scenario.kind, scenario.params] for s in samples]
         kind, convention = scenario.kind, scenario.convention
     header = ("inv_eps", "eps", "f", "variant", "params")
     meta = {"command": "free-energy", "convention": convention, "scenario": kind}
@@ -332,70 +316,15 @@ def cmd_constant(args) -> int:
     return 0
 
 
-_VERIFY_BOXES = tuple(itertools.product((1, 2, 3), repeat=3))
-_VERIFY_QS = (0.3, 0.5, 0.9)
-
-
-def _verify_suites():
-    """Yield (suite, case, passed, detail) rows.
-
-    Each ordered box of _VERIFY_BOXES is checked at every q of _VERIFY_QS:
-    enumeration against MacMahon's product, then the Kasteleyn determinant
-    against enumeration.  Each ordered box gets its own enumeration walk, the
-    independent check; the MacMahon values of all boxes come in one batch.
-    The Kasteleyn ln Z depends only on the sorted sides, bit for bit, so each
-    distinct sorted box is embedded once and factored once per q, at its
-    first use, through a mapping that lives only for this call; its other
-    orderings read the same values.  Then come the dual-evaluator and
-    constant-phi suites."""
-    # every box's MacMahon ln Z at every q in one batch, the bits of log_z_macmahon
-    boxes, qs = zip(*itertools.product(_VERIFY_BOXES, _VERIFY_QS))
-    mac_log_z = iter(_uniform_log_z(boxes, qs))
-    kasteleyn_by_sides = {}  # sorted sides -> ln Z of q, each q factored once
-    for m, n, k in _VERIFY_BOXES:
-        shape = BoxShape(m, n, k)
-        oracle_z = _z_of_q(shape)  # one walk serves the three q
-        sides = tuple(sorted((m, n, k)))
-        if sides not in kasteleyn_by_sides:
-            kasteleyn_by_sides[sides] = functools.cache(_log_z_of_q(shape))
-        kasteleyn_log_z = kasteleyn_by_sides[sides]
-        for q in _VERIFY_QS:
-            z_oracle = oracle_z(q)
-            z_mac = math.exp(next(mac_log_z))
-            ok = abs(z_mac - z_oracle) <= 1e-9 * z_oracle
-            yield ("enumeration-vs-macmahon", f"{m};{n};{k};q={q}", ok,
-                   f"rel={abs(z_mac - z_oracle) / z_oracle:.2e}")
-            z_kast = math.exp(kasteleyn_log_z(q))
-            ok = abs(z_kast - z_oracle) <= 1e-9 * z_oracle
-            yield ("kasteleyn-vs-enumeration", f"{m};{n};{k};q={q}", ok,
-                   f"rel={abs(z_kast - z_oracle) / z_oracle:.2e}")
-    for scenario in (Scenario("finite", 1.0, 1.0, 1.0), Scenario("finite", 3.0, 2.0, 1.0),
-                     Scenario("infinite", 1.0, 1.0), Scenario("infinite", 2.0, 1.0)):
-        for t in (10, 50):
-            exact = scenario.free_energy(1.0 / t)
-            series = series_free_energy(scenario, 1.0 / t)
-            ok = abs(exact - series) < 1e-11
-            yield (f"dual-evaluator-{scenario.kind}", f"{_params(scenario)};1/eps={t}", ok,
-                   f"diff={exact - series:.2e}")
-    for (m, n) in ((2, 3), (4, 4)):
-        eps = 0.25
-        lz_sliced = log_z_sliced(m, n, ConstantPhi(1.0), eps)
-        lz_inf = log_z_infinite(BoxShape(m, n, INFINITE), math.exp(-eps))
-        ok = abs(lz_sliced - lz_inf) < 1e-12 * max(1.0, abs(lz_inf))
-        yield ("constant-phi-reduction", f"m={m};n={n};eps={eps}", ok,
-               f"diff={lz_sliced - lz_inf:.2e}")
-
-
 def cmd_verify(args) -> int:
-    rows = []
-    all_ok = True
-    for suite, case, ok, detail in _verify_suites():
-        rows.append([suite, case, "pass" if ok else "FAIL", detail])
-        all_ok = all_ok and ok
+    rows = [[suite, case, "pass" if ok else "FAIL", detail]
+            for suite, case, ok, detail in verify.suites()]
+    all_ok = all(row[2] == "pass" for row in rows)
     _emit(args, ("suite", "case", "status", "detail"),
           rows, {"command": "verify", "result": "pass" if all_ok else "FAIL"})
     if not all_ok:
-        raise VerificationFailure("one or more verification cases failed")
+        print("verification failed: one or more verification cases failed", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -459,9 +388,6 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except VerificationFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -380,6 +380,13 @@ class Scenario:
     def convention(self) -> str:
         return CONVENTION_FINITE if self.kind == "finite" else CONVENTION_POSITIVE
 
+    @property
+    def params(self) -> str:
+        """The sides and phi id as case text: "a=1.0;b=3.0;phi=cosine" for a
+        sliced box, "a=1.0;b=2.0;c=3.0" for a finite one."""
+        c = "" if self.c == INFINITE else f";c={self.c}"
+        return f"a={self.a};b={self.b}{c}" + ("" if self.phi is None else f";phi={self.phi.id}")
+
     def box(self, eps: float) -> BoxShape:
         """The lattice box at mesh eps: a/eps, b/eps and, for the finite box,
         c/eps must be positive integers within _LATTICE_TOL."""

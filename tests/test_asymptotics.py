@@ -100,11 +100,27 @@ def _mp_uniform_f0(a, b, c=None):
 ITEM_10 = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 10")
 
 
-@ITEM_10
+THIN_INFINITE_BOXES = ([(x, x) for x in np.logspace(-12, -2, 11)]
+                       + [(x, 10 * x) for x in np.logspace(-12, -2, 11)]
+                       + [(1e-7, 1e-7), (1e-12, 0.2), (0.124, 0.125)])
+
+
 def test_infinite_f0_on_two_thin_sides():
-    # 1.4e-3 off: zeta(3) and the zeta(2) x terms cancel in the Li_3 sum
-    ref = _mp_uniform_f0(1e-7, 1e-7)
-    assert abs(coeffs_infinite(1e-7, 1e-7).f0 - ref) <= 1e-13 * ref
+    # below a + b = 0.25, f0 is li's expansion differenced in closed form:
+    # at most 1.9e-16 off here, and on random boxes below 0.25.  The sum of
+    # the four Li_3, where zeta(3) and the zeta(2) x terms cancel, was 1.4e-3
+    # off at (1e-7, 1e-7), 8.5e5 at (1e-12, 1e-11) and 6.2e-15 at (0.124, 0.125)
+    for a, b in THIN_INFINITE_BOXES:
+        ref = _mp_uniform_f0(a, b)
+        assert abs(coeffs_infinite(a, b).f0 - ref) <= 1e-15 * ref, (a, b)
+
+
+@ITEM_10
+def test_infinite_f0_on_a_thin_by_wide_box():
+    # 1.22e-6 off: a + b is past li's expansion, so the Li_3 sum still loses
+    # the digits of e^(-1e-10)
+    ref = _mp_uniform_f0(1e-10, 3.0)
+    assert abs(coeffs_infinite(1e-10, 3.0).f0 - ref) <= 1e-13 * ref
 
 
 @ITEM_10
@@ -112,6 +128,13 @@ def test_finite_f0_on_three_thin_sides():
     # 7.1e-5 off
     ref = _mp_uniform_f0(1e-6, 1e-6, 1e-6)
     assert abs(coeffs_finite(1e-6, 1e-6, 1e-6).f0 - ref) <= 1e-13 * abs(ref)
+
+
+@ITEM_10
+def test_finite_f0_on_two_thin_sides_and_a_wide_one():
+    # 1.9e-3 off
+    ref = _mp_uniform_f0(1e-7, 1e-7, 1.0)
+    assert abs(coeffs_finite(1e-7, 1e-7, 1.0).f0 - ref) <= 1e-13 * abs(ref)
 
 
 def test_sliced_f0_on_an_elongated_box():
@@ -323,7 +346,7 @@ def test_sliced_table1_analytic_pinned(phi, a, b, f0_pin, f3_pin):
 # coeffs_sliced(a, b, phi) as float.hex, recorded with numpy 2.4 on x86-64
 # (another libm may move the last bits).  (3, 1) has a > b, at (2, 2) both
 # sides of the f3 series share every panel, and const:1e-7 has rescaled sides
-# 1e-7, where the uniform f0 cancels (ROADMAP item 10).
+# 1e-7, where the uniform f0 as a sum of four Li_3 would cancel.
 COEFFS_SLICED_BITS = [
     ("cosine", 1.0, 3.0, "0x1.e38a26f2d6399p-2", "-0x1.677d6051d8852p-5"),
     ("cosine", 2.0, 3.0, "0x1.e32b5196f13a1p-3", "-0x1.f20a8d8129b33p-6"),

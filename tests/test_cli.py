@@ -1,15 +1,17 @@
+import ast
 import itertools
 import json
 import math
 import re
 import types
 import warnings
+from pathlib import Path
 
 import pytest
 
 from hexdimer import (BoxShape, ConvergenceError, Scenario, TabulatedPhi, asymptotics,
                       enumeration, kasteleyn, kasteleyn_partition, log_z_macmahon,
-                      oracle_partition, partition, specialfn)
+                      oracle_partition, partition, specialfn, verify)
 from hexdimer.cli import main
 from hexdimer.fitting import BASIS_NAMES
 
@@ -418,11 +420,9 @@ def test_verify_walks_and_embeds_each_box_once(monkeypatch):
     # distinct sorted boxes are embedded once each and factored once per q;
     # the MacMahon ln Z of all 81 cases come in one batch; the rows are those
     # of the public oracles per (box, q)
-    import hexdimer.cli as cli
-
     calls = {"energy_histogram": 0, "build_embedding": 0, "dgbtrf": 0}
-    batches, kernel = [], cli._uniform_log_z
-    monkeypatch.setattr(cli, "_uniform_log_z", lambda boxes, qs: (
+    batches, kernel = [], verify._uniform_log_z
+    monkeypatch.setattr(verify, "_uniform_log_z", lambda boxes, qs: (
         batches.append(len(boxes)) or kernel(boxes, qs)))
     lapack = types.SimpleNamespace(dgbtrf=kasteleyn._flapack().dgbtrf)
     monkeypatch.setattr(kasteleyn, "_flapack", lambda: lapack)
@@ -439,7 +439,7 @@ def test_verify_walks_and_embeds_each_box_once(monkeypatch):
     spy(enumeration, "energy_histogram")
     spy(kasteleyn, "build_embedding")
     spy(lapack, "dgbtrf")
-    rows = [row for row in cli._verify_suites()
+    rows = [row for row in verify.suites()
             if row[0] in ("enumeration-vs-macmahon", "kasteleyn-vs-enumeration")]
     assert calls == {"energy_histogram": 27, "build_embedding": 10, "dgbtrf": 30}
     assert batches == [81]
@@ -458,13 +458,25 @@ def test_verify_walks_and_embeds_each_box_once(monkeypatch):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    import hexdimer.cli as cli
-
-    monkeypatch.setattr(cli, "_verify_suites",
-                        lambda: iter([("fake", "case", False, "boom")]))
+    monkeypatch.setattr(verify, "suites", lambda: iter([("fake", "case", False, "boom")]))
     code, out, err = run(capsys, "verify")
     assert code == 3
     assert "FAIL" in out
+    assert err == "verification failed: one or more verification cases failed\n"
+
+
+def test_cli_imports_no_private_name_from_the_package():
+    # the command line is a front end: whatever it needs from a module is
+    # that module's public interface
+    import hexdimer.cli as cli
+
+    private = [f"{'.' * node.level}{node.module or ''} {alias.name}"
+               for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or node.module.split(".")[0] == "hexdimer")
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert private == []
 
 
 def test_fit_reports_why_the_analytic_column_is_blank(monkeypatch, capsys):

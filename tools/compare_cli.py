@@ -48,6 +48,11 @@ INVOCATIONS = (
     ("coeffs", "--scenario", "infinite", "--a", "0.25", "--b", "3", "--json"),
     # side sums just above li's 0.25 switch, where its series in z is longest
     ("coeffs", "--scenario", "infinite", "--a", "0.125", "--b", "0.13"),
+    # a + b below li's switch: trees that sum the four Li_3 lose zeta(3) and
+    # zeta(2) x to cancellation and print f0,16.209256159527289; trees that
+    # difference li's expansion in closed form print 16.23180133983843, the
+    # 60-digit value.  A DIFF (stdout) by design
+    ("coeffs", "--scenario", "infinite", "--a", "1e-7", "--b", "1e-7"),
     ("coeffs", "--scenario", "finite", "--a", "0.1", "--b", "0.15", "--c", "0.2"),
     # f3 takes the uniform box's f3 at the rescaled sides 1e-7, where the
     # uniform f0 would cancel catastrophically
